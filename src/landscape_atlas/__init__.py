@@ -20,7 +20,7 @@ from .ela import (
     nearest_better_ratio,
     normalize_features,
 )
-from .mario.decoder import decode_level, decoder_params
+from .mario.decoder import decode_level, decode_levels, decoder_params
 from .mario.sim import SimulationResult, air_time, basic_fitness, simulate, time_taken
 from .mario.tiles import TileGrid, concatenate, parse_ascii, render_ascii
 from .problems.core import (
@@ -29,6 +29,7 @@ from .problems.core import (
     ProblemInstance,
     decode_instance_level,
     evaluate,
+    evaluate_batch,
     instance_agent,
     list_problems,
     resolve,
@@ -71,11 +72,13 @@ __all__ = [
     "concatenate",
     "decode_instance_level",
     "decode_level",
+    "decode_levels",
     "decoder_params",
     "default_step",
     "diagonal_walk",
     "errors",
     "evaluate",
+    "evaluate_batch",
     "instance_agent",
     "kl_trace",
     "lhs_sample",

@@ -25,6 +25,7 @@ from .tiles import (
 HEIGHT = 14
 WIDTH = 28
 HIDDEN = 64
+CHUNK_ROWS = 32
 
 OVERWORLD = "overworld"
 UNDERGROUND = "underground"
@@ -86,19 +87,39 @@ def decoder_params(variant: str, instance_seed: int, dim: int) -> DecoderParams:
 
 def decode_level(params: DecoderParams, z: np.ndarray) -> TileGrid:
     """Decode one latent vector into a 14 x 28 tile grid."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != (params.dim,):
+    return decode_levels(params, np.asarray(z, dtype=float)[np.newaxis])[0]
+
+
+def decode_levels(params: DecoderParams, Z: np.ndarray) -> list[TileGrid]:
+    """Decode each row of an (n, dim) latent design into a tile grid.
+
+    Rows pass through the network CHUNK_ROWS at a time, one matrix product
+    per chunk, which bounds the score temporaries at CHUNK_ROWS x 5096
+    floats.  How rows are grouped moves scores by rounding only; the
+    decoders' top-two channel margins stay far above that, so every row
+    decodes to the same grid alone or in any batch.
+    """
+    Z = np.asarray(Z, dtype=float)
+    if Z.ndim != 2 or Z.shape[1] != params.dim:
         raise OutOfBounds(f"latent vector must have length {params.dim}")
-    if np.any(z < -1.0) or np.any(z > 1.0):
+    # The positive form is false for NaN, so non-finite rows are rejected.
+    if not np.all((Z >= -1.0) & (Z <= 1.0)):
         raise OutOfBounds("latent coordinates must lie in [-1, 1]")
-    hidden = np.tanh(params.w1 @ z + params.b1)
-    scores = np.tanh(params.w2 @ hidden + params.b2)
-    scores = scores.reshape(N_TILE_TYPES, HEIGHT, WIDTH) + _OFFSETS[params.variant]
-    raw = scores.argmax(axis=0).astype(np.int8)
+    offsets = _OFFSETS[params.variant]
+    raw = np.empty((Z.shape[0], HEIGHT, WIDTH), dtype=np.int8)
+    for start in range(0, Z.shape[0], CHUNK_ROWS):
+        rows = slice(start, start + CHUNK_ROWS)
+        hidden = np.tanh(Z[rows] @ params.w1.T + params.b1)
+        scores = hidden @ params.w2.T
+        scores += params.b2
+        np.tanh(scores, out=scores)
+        scores = scores.reshape(-1, N_TILE_TYPES, HEIGHT, WIDTH)
+        scores += offsets
+        raw[rows] = scores.argmax(axis=1)
     if params.variant == UNDERGROUND:
-        raw[0, :] = GROUND
-        raw[13, :] = GROUND
+        raw[:, 0, :] = GROUND
+        raw[:, 13, :] = GROUND
     else:
-        floored = STANDABLE_MASK[raw[12:14, :]].any(axis=0)
-        raw[13, floored] = GROUND
-    return TileGrid(raw)
+        floored = STANDABLE_MASK[raw[:, 12:14, :]].any(axis=1)
+        raw[:, 13, :][floored] = GROUND
+    return [TileGrid(cells) for cells in raw]

@@ -1,6 +1,7 @@
 from .core import (
     BoxDomain, CountingEvaluator, ProblemId, ProblemInstance,
-    decode_instance_level, evaluate, instance_agent, list_problems, resolve,
+    decode_instance_level, evaluate, evaluate_batch, instance_agent,
+    list_problems, resolve,
 )
 from .baselines import (
     BASELINE_NAMES, SHEKEL_PEAK_COUNTS, SHEKEL_SEEDS, ShekelInstance,
@@ -9,8 +10,8 @@ from .baselines import (
 
 __all__ = [
     "BoxDomain", "CountingEvaluator", "ProblemId", "ProblemInstance",
-    "decode_instance_level", "evaluate", "instance_agent", "list_problems",
-    "resolve",
+    "decode_instance_level", "evaluate", "evaluate_batch", "instance_agent",
+    "list_problems", "resolve",
     "BASELINE_NAMES", "SHEKEL_PEAK_COUNTS", "SHEKEL_SEEDS", "ShekelInstance",
     "baseline_box", "baseline_eval", "shekel_eval", "shekel_instance",
 ]

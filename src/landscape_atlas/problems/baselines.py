@@ -115,7 +115,7 @@ def baseline_eval(name: str, instance_seed: int, d: int, x: np.ndarray) -> float
         raise UnsupportedSeed("baseline instance seeds start at 1")
     fn, lo, hi, _ = _BASELINES[name]
     x = np.asarray(x, dtype=float)
-    if np.any(x < lo) or np.any(x > hi):
+    if not np.all((x >= lo) & (x <= hi)):  # false for NaN too
         raise OutOfBounds(f"{name} expects coordinates in [{lo}, {hi}]")
     return fn(x - _shift(name, instance_seed, d))
 
@@ -149,7 +149,7 @@ def shekel_instance(peaks: int, instance_seed: int, d: int) -> ShekelInstance:
 
 def shekel_eval(inst: ShekelInstance, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0) or np.any(x > 10.0):
+    if not np.all((x >= 0.0) & (x <= 10.0)):  # false for NaN too
         raise OutOfBounds("shekel expects coordinates in [0, 10]")
     sq = ((x - inst.locations) ** 2).sum(axis=1)
     return float(-np.sum(1.0 / (inst.widths + sq)))

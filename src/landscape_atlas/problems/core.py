@@ -16,7 +16,9 @@ from ..errors import (
     OutOfBounds, UnknownProblem, UnsupportedDimension, UnsupportedSeed,
 )
 from ..mario import metrics
-from ..mario.decoder import OVERWORLD, UNDERGROUND, decode_level, decoder_params
+from ..mario.decoder import (
+    OVERWORLD, UNDERGROUND, decode_level, decode_levels, decoder_params,
+)
 from ..mario.sim import ASTAR, SCARED, air_time, basic_fitness, simulate, time_taken
 from ..mario.tiles import TileGrid, concatenate
 from .baselines import (
@@ -187,10 +189,33 @@ def decode_instance_level(instance: ProblemInstance, z: np.ndarray) -> TileGrid:
     return decode_level(params, z)
 
 
+def _design_levels(instance: ProblemInstance, X: np.ndarray) -> list[TileGrid]:
+    """decode_instance_level over the rows of X, as one decode_levels call
+    (concatenation variants stack both halves into a batch of 2n rows)."""
+    _, _, variant, concat = _MARIO_ROWS[instance.id.index]
+    if concat:
+        half = instance.dimension // 2
+        params = decoder_params(variant, instance.instance_seed, half)
+        grids = decode_levels(params, np.vstack([X[:, :half], X[:, half:]]))
+        n = X.shape[0]
+        return [concatenate([a, b]) for a, b in zip(grids[:n], grids[n:])]
+    params = decoder_params(variant, instance.instance_seed, instance.dimension)
+    return decode_levels(params, X)
+
+
 def instance_agent(instance: ProblemInstance) -> str | None:
     if instance.id.suite != "mario":
         return None
     return _MARIO_ROWS[instance.id.index][1]
+
+
+def _score(instance: ProblemInstance, grid: TileGrid) -> float:
+    measure, agent, _, _ = _MARIO_ROWS[instance.id.index]
+    if agent is None:
+        value = _GRID_MEASURES[measure](grid)
+    else:
+        value = _SIM_MEASURES[measure](simulate(grid, agent))
+    return min(1.0, max(0.0, value))
 
 
 def evaluate(instance: ProblemInstance, x: np.ndarray) -> float:
@@ -208,13 +233,22 @@ def evaluate(instance: ProblemInstance, x: np.ndarray) -> float:
             return shekel_eval(inst, x)
         return baseline_eval(name, instance.instance_seed,
                              instance.dimension, x)
-    measure, agent, _, _ = _MARIO_ROWS[instance.id.index]
-    grid = decode_instance_level(instance, x)  # also box-checks x
-    if agent is None:
-        value = _GRID_MEASURES[measure](grid)
-    else:
-        value = _SIM_MEASURES[measure](simulate(grid, agent))
-    return min(1.0, max(0.0, value))
+    # decode_instance_level also box-checks x
+    return _score(instance, decode_instance_level(instance, x))
+
+
+def evaluate_batch(instance: ProblemInstance, X: np.ndarray) -> np.ndarray:
+    """evaluate over the rows of an (n, d) design, bit for bit; mario
+    problems decode the whole design at once."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != instance.dimension:
+        raise OutOfBounds(
+            f"design must have shape (n, {instance.dimension}), "
+            f"got shape {X.shape}")
+    if instance.id.suite == "baseline":
+        return np.array([evaluate(instance, x) for x in X], dtype=float)
+    return np.array([_score(instance, grid)
+                     for grid in _design_levels(instance, X)], dtype=float)
 
 
 class CountingEvaluator:

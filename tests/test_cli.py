@@ -65,6 +65,15 @@ def test_eval_out_of_bounds_is_a_runtime_error(capsys):
     assert "OutOfBounds" in err
 
 
+@pytest.mark.parametrize("problem", ("m1", "m11", "sphere", "shekel-5"))
+def test_eval_rejects_non_finite_points(capsys, problem):
+    code, out, err = _run(capsys, ["eval", "--problem", problem, "--dim", "2",
+                                   "--point=nan,0"])
+    assert code == 1
+    assert out == ""
+    assert "OutOfBounds" in err
+
+
 def test_unknown_problem_is_a_runtime_error(capsys):
     code, _, err = _run(capsys, ["eval", "--problem", "m99", "--dim", "2",
                                  "--point=0,0"])

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from landscape_atlas.ela.sampling import lhs_points
 from landscape_atlas.errors import OutOfBounds
 from landscape_atlas.mario.decoder import (
-    HEIGHT, WIDTH, OVERWORLD, UNDERGROUND, decode_level, decoder_params,
+    _OFFSETS, CHUNK_ROWS, HEIGHT, WIDTH, OVERWORLD, UNDERGROUND, decode_level,
+    decode_levels, decoder_params,
 )
-from landscape_atlas.mario.tiles import GROUND, STANDABLE_MASK
+from landscape_atlas.mario.tiles import GROUND, N_TILE_TYPES, STANDABLE_MASK
 
 
 def _latent(dim, seed=0):
@@ -52,6 +54,17 @@ def test_latent_validation():
         decode_level(params, np.full(10, 1.5))
     with pytest.raises(OutOfBounds):
         decode_level(params, np.full(10, -1.0001))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(OutOfBounds):
+            decode_level(params, np.array([bad] + [0.0] * 9))
+    with pytest.raises(OutOfBounds):
+        decode_levels(params, np.zeros(10))  # a point, not a design
+    with pytest.raises(OutOfBounds):
+        decode_levels(params, np.zeros((3, 9)))
+    design = np.zeros((40, 10))
+    design[35, 2] = np.nan  # one bad row rejects the whole design
+    with pytest.raises(OutOfBounds):
+        decode_levels(params, design)
 
 
 def test_boundary_latents_are_accepted():
@@ -84,3 +97,36 @@ def test_different_latents_give_different_levels():
     a = decode_level(params, _latent(10, seed=0))
     b = decode_level(params, _latent(10, seed=1))
     assert a != b
+
+
+def _reference_scores(params, Z):
+    """Channel scores after offsets, one matrix-vector product per row."""
+    rows = [np.tanh(params.w2 @ np.tanh(params.w1 @ z + params.b1) + params.b2)
+            for z in Z]
+    scores = np.array(rows).reshape(-1, N_TILE_TYPES, HEIGHT, WIDTH)
+    return scores + _OFFSETS[params.variant]
+
+
+@pytest.mark.parametrize("variant", (OVERWORLD, UNDERGROUND))
+def test_decode_levels_match_decode_level_cell_by_cell(variant):
+    params = decoder_params(variant, 3, 7)  # m1 or m2 at an odd d
+    Z = np.random.default_rng(4).uniform(-1.0, 1.0, (2 * CHUNK_ROWS + 1, 7))
+    grids = decode_levels(params, Z)
+    assert grids == [decode_level(params, z) for z in Z]
+    raw = _reference_scores(params, Z).argmax(axis=1)
+    # the post-pass rewrites only the bottom row (and the top underground)
+    assert np.array_equal(np.array([g.cells for g in grids])[:, 1:13],
+                          raw[:, 1:13])
+    assert decode_levels(params, np.empty((0, 7))) == []
+
+
+@pytest.mark.parametrize("variant", (OVERWORLD, UNDERGROUND))
+def test_argmax_margins_dwarf_batch_rounding(variant):
+    # A chunked matrix product rounds scores differently from a per-row one;
+    # a tile could flip only where its two best channels are this close.
+    for seed in range(1, 8):
+        for dim in (10, 5):  # the survey's latent and concatenation-half sizes
+            params = decoder_params(variant, seed, dim)
+            Z = lhs_points(500, dim, -np.ones(dim), np.ones(dim), seed)
+            top2 = np.sort(_reference_scores(params, Z), axis=1)[:, -2:]
+            assert (top2[:, 1] - top2[:, 0]).min() >= 1e-12, (seed, dim)

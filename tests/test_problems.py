@@ -4,9 +4,11 @@ import pytest
 from landscape_atlas.errors import (
     OutOfBounds, UnknownProblem, UnsupportedDimension, UnsupportedSeed,
 )
+from landscape_atlas.ela.sampling import lhs_points
+from landscape_atlas.mario.decoder import CHUNK_ROWS
 from landscape_atlas.problems import (
     BoxDomain, CountingEvaluator, ProblemId, decode_instance_level, evaluate,
-    instance_agent, list_problems, resolve,
+    evaluate_batch, instance_agent, list_problems, resolve,
 )
 
 
@@ -74,6 +76,38 @@ def test_evaluate_checks_point_shape_and_bounds():
         evaluate(inst, np.zeros(9))
     with pytest.raises(OutOfBounds):
         evaluate(inst, np.full(10, 1.5))
+
+
+@pytest.mark.parametrize("name", ("m1", "m11", "m13", "sphere", "shekel-5"))
+def test_non_finite_points_are_out_of_bounds(name):
+    inst = resolve(name, 1, 2)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(OutOfBounds):
+            evaluate(inst, np.array([bad, 0.0]))
+        with pytest.raises(OutOfBounds):
+            evaluate_batch(inst, np.array([[0.0, 0.0], [0.0, bad]]))
+
+
+@pytest.mark.parametrize("seed", (1, 7))
+@pytest.mark.parametrize("index", range(1, 29))
+def test_evaluate_batch_equals_pointwise(index, seed):
+    inst = resolve(f"m{index}", seed, 10)
+    X = lhs_points(500, 10, inst.domain.lower, inst.domain.upper, seed)
+    pointwise = [evaluate(inst, x) for x in X]
+    # sizes either side of the decoder's chunk edges
+    for n in (1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1, 500):
+        assert evaluate_batch(inst, X[:n]).tolist() == pointwise[:n], n
+
+
+@pytest.mark.parametrize("name", ("m13", "sphere", "shekel-5"))
+def test_evaluate_batch_shapes(name):
+    inst = resolve(name, 2, 4)
+    X = lhs_points(9, 4, inst.domain.lower, inst.domain.upper, 3)
+    assert evaluate_batch(inst, X).tolist() == [evaluate(inst, x) for x in X]
+    assert evaluate_batch(inst, np.empty((0, 4))).shape == (0,)
+    for bad in (np.zeros((3, 5)), np.zeros(4), np.zeros((1, 2, 4))):
+        with pytest.raises(OutOfBounds):
+            evaluate_batch(inst, bad)
 
 
 def test_mario_values_are_clamped_to_unit_interval():

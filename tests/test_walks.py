@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from landscape_atlas.errors import AnchorOutOfBounds, DegenerateDirection
-from landscape_atlas.problems import decode_instance_level, resolve
+from landscape_atlas.problems import decode_instance_level, evaluate, resolve
 from landscape_atlas.walks import WalkSpec, default_step, diagonal_walk, walk_bundle
 
 
@@ -124,3 +124,10 @@ def test_value_changes_only_with_grid_changes():
         for i in range(1, len(trace.values)):
             if trace.values[i] != trace.values[i - 1]:
                 assert grids[i] != grids[i - 1]
+
+
+@pytest.mark.parametrize("name", ("m5", "m13"))  # a grid measure; concat + astar
+def test_walk_values_equal_pointwise_evaluate(name):
+    inst = resolve(name, 1, 10)
+    for trace in walk_bundle(inst, 11, 3):
+        assert list(trace.values) == [evaluate(inst, p) for p in trace.points]
