@@ -28,7 +28,8 @@ from .mario.sim import (
 )
 from .mario.tiles import render_ascii
 from .problems.core import (
-    decode_instance_level, evaluate, instance_agent, list_problems, resolve,
+    ProblemId, decode_instance_level, evaluate, instance_agent, list_problems,
+    resolve,
 )
 from .properties.corpus import build_labelled_rows
 from .properties.models import PROPERTY_NAMES, PropertyModel, lofo_cv, predict, train
@@ -358,9 +359,7 @@ def _load_feature_doc(path: str) -> tuple[FeatureVector, tuple[str, str, int]]:
     values = {name: float(doc["features"][name]) for name in FEATURE_NAMES}
     fv = FeatureVector(values=values, degenerate=tuple(doc.get("degenerate", ())))
     problem = str(doc["problem"])
-    suite = "mario" if problem.startswith("m") and problem[1:].isdigit() \
-        else "baseline"
-    return fv, (suite, problem, int(doc["instance"]))
+    return fv, (ProblemId.parse(problem).suite, problem, int(doc["instance"]))
 
 
 def _feature_paths(directory: str) -> list[str]:

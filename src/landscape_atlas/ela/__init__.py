@@ -6,12 +6,11 @@ from .features import (
     nearest_better_ratio,
     normalize_features,
 )
-from .sampling import SampleProvenance, SampleSet, lhs_points, lhs_sample
+from .sampling import SampleSet, lhs_points, lhs_sample
 
 __all__ = [
     "FEATURE_NAMES",
     "FeatureVector",
-    "SampleProvenance",
     "SampleSet",
     "compute_features",
     "lhs_points",

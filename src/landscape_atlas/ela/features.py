@@ -78,12 +78,13 @@ class FeatureVector:
         return np.array([self.values[n] for n in FEATURE_NAMES])
 
 
-def _pairwise_distances(X: np.ndarray) -> np.ndarray:
+def _squared_distances(X: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of X; t-SNE uses it too."""
     sq = np.einsum("ij,ij->i", X, X)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
     np.maximum(d2, 0.0, out=d2)
     np.fill_diagonal(d2, 0.0)
-    return np.sqrt(d2)
+    return d2
 
 
 def _lstsq_r2(A: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
@@ -142,7 +143,7 @@ def nearest_better_ratio(sample: SampleSet) -> float:
         raise ValueError("need at least 3 points")
     if np.all(sample.y == sample.y[0]):
         raise AllEqualFitness("all fitness values equal")
-    nn, nb = _nearest_distances(_pairwise_distances(sample.X), sample.y)
+    nn, nb = _nearest_distances(np.sqrt(_squared_distances(sample.X)), sample.y)
     return float(nn.mean() / nb.mean())
 
 
@@ -285,7 +286,7 @@ def compute_features(sample: SampleSet, feature_seed: int = 0) -> FeatureVector:
     put("meta.quad_cond", quad_cond, flag=flag_cond)
 
     # --- dispersion ------------------------------------------------------
-    D = _pairwise_distances(X)
+    D = np.sqrt(_squared_distances(X))
     iu = np.triu_indices(n, k=1)
     mean_all = float(D[iu].mean())
     rank_order = np.argsort(y, kind="stable")

@@ -8,22 +8,12 @@ import numpy as np
 from .._seeds import NS_LHS, rng_for
 from ..errors import BadSampleSize
 from ..problems.core import ProblemInstance, evaluate_batch
-# perfbench's layer trace wraps evaluate where this module binds it
-from ..problems.core import evaluate  # noqa: F401
-
-
-@dataclass(frozen=True)
-class SampleProvenance:
-    problem: str
-    design: str
-    sample_seed: int
 
 
 @dataclass(frozen=True)
 class SampleSet:
     X: np.ndarray
     y: np.ndarray
-    provenance: SampleProvenance | None = None
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
@@ -65,4 +55,4 @@ def lhs_sample(instance: ProblemInstance, n: int, sample_seed: int) -> SampleSet
     box = instance.domain
     X = lhs_points(n, box.dimension, box.lower, box.upper, sample_seed)
     y = evaluate_batch(instance, X)
-    return SampleSet(X, y, SampleProvenance(instance.id.text, "lhs", sample_seed))
+    return SampleSet(X, y)

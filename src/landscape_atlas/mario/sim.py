@@ -118,17 +118,28 @@ def _spawn_result(lv: _Level, agent: str) -> SimulationResult | None:
     return None
 
 
-def simulate(grid: TileGrid, agent: str) -> SimulationResult:
+def _simulate(grid: TileGrid, agent: str,
+              track: list | None = None) -> SimulationResult:
+    """One run; track, if given, collects the visited (row, col) cells."""
     if agent not in AGENT_KINDS:
         raise ValueError(f"unknown agent kind {agent!r}")
+    lv = _Level(grid)
+    result = _spawn_result(lv, agent)
+    if result is None:
+        return _run_astar(lv, track) if agent == ASTAR \
+            else _run_scared(lv, track)
+    if track is not None and lv.spawn >= 0:
+        track.append((lv.spawn // lv.width, 0))
+    return result
+
+
+def simulate(grid: TileGrid, agent: str) -> SimulationResult:
+    """_simulate, memoised on the agent and the grid's cells."""
     key = (agent, grid.cells.shape, grid.cells.tobytes())
     hit = _CACHE.get(key)
     if hit is not None:
         return hit
-    lv = _Level(grid)
-    result = _spawn_result(lv, agent)
-    if result is None:
-        result = _run_astar(lv) if agent == ASTAR else _run_scared(lv)
+    result = _simulate(grid, agent)
     if len(_CACHE) >= _CACHE_LIMIT:
         _CACHE.clear()
     _CACHE[key] = result
@@ -138,17 +149,8 @@ def simulate(grid: TileGrid, agent: str) -> SimulationResult:
 def simulate_trace(grid: TileGrid, agent: str
                    ) -> tuple[SimulationResult, tuple[tuple[int, int], ...]]:
     """Like simulate, but also returns the visited (row, col) cells."""
-    if agent not in AGENT_KINDS:
-        raise ValueError(f"unknown agent kind {agent!r}")
-    lv = _Level(grid)
     track: list[tuple[int, int]] = []
-    result = _spawn_result(lv, agent)
-    if result is None:
-        result = _run_astar(lv, track) if agent == ASTAR \
-            else _run_scared(lv, track)
-    elif lv.spawn >= 0:
-        track.append((lv.spawn // lv.width, 0))
-    return result, tuple(track)
+    return _simulate(grid, agent, track), tuple(track)
 
 
 _CACHE: dict = {}

@@ -1,5 +1,5 @@
 from .core import (
-    BoxDomain, CountingEvaluator, ProblemId, ProblemInstance,
+    BoxDomain, ProblemId, ProblemInstance,
     decode_instance_level, evaluate, evaluate_batch, instance_agent,
     list_problems, resolve,
 )
@@ -9,7 +9,7 @@ from .baselines import (
 )
 
 __all__ = [
-    "BoxDomain", "CountingEvaluator", "ProblemId", "ProblemInstance",
+    "BoxDomain", "ProblemId", "ProblemInstance",
     "decode_instance_level", "evaluate", "evaluate_batch", "instance_agent",
     "list_problems", "resolve",
     "BASELINE_NAMES", "SHEKEL_PEAK_COUNTS", "SHEKEL_SEEDS", "ShekelInstance",

@@ -17,7 +17,7 @@ from ..errors import (
 )
 from ..mario import metrics
 from ..mario.decoder import (
-    OVERWORLD, UNDERGROUND, decode_level, decode_levels, decoder_params,
+    OVERWORLD, UNDERGROUND, decode_levels, decoder_params,
 )
 from ..mario.sim import ASTAR, SCARED, air_time, basic_fitness, simulate, time_taken
 from ..mario.tiles import TileGrid, concatenate
@@ -176,22 +176,25 @@ def resolve(id_or_text: ProblemId | str, instance_seed: int,
 
 def decode_instance_level(instance: ProblemInstance, z: np.ndarray) -> TileGrid:
     """The grid an m-problem instance sees for latent vector z."""
-    if instance.id.suite != "mario":
-        raise UnknownProblem("only mario problems decode levels")
-    _, _, variant, concat = _MARIO_ROWS[instance.id.index]
-    z = np.asarray(z, dtype=float)
-    if concat:
-        half = instance.dimension // 2
-        params = decoder_params(variant, instance.instance_seed, half)
-        return concatenate([decode_level(params, z[:half]),
-                            decode_level(params, z[half:])])
-    params = decoder_params(variant, instance.instance_seed, instance.dimension)
-    return decode_level(params, z)
+    return _design_levels(instance, np.asarray(z, dtype=float)[np.newaxis])[0]
+
+
+def _design(instance: ProblemInstance, X: np.ndarray) -> np.ndarray:
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != instance.dimension:
+        raise OutOfBounds(
+            f"design must have shape (n, {instance.dimension}), "
+            f"got shape {X.shape}")
+    return X
 
 
 def _design_levels(instance: ProblemInstance, X: np.ndarray) -> list[TileGrid]:
-    """decode_instance_level over the rows of X, as one decode_levels call
-    (concatenation variants stack both halves into a batch of 2n rows)."""
+    """The grids an m-problem instance sees for the rows of X, from one
+    decode_levels call (concatenation variants stack both halves into a
+    batch of 2n rows)."""
+    if instance.id.suite != "mario":
+        raise UnknownProblem("only mario problems decode levels")
+    X = _design(instance, X)
     _, _, variant, concat = _MARIO_ROWS[instance.id.index]
     if concat:
         half = instance.dimension // 2
@@ -233,34 +236,18 @@ def evaluate(instance: ProblemInstance, x: np.ndarray) -> float:
             return shekel_eval(inst, x)
         return baseline_eval(name, instance.instance_seed,
                              instance.dimension, x)
-    # decode_instance_level also box-checks x
-    return _score(instance, decode_instance_level(instance, x))
+    # decode_levels box-checks x
+    return _score(instance, _design_levels(instance, x[np.newaxis])[0])
 
 
 def evaluate_batch(instance: ProblemInstance, X: np.ndarray) -> np.ndarray:
     """evaluate over the rows of an (n, d) design, bit for bit; mario
     problems decode the whole design at once."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != instance.dimension:
-        raise OutOfBounds(
-            f"design must have shape (n, {instance.dimension}), "
-            f"got shape {X.shape}")
+    X = _design(instance, X)
     if instance.id.suite == "baseline":
         return np.array([evaluate(instance, x) for x in X], dtype=float)
     return np.array([_score(instance, grid)
                      for grid in _design_levels(instance, X)], dtype=float)
-
-
-class CountingEvaluator:
-    """Optional wrapper tracking the evaluation budget of one instance."""
-
-    def __init__(self, instance: ProblemInstance):
-        self.instance = instance
-        self.count = 0
-
-    def __call__(self, x: np.ndarray) -> float:
-        self.count += 1
-        return evaluate(self.instance, x)
 
 
 def list_problems() -> list[dict]:

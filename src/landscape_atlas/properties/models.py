@@ -131,7 +131,7 @@ def train(rows: Sequence[LabelledRow], property_name: str, train_seed: int,
     y = np.array([vocab.index(r.label) for r in ordered])
     trees = grow_forest(X, y, len(vocab), train_seed, n_trees)
     hits = sum(
-        _vote_label(trees, X[i], vocab) == ordered[i].label
+        _vote(trees, X[i], vocab)[0] == ordered[i].label
         for i in range(len(ordered))
     )
     return PropertyModel(
@@ -144,11 +144,13 @@ def train(rows: Sequence[LabelledRow], property_name: str, train_seed: int,
     )
 
 
-def _vote_label(trees: tuple[Tree, ...], x: np.ndarray,
-                vocab: tuple[str, ...]) -> str:
+def _vote(trees: tuple[Tree, ...], x: np.ndarray,
+          vocab: tuple[str, ...]) -> tuple[str, np.ndarray]:
+    """The forest's label for x (most votes, ties to the earlier label) and
+    the vote shares."""
     shares = forest_votes(trees, x, len(vocab))
     best = max(range(len(vocab)), key=lambda j: (shares[j], -j))
-    return vocab[best]
+    return vocab[best], shares
 
 
 def _feature_array(model: PropertyModel,
@@ -161,11 +163,10 @@ def _feature_array(model: PropertyModel,
 
 def predict(model: PropertyModel,
             fv: FeatureVector | Mapping[str, float]) -> Prediction:
-    x = _feature_array(model, fv)
-    shares = forest_votes(model.trees, x, len(model.vocabulary))
-    best = max(range(len(model.vocabulary)), key=lambda j: (shares[j], -j))
+    label, shares = _vote(model.trees, _feature_array(model, fv),
+                          model.vocabulary)
     return Prediction(
-        label=model.vocabulary[best],
+        label=label,
         vote_shares={v: float(s) for v, s in zip(model.vocabulary, shares)},
     )
 

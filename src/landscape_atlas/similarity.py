@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ela.features import _squared_distances
 from .errors import DegenerateInput, PerplexityTooLarge, TraceDisabled
 
 DEFAULT_PERPLEXITY = 30.0
@@ -59,14 +60,6 @@ def kl_trace(embedding: Embedding) -> tuple[tuple[int, float], ...]:
     if embedding.kl_checkpoints is None:
         raise TraceDisabled("embedding was run without trace recording")
     return embedding.kl_checkpoints
-
-
-def _squared_distances(Y: np.ndarray) -> np.ndarray:
-    sq = np.einsum("ij,ij->i", Y, Y)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (Y @ Y.T)
-    np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, 0.0)
-    return d2
 
 
 def _conditional_row(d2_row: np.ndarray, beta: float) -> np.ndarray:

@@ -16,8 +16,6 @@ import numpy as np
 from ._seeds import NS_WALK, rng_for
 from .errors import AnchorOutOfBounds, DegenerateDirection
 from .problems.core import ProblemInstance, evaluate_batch
-# perfbench's layer trace wraps evaluate where this module binds it
-from .problems.core import evaluate  # noqa: F401
 
 _EDGE_SLACK = 1e-9  # floating-point guard at box-touching offsets
 

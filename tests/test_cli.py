@@ -302,3 +302,34 @@ def test_embed_writes_csv_and_sidecar(capsys, tmp_path):
     assert main(argv2) == 0
     capsys.readouterr()
     assert rerun.read_bytes() == out_file.read_bytes()
+
+
+def test_embed_labels_suites_by_exact_problem_lookup(capsys, tmp_path):
+    feature_dir = tmp_path / "corpus"
+    assert main(["features", "--problem", "m7,shekel-5", "--instance", "1-3",
+                 "--dim", "2", "--n", "20", "--out-dir", str(feature_dir)]) == 0
+    out_file = tmp_path / "map.csv"
+    assert main(["embed", "--features-dir", str(feature_dir),
+                 "--perplexity", "1.5", "--iterations", "60",
+                 "--out", str(out_file)]) == 0
+    capsys.readouterr()
+    rows = [l.split(",") for l in out_file.read_text().splitlines()
+            if not l.startswith("#")][1:]
+    assert {(r[0], r[1]) for r in rows} == {("mario", "m7"),
+                                           ("baseline", "shekel-5")}
+
+
+def test_feature_file_naming_an_unknown_problem_is_a_runtime_error(
+        capsys, tmp_path):
+    feature_dir = _make_feature_dir(tmp_path, capsys)
+    doc_path = feature_dir / "sphere-i1.json"
+    doc = json.loads(doc_path.read_text())
+    doc["problem"] = "spheroid"
+    doc_path.write_text(json.dumps(doc))
+    out_file = tmp_path / "map.csv"
+    code, _, err = _run(capsys, ["embed", "--features-dir", str(feature_dir),
+                                 "--perplexity", "2", "--iterations", "60",
+                                 "--out", str(out_file)])
+    assert code == 1
+    assert "UnknownProblem" in err and "spheroid" in err
+    assert not out_file.exists()

@@ -1,0 +1,81 @@
+"""Golden digests: refactors must leave the CLI's files byte-identical.
+
+``golden.json`` pins the sha256 of the ``features`` file of every problem
+(m1..m28 and the 16 baselines; instance 1, d=4, n=60, sample seed 1,
+feature seed 0), of the ``level`` and ``simulate`` output for m13 (a
+concatenation variant, astar) and m15 (the scared agent), and of a small
+``train`` model whose forest misses some training rows, so its training
+accuracy exercises the vote rule.  Byte identity is promised only on the
+numeric stack the pins were taken with, so on another numpy version or
+OpenBLAS core the tests skip and say which part of the stack differs.
+"""
+import ctypes
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from landscape_atlas.cli import main
+from landscape_atlas.problems import list_problems
+
+GOLDEN = json.loads((Path(__file__).parent / "golden.json").read_text())
+POINT = "--point=0.3,-0.5,0.1,0.7"
+
+
+def _openblas_core() -> str | None:
+    """Runtime core of the OpenBLAS bundled with the numpy wheel."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib_path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        fn = ctypes.CDLL(str(lib_path)).scipy_openblas_get_corename64_
+        fn.argtypes = []
+        fn.restype = ctypes.c_char_p
+        return fn().decode()
+    return None
+
+
+@pytest.fixture(autouse=True)
+def _pinned_stack(monkeypatch):
+    monkeypatch.delenv("LANDSCAPE_ATLAS_SEED", raising=False)
+    stack = {"numpy": np.__version__, "openblas_core": _openblas_core()}
+    if stack != GOLDEN["stack"]:
+        pytest.skip(f"golden digests were taken on {GOLDEN['stack']}; "
+                    f"this stack is {stack}")
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _mismatches(got: dict, pinned: dict) -> list[str]:
+    assert got.keys() == pinned.keys()
+    return [name for name in pinned if got[name] != pinned[name]]
+
+
+def test_features_files_match_their_digests(tmp_path):
+    problems = [row["problem"] for row in list_problems()]
+    assert main(["features", "--problem", ",".join(problems),
+                 "--instance", "1", "--dim", "4", "--n", "60",
+                 "--sample-seed", "1", "--feature-seed", "0",
+                 "--out-dir", str(tmp_path)]) == 0
+    got = {p: _sha256((tmp_path / f"{p}-i1.json").read_bytes())
+           for p in problems}
+    assert _mismatches(got, GOLDEN["features"]) == []
+
+
+def test_level_simulate_and_train_output_match_their_digests(tmp_path):
+    got = {}
+    for problem in ("m13", "m15"):
+        for command in ("level", "simulate"):
+            out = tmp_path / f"{command}-{problem}.txt"
+            assert main([command, "--problem", problem, "--instance", "1",
+                         "--dim", "4", POINT, "--out", str(out)]) == 0
+            got[f"{command} {problem}"] = _sha256(out.read_bytes())
+    model = tmp_path / "model.json"
+    assert main(["train", "--property", "multimodality", "--dim", "4",
+                 "--n", "60", "--trees", "5", "--sample-seed", "1",
+                 "--feature-seed", "0", "--train-seed", "0",
+                 "--out", str(model)]) == 0
+    got["train multimodality"] = _sha256(model.read_bytes())
+    assert _mismatches(got, GOLDEN["cli"]) == []

@@ -7,7 +7,7 @@ from landscape_atlas.errors import (
 from landscape_atlas.ela.sampling import lhs_points
 from landscape_atlas.mario.decoder import CHUNK_ROWS
 from landscape_atlas.problems import (
-    BoxDomain, CountingEvaluator, ProblemId, decode_instance_level, evaluate,
+    BoxDomain, ProblemId, decode_instance_level, evaluate,
     evaluate_batch, instance_agent, list_problems, resolve,
 )
 
@@ -156,13 +156,6 @@ def test_evaluation_is_deterministic_and_picklable():
     v1 = evaluate(inst, x)
     v2 = evaluate(pickle.loads(pickle.dumps(inst)), x)
     assert v1 == v2
-
-
-def test_counting_evaluator_tracks_budget():
-    counter = CountingEvaluator(resolve("sphere", 1, 3))
-    counter(np.zeros(3))
-    counter(np.ones(3))
-    assert counter.count == 2
 
 
 def test_baseline_dispatch_matches_direct_calls():
