@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -28,8 +29,8 @@ from .mario.sim import (
 )
 from .mario.tiles import render_ascii
 from .problems.core import (
-    ProblemId, decode_instance_level, evaluate, instance_agent, list_problems,
-    resolve,
+    ProblemId, ProblemInstance, _decoder_key, decode_instance_level, evaluate,
+    instance_agent, list_problems, resolve,
 )
 from .properties.corpus import build_labelled_rows
 from .properties.models import PROPERTY_NAMES, PropertyModel, lofo_cv, predict, train
@@ -245,6 +246,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_walk(args) -> int:
+    if args.step is not None and not (math.isfinite(args.step)
+                                      and args.step > 0):
+        raise UsageError(f"--step must be a positive real, got {args.step}")
     instance_seed = _resolve_seed(args.instance, "instance")
     anchor_seed = _resolve_seed(args.anchor_seed, "anchor_seed")
     inst = resolve(args.problem, instance_seed, args.dim)
@@ -263,6 +267,9 @@ def _cmd_walk(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.n < 2 * args.dim:
+        raise UsageError(f"--n must be at least 2*dim = {2 * args.dim}, "
+                         f"got {args.n}")
     instance_seed = _resolve_seed(args.instance, "instance")
     sample_seed = _resolve_seed(args.sample_seed, "sample_seed")
     inst = resolve(args.problem, instance_seed, args.dim)
@@ -290,15 +297,37 @@ def _feature_doc(task: tuple[str, int, int, int, int, int]) -> dict:
     }
 
 
+def _feature_docs(tasks: list[tuple[str, int, int, int, int, int]]
+                  ) -> list[dict]:
+    return [_feature_doc(t) for t in tasks]
+
+
+def _design_groups(instances: list[ProblemInstance]) -> list[list[int]]:
+    """Indices of the instances grouped so that m-problems sharing a decoder
+    (and so, with one n and sample seed, a design) run in one worker and
+    reuse its decoded grids and agent runs; every baseline is a group alone."""
+    groups: dict[object, list[int]] = {}
+    for i, inst in enumerate(instances):
+        key = _decoder_key(inst) if inst.id.suite == "mario" else i
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
 def _cmd_features(args) -> int:
+    if args.n < 2 * args.dim + 2:
+        raise UsageError(f"--n must be at least 2*dim + 2 = "
+                         f"{2 * args.dim + 2}, got {args.n}")
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     instance_seeds = args.instance or [None]
     sample_seed = _resolve_seed(args.sample_seed, "sample_seed")
     feature_seed = _resolve_seed(args.feature_seed, "feature_seed")
-    tasks = []
+    tasks, instances = [], []
     for problem in args.problem:
         for seed in instance_seeds:
             inst_seed = _resolve_seed(seed, "instance")
-            resolve(problem, inst_seed, args.dim)  # validate before output
+            # validate before output
+            instances.append(resolve(problem, inst_seed, args.dim))
             tasks.append((problem, inst_seed, args.dim, args.n,
                           sample_seed, feature_seed))
     if len(tasks) > 1 and not args.out_dir:
@@ -307,10 +336,17 @@ def _cmd_features(args) -> int:
         os.makedirs(args.out_dir, exist_ok=True)
 
     if args.jobs > 1 and len(tasks) > 1:
-        with Pool(args.jobs) as pool:
-            docs = pool.map(_feature_doc, tasks, chunksize=1)
+        groups = _design_groups(instances)
+        with Pool(min(args.jobs, len(groups))) as pool:
+            grouped = pool.map(_feature_docs,
+                               [[tasks[i] for i in g] for g in groups],
+                               chunksize=1)
+        docs = [None] * len(tasks)
+        for group, group_docs in zip(groups, grouped):
+            for i, doc in zip(group, group_docs):
+                docs[i] = doc
     else:
-        docs = [_feature_doc(t) for t in tasks]
+        docs = _feature_docs(tasks)
 
     for doc in docs:
         text = _json_doc("features", [], doc)
@@ -519,7 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=None,
                    help="directory for one JSON per problem/instance")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel feature rows")
+                   help="worker processes; the problems that share a "
+                        "decoder run in one worker")
     p.set_defaults(fn=_cmd_features)
 
     p = sub.add_parser("train", help="fit a property classifier")

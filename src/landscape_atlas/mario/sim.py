@@ -42,7 +42,7 @@ HAZARD_PENALTY = 10
 _INF = float("inf")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimulationResult:
     d_level: int
     t_level: int
@@ -134,16 +134,8 @@ def _simulate(grid: TileGrid, agent: str,
 
 
 def simulate(grid: TileGrid, agent: str) -> SimulationResult:
-    """_simulate, memoised on the agent and the grid's cells."""
-    key = (agent, grid.cells.shape, grid.cells.tobytes())
-    hit = _CACHE.get(key)
-    if hit is not None:
-        return hit
-    result = _simulate(grid, agent)
-    if len(_CACHE) >= _CACHE_LIMIT:
-        _CACHE.clear()
-    _CACHE[key] = result
-    return result
+    """One run of agent through grid."""
+    return _simulate(grid, agent)
 
 
 def simulate_trace(grid: TileGrid, agent: str
@@ -153,8 +145,10 @@ def simulate_trace(grid: TileGrid, agent: str
     return _simulate(grid, agent, track), tuple(track)
 
 
+# The process's one evaluation memo: the shared-design records of
+# problems.core, which fills and bounds it.  Emptying it with .clear() makes
+# the next evaluation of every design decode and simulate afresh.
 _CACHE: dict = {}
-_CACHE_LIMIT = 8192
 
 
 def _run_scared(lv: _Level, track: list | None = None) -> SimulationResult:

@@ -56,7 +56,7 @@ ASCII_LEGEND = "-XS?QO<>[BP=E"
 _CODE_OF_CHAR = {ch: code for code, ch in enumerate(ASCII_LEGEND)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TileGrid:
     """A height x width matrix of tile codes, row 0 at the top."""
 

@@ -19,7 +19,10 @@ from ..mario import metrics
 from ..mario.decoder import (
     OVERWORLD, UNDERGROUND, decode_levels, decoder_params,
 )
-from ..mario.sim import ASTAR, SCARED, air_time, basic_fitness, simulate, time_taken
+from ..mario.sim import (
+    _CACHE, ASTAR, SCARED, SimulationResult, air_time, basic_fitness,
+    simulate, time_taken,
+)
 from ..mario.tiles import TileGrid, concatenate
 from .baselines import (
     BASELINE_NAMES, SHEKEL_PEAK_COUNTS, baseline_box, baseline_eval,
@@ -188,7 +191,8 @@ def _design(instance: ProblemInstance, X: np.ndarray) -> np.ndarray:
     return X
 
 
-def _design_levels(instance: ProblemInstance, X: np.ndarray) -> list[TileGrid]:
+def _design_levels(instance: ProblemInstance, X: np.ndarray
+                   ) -> tuple[TileGrid, ...]:
     """The grids an m-problem instance sees for the rows of X, from one
     decode_levels call (concatenation variants stack both halves into a
     batch of 2n rows)."""
@@ -201,9 +205,9 @@ def _design_levels(instance: ProblemInstance, X: np.ndarray) -> list[TileGrid]:
         params = decoder_params(variant, instance.instance_seed, half)
         grids = decode_levels(params, np.vstack([X[:, :half], X[:, half:]]))
         n = X.shape[0]
-        return [concatenate([a, b]) for a, b in zip(grids[:n], grids[n:])]
+        return tuple(concatenate([a, b]) for a, b in zip(grids[:n], grids[n:]))
     params = decoder_params(variant, instance.instance_seed, instance.dimension)
-    return decode_levels(params, X)
+    return tuple(decode_levels(params, X))
 
 
 def instance_agent(instance: ProblemInstance) -> str | None:
@@ -212,13 +216,71 @@ def instance_agent(instance: ProblemInstance) -> str | None:
     return _MARIO_ROWS[instance.id.index][1]
 
 
-def _score(instance: ProblemInstance, grid: TileGrid) -> float:
-    measure, agent, _, _ = _MARIO_ROWS[instance.id.index]
-    if agent is None:
-        value = _GRID_MEASURES[measure](grid)
-    else:
-        value = _SIM_MEASURES[measure](simulate(grid, agent))
-    return min(1.0, max(0.0, value))
+# Shared-design memo.  The 28 m-problems read only four decoders per
+# (instance seed, dimension) and two agents, so the problems that evaluate
+# one design share its decoded grids and agent runs.  sim._CACHE maps
+# _decoder_key + (design bytes,) to a record (grids, astar runs, scared
+# runs): tuples in design row order, the runs None until a problem first
+# needs them.  Records are kept least recently used first and hold at most
+# _MEMO_ROWS design rows in all, which fits the paper's survey (m1..m28 x 7
+# instances at n=500 read 28 designs).
+_MEMO_ROWS = 14_000
+_AGENT_SLOTS = {ASTAR: 1, SCARED: 2}
+_memo_rows = 0  # rows held in sim._CACHE
+
+
+def _decoder_key(instance: ProblemInstance) -> tuple[str, int, int, bool]:
+    """(variant, instance seed, dimension, concatenated?): m-problem
+    instances with equal keys decode every latent vector alike."""
+    _, _, variant, concat = _MARIO_ROWS[instance.id.index]
+    return variant, instance.instance_seed, instance.dimension, concat
+
+
+def _design_record(instance: ProblemInstance, X: np.ndarray, agent: str | None
+                   ) -> tuple:
+    """The memo record of design X under instance's decoder, with the runs
+    of agent (if any) filled in."""
+    key = _decoder_key(instance) + (X.tobytes(),)
+    record = _CACHE.get(key)
+    if record is None:
+        record = (_design_levels(instance, X), None, None)
+    slot = _AGENT_SLOTS.get(agent)
+    if slot is not None and record[slot] is None:
+        record = record[:slot] + (_runs(record[0], agent),) + record[slot + 1:]
+    _remember(key, record)
+    return record
+
+
+def _runs(grids: tuple[TileGrid, ...], agent: str
+          ) -> tuple[SimulationResult, ...]:
+    """One simulate call per distinct grid, scattered back to every row."""
+    seen: dict[bytes, SimulationResult] = {}
+    runs = []
+    for grid in grids:
+        cells = grid.cells.tobytes()
+        result = seen.get(cells)
+        if result is None:
+            result = seen[cells] = simulate(grid, agent)
+        runs.append(result)
+    return tuple(runs)
+
+
+def _remember(key: tuple, record: tuple) -> None:
+    """Store record as the most recently used, first dropping the least
+    recently used records that would take the memo over _MEMO_ROWS rows."""
+    global _memo_rows
+    old = _CACHE.pop(key, None)
+    if not _CACHE:  # also after an outside _CACHE.clear()
+        _memo_rows = 0
+    elif old is not None:
+        _memo_rows -= len(old[0])
+    n = len(record[0])
+    if n > _MEMO_ROWS:
+        return
+    while _memo_rows + n > _MEMO_ROWS:
+        _memo_rows -= len(_CACHE.pop(next(iter(_CACHE)))[0])
+    _CACHE[key] = record
+    _memo_rows += n
 
 
 def evaluate(instance: ProblemInstance, x: np.ndarray) -> float:
@@ -236,18 +298,26 @@ def evaluate(instance: ProblemInstance, x: np.ndarray) -> float:
             return shekel_eval(inst, x)
         return baseline_eval(name, instance.instance_seed,
                              instance.dimension, x)
-    # decode_levels box-checks x
-    return _score(instance, _design_levels(instance, x[np.newaxis])[0])
+    return float(evaluate_batch(instance, x[np.newaxis])[0])
 
 
 def evaluate_batch(instance: ProblemInstance, X: np.ndarray) -> np.ndarray:
     """evaluate over the rows of an (n, d) design, bit for bit; mario
-    problems decode the whole design at once."""
+    problems decode the design once per decoder and run each agent once per
+    distinct decoded grid, shared through the memo by every problem that
+    reads the same design."""
     X = _design(instance, X)
     if instance.id.suite == "baseline":
         return np.array([evaluate(instance, x) for x in X], dtype=float)
-    return np.array([_score(instance, grid)
-                     for grid in _design_levels(instance, X)], dtype=float)
+    measure, agent, _, _ = _MARIO_ROWS[instance.id.index]
+    record = _design_record(instance, X, agent)  # decode_levels box-checks X
+    if agent is None:
+        score = _GRID_MEASURES[measure]
+        values = [score(grid) for grid in record[0]]
+    else:
+        score = _SIM_MEASURES[measure]
+        values = [score(run) for run in record[_AGENT_SLOTS[agent]]]
+    return np.array([min(1.0, max(0.0, v)) for v in values], dtype=float)
 
 
 def list_problems() -> list[dict]:

@@ -3,7 +3,10 @@ import os
 
 import pytest
 
-from landscape_atlas.cli import main
+from landscape_atlas import walks
+from landscape_atlas.cli import _design_groups, main
+from landscape_atlas.ela import sampling
+from landscape_atlas.problems import resolve
 
 
 def _run(capsys, argv):
@@ -333,3 +336,49 @@ def test_feature_file_naming_an_unknown_problem_is_a_runtime_error(
     assert code == 1
     assert "UnknownProblem" in err and "spheroid" in err
     assert not out_file.exists()
+
+
+def test_features_jobs_output_matches_serial_on_shared_designs(capsys, tmp_path):
+    argv = ["features", "--problem", "m1,m3,m11,m13,m15,sphere",
+            "--instance", "1-2", "--dim", "4", "--n", "20"]
+    parallel, serial = tmp_path / "jobs2", tmp_path / "serial"
+    assert main(argv + ["--out-dir", str(parallel), "--jobs", "2"]) == 0
+    assert main(argv + ["--out-dir", str(serial)]) == 0
+    capsys.readouterr()
+    names = sorted(p.name for p in serial.iterdir())
+    assert len(names) == 12
+    assert sorted(p.name for p in parallel.iterdir()) == names
+    for name in names:
+        assert (parallel / name).read_bytes() == (serial / name).read_bytes()
+
+
+def test_design_groups_share_a_decoder_and_keep_baselines_alone():
+    order = [("m1", 1), ("m11", 1), ("sphere", 1), ("m13", 1), ("m1", 2),
+             ("m15", 1), ("sphere", 2), ("m3", 1)]
+    groups = _design_groups([resolve(p, k, 4) for p, k in order])
+    assert groups == [[0, 1, 5, 7], [2], [3], [4], [6]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--problem", "m1", "--dim", "4", "--n", "7"],
+    ["features", "--problem", "m1", "--dim", "4", "--n", "9"],
+    ["walk", "--problem", "m1", "--dim", "4", "--step", "0"],
+    ["features", "--problem", "m1", "--dim", "4", "--n", "20", "--jobs", "0"],
+], ids=["sample-n-below-2d", "features-n-below-2d+2", "walk-step-0",
+        "features-jobs-0"])
+def test_usage_errors_exit_2_before_any_output(capsys, tmp_path, argv,
+                                               monkeypatch):
+    def no_work(*args):
+        raise AssertionError("library work started")
+
+    for module in (sampling, walks):
+        monkeypatch.setattr(module, "evaluate_batch", no_work)
+    out_file = tmp_path / "out"
+    out_dir = tmp_path / "dir"
+    target = ["--out-dir", str(out_dir)] if argv[0] == "features" \
+        else ["--out", str(out_file)]
+    code, out, err = _run(capsys, argv + target)
+    assert code == 2
+    assert "error" in err
+    assert out == ""
+    assert not out_file.exists() and not out_dir.exists()

@@ -5,9 +5,12 @@
 feature seed 0), of the ``level`` and ``simulate`` output for m13 (a
 concatenation variant, astar) and m15 (the scared agent), and of a small
 ``train`` model whose forest misses some training rows, so its training
-accuracy exercises the vote rule.  Byte identity is promised only on the
-numeric stack the pins were taken with, so on another numpy version or
-OpenBLAS core the tests skip and say which part of the stack differs.
+accuracy exercises the vote rule, and of the ``walk`` output for m13 and
+m17 (3 directions) and the ``sample`` output for m11 and m23 (n=60), which
+pin the batch evaluation path of ``diagonal_walk`` and ``lhs_sample``.
+Byte identity is promised only on the numeric stack the pins were taken
+with, so on another numpy version or OpenBLAS core the tests skip and say
+which part of the stack differs.
 """
 import ctypes
 import hashlib
@@ -79,3 +82,20 @@ def test_level_simulate_and_train_output_match_their_digests(tmp_path):
                  "--out", str(model)]) == 0
     got["train multimodality"] = _sha256(model.read_bytes())
     assert _mismatches(got, GOLDEN["cli"]) == []
+
+
+def test_walk_and_sample_output_match_their_digests(tmp_path):
+    got = {}
+    for problem in ("m13", "m17"):
+        out = tmp_path / f"walk-{problem}.csv"
+        assert main(["walk", "--problem", problem, "--instance", "1",
+                     "--dim", "4", "--anchor-seed", "1", "--directions", "3",
+                     "--out", str(out)]) == 0
+        got[f"walk {problem}"] = _sha256(out.read_bytes())
+    for problem in ("m11", "m23"):
+        out = tmp_path / f"sample-{problem}.csv"
+        assert main(["sample", "--problem", problem, "--instance", "1",
+                     "--dim", "4", "--n", "60", "--sample-seed", "1",
+                     "--out", str(out)]) == 0
+        got[f"sample {problem}"] = _sha256(out.read_bytes())
+    assert _mismatches(got, GOLDEN["paths"]) == []
