@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .ela.features import FEATURE_NAMES, FeatureVector, compute_features, normalize_features
 from .ela.sampling import lhs_sample
-from .errors import LandscapeError
+from .errors import LandscapeError, ManifestMismatch
 from .mario.sim import (
     ASTAR, SCARED, air_time, basic_fitness, simulate_trace, time_taken,
 )
@@ -409,11 +409,19 @@ def _cmd_classify(args) -> int:
     if bool(args.features) == bool(args.features_dir):
         raise UsageError("need exactly one of --features / --features-dir")
     with open(args.model, encoding="utf-8") as fh:
-        model = PropertyModel.from_json(fh.read())
+        text = fh.read()
+    model = PropertyModel.from_json(text)
+    # the set-up the model was trained at; models without metadata skip this
+    trained = json.loads(text).get("metadata", {})
     paths = [args.features] if args.features else _feature_paths(args.features_dir)
     rows = []
     for path in paths:
         fv, (suite, problem, instance) = _load_feature_doc(path)
+        for key, feature in (("dim", "basic.dim"), ("n", "basic.n_obs")):
+            if key in trained and fv.values[feature] != trained[key]:
+                raise ManifestMismatch(
+                    f"{path}: {feature} = {_fmt(fv.values[feature])}, but "
+                    f"the model was trained at {key} = {trained[key]}")
         pred = predict(model, fv)
         rows.append([problem, instance, model.property_name, pred.label,
                      pred.vote_shares[pred.label]])

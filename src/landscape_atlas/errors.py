@@ -62,7 +62,8 @@ class SingleClass(LandscapeError):
 
 
 class ManifestMismatch(LandscapeError):
-    """Feature vector does not match the model's feature manifest."""
+    """Feature vector does not match the model's feature manifest, or was
+    computed at another dimension or sample size than the model's."""
 
 
 class TooFewGroups(LandscapeError):

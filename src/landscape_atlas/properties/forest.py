@@ -23,12 +23,6 @@ class Tree:
     right: tuple[int, ...]
     counts: tuple[tuple[int, ...], ...]
 
-    def leaf_counts(self, x: np.ndarray) -> tuple[int, ...]:
-        i = 0
-        while self.feature[i] >= 0:
-            i = self.left[i] if x[self.feature[i]] <= self.threshold[i] else self.right[i]
-        return self.counts[i]
-
     def to_dict(self) -> dict:
         return {
             "feature": list(self.feature),
@@ -49,47 +43,45 @@ class Tree:
         )
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray,
-                features: np.ndarray, n_classes: int):
-    """Lowest weighted-Gini axis split among the candidate features.
+def _best_split(V: np.ndarray, onehot: np.ndarray):
+    """Lowest weighted-Gini axis split among k candidate features.
 
-    Returns (feature, threshold) or None when every candidate feature is
-    constant on the node.  Ties keep the earliest candidate feature and
-    the lowest cut position, so the result is deterministic."""
-    m = len(idx)
-    yn = y[idx]
-    best_g = math.inf
-    best = None
-    for f in features:
-        v = X[idx, f]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        if vs[0] == vs[-1]:
-            continue
-        onehot = np.zeros((m, n_classes))
-        onehot[np.arange(m), yn[order]] = 1.0
-        left = np.cumsum(onehot, axis=0)[:-1]
-        right = left[-1] + onehot[-1] - left
-        nl = np.arange(1, m, dtype=float)
-        nr = m - nl
-        gl = 1.0 - np.sum((left / nl[:, None]) ** 2, axis=1)
-        gr = 1.0 - np.sum((right / nr[:, None]) ** 2, axis=1)
-        g = (nl * gl + nr * gr) / m
-        g[vs[1:] == vs[:-1]] = math.inf
-        i = int(np.argmin(g))
-        if g[i] < best_g:
-            best_g = g[i]
-            best = (int(f), float((vs[i] + vs[i + 1]) / 2.0))
-    return best
+    Row j of ``V`` holds the node's values of candidate j in ascending
+    order, and ``onehot[j]`` their one-hot labels.  Returns (j, threshold)
+    or None when every candidate is constant on the node.  Ties keep the
+    earliest candidate and the lowest cut position, so the result is
+    deterministic.  The Gini arithmetic is kept term for term: a rewrite
+    changes the rounding and can flip a near-tie."""
+    m = V.shape[1]
+    cum = np.cumsum(onehot, axis=1)
+    left = cum[:, :-1]
+    right = cum[:, -1:] - left
+    nl = np.arange(1, m, dtype=float)
+    nr = m - nl
+    gl = 1.0 - ((left / nl[:, None]) ** 2).sum(axis=2)
+    gr = 1.0 - ((right / nr[:, None]) ** 2).sum(axis=2)
+    g = (nl * gl + nr * gr) / m
+    g[V[:, 1:] == V[:, :-1]] = math.inf
+    j, i = divmod(int(g.argmin()), m - 1)
+    if g[j, i] == math.inf:
+        return None
+    return j, float((V[j, i] + V[j, i + 1]) / 2.0)
 
 
 def grow_tree(X: np.ndarray, y: np.ndarray, n_classes: int,
               rng: np.random.Generator) -> Tree:
     """One CART tree on a bootstrap resample of (X, y); no depth limit,
-    leaf minimum 1, per-split feature subset of size ceil(sqrt(F))."""
+    leaf minimum 1, per-split feature subset of size ceil(sqrt(F)).
+
+    The sample is sorted once per feature: row f of a node's index matrix
+    lists the node's sample positions in ascending order of feature f, and
+    a split partitions every row stably, so no node sorts again."""
     n, F = X.shape
     k = math.ceil(math.sqrt(F))
     boot = rng.integers(0, n, size=n)
+    XT = np.ascontiguousarray(X[boot].T)
+    yb = y[boot]
+    onehot = np.eye(n_classes, dtype=np.int64)[yb]
 
     feature: list[int] = []
     threshold: list[float] = []
@@ -106,29 +98,30 @@ def grow_tree(X: np.ndarray, y: np.ndarray, n_classes: int,
         return len(feature) - 1
 
     root = new_node()
-    stack = [(root, boot)]
+    stack = [(root, np.argsort(XT, axis=1, kind="stable"))]
     while stack:
-        node, idx = stack.pop()
-        dist = np.bincount(y[idx], minlength=n_classes)
-        if len(idx) < 2 or np.count_nonzero(dist) == 1:
-            counts[node] = tuple(int(c) for c in dist)
-            continue
-        sub = rng.permutation(F)[:k]
-        split = _best_split(X, y, idx, sub, n_classes)
+        node, S = stack.pop()
+        dist = np.bincount(yb[S[0]], minlength=n_classes)
+        split = None  # a node of fewer than two rows is pure
+        if np.count_nonzero(dist) > 1:
+            sub = rng.permutation(F)[:k]
+            Ss = S[sub]
+            split = _best_split(XT[sub[:, None], Ss], onehot.take(Ss, axis=0))
         if split is None:
-            counts[node] = tuple(int(c) for c in dist)
+            counts[node] = tuple(dist.tolist())
             continue
-        f, thr = split
-        go_left = X[idx, f] <= thr
+        j, thr = split
+        f = int(sub[j])
+        go_left = (XT[f] <= thr)[S]
         feature[node] = f
         threshold[node] = thr
-        nl = new_node()
-        nr = new_node()
-        left[node] = nl
-        right[node] = nr
+        cl = new_node()
+        cr = new_node()
+        left[node] = cl
+        right[node] = cr
         # push right first so the left child is processed (and numbered) next
-        stack.append((nr, idx[~go_left]))
-        stack.append((nl, idx[go_left]))
+        stack.append((cr, S[~go_left].reshape(F, -1)))
+        stack.append((cl, S[go_left].reshape(F, -1)))
 
     return Tree(tuple(feature), tuple(threshold), tuple(left), tuple(right),
                 tuple(counts))
@@ -142,12 +135,36 @@ def grow_forest(X: np.ndarray, y: np.ndarray, n_classes: int,
     )
 
 
-def forest_votes(trees: tuple[Tree, ...], x: np.ndarray,
+def forest_votes(trees: tuple[Tree, ...], X: np.ndarray,
                  n_classes: int) -> np.ndarray:
-    """Per-class vote shares: each tree votes its leaf's majority class
-    (lowest class index on count ties); shares sum to 1."""
-    votes = np.zeros(n_classes)
-    for t in trees:
-        c = t.leaf_counts(x)
-        votes[max(range(n_classes), key=lambda j: (c[j], -j))] += 1.0
+    """Per-class vote shares for each row of X: each tree votes its leaf's
+    majority class (lowest class index on count ties); every row's shares
+    sum to 1.
+
+    The trees are stacked into flat node arrays in which a leaf is its own
+    child, and all (row, tree) pairs descend together, one level a step."""
+    sizes = [len(t.feature) for t in trees]
+    roots = np.cumsum([0] + sizes[:-1])
+    offset = np.repeat(roots, sizes)
+
+    def flat(field: str) -> np.ndarray:
+        return np.array([v for t in trees for v in getattr(t, field)])
+
+    feature = flat("feature")
+    leaf = feature < 0
+    node_ids = np.arange(len(feature))
+    left = np.where(leaf, node_ids, flat("left") + offset)
+    right = np.where(leaf, node_ids, flat("right") + offset)
+    threshold = flat("threshold")
+    feature[leaf] = 0
+    label = np.zeros(len(feature), dtype=int)
+    label[leaf] = np.argmax([c for t in trees for c in t.counts if c], axis=1)
+
+    rows = np.arange(len(X))[:, None]
+    node = np.broadcast_to(roots, (len(X), len(trees)))
+    while not leaf[node].all():
+        node = np.where(X[rows, feature[node]] <= threshold[node],
+                        left[node], right[node])
+    votes = np.count_nonzero(label[node][:, :, None] == np.arange(n_classes),
+                             axis=1)
     return votes / len(trees)

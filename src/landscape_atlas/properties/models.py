@@ -118,22 +118,29 @@ def _canonical_order(rows: Sequence[LabelledRow]) -> list[LabelledRow]:
                                        tuple(r.features.values.values())))
 
 
+def _check_training_rows(labels: Sequence[str], where: str = "") -> None:
+    if len(labels) < 10:
+        raise TooFewRows(f"need >= 10 training rows{where}, got {len(labels)}")
+    if len(set(labels)) < 2:
+        raise SingleClass(
+            f"training labels{where} contain a single distinct value")
+
+
+def _matrix(rows: Sequence[LabelledRow]) -> np.ndarray:
+    return np.stack([r.features.as_array() for r in rows])
+
+
 def train(rows: Sequence[LabelledRow], property_name: str, train_seed: int,
           n_trees: int = DEFAULT_TREES) -> PropertyModel:
-    if len(rows) < 10:
-        raise TooFewRows(f"need >= 10 training rows, got {len(rows)}")
     labels = [r.label for r in rows]
-    if len(set(labels)) < 2:
-        raise SingleClass("training labels contain a single distinct value")
+    _check_training_rows(labels)
     vocab = vocabulary_for(property_name, labels)
     ordered = _canonical_order(rows)
-    X = np.stack([r.features.as_array() for r in ordered])
+    X = _matrix(ordered)
     y = np.array([vocab.index(r.label) for r in ordered])
     trees = grow_forest(X, y, len(vocab), train_seed, n_trees)
-    hits = sum(
-        _vote(trees, X[i], vocab)[0] == ordered[i].label
-        for i in range(len(ordered))
-    )
+    predicted, _ = _vote(trees, X, vocab)
+    hits = sum(p == r.label for p, r in zip(predicted, ordered))
     return PropertyModel(
         property_name=property_name,
         vocabulary=vocab,
@@ -144,13 +151,12 @@ def train(rows: Sequence[LabelledRow], property_name: str, train_seed: int,
     )
 
 
-def _vote(trees: tuple[Tree, ...], x: np.ndarray,
-          vocab: tuple[str, ...]) -> tuple[str, np.ndarray]:
-    """The forest's label for x (most votes, ties to the earlier label) and
-    the vote shares."""
-    shares = forest_votes(trees, x, len(vocab))
-    best = max(range(len(vocab)), key=lambda j: (shares[j], -j))
-    return vocab[best], shares
+def _vote(trees: tuple[Tree, ...], X: np.ndarray,
+          vocab: tuple[str, ...]) -> tuple[list[str], np.ndarray]:
+    """The forest's label for each row of X (most votes, ties to the
+    earlier label) and the rows' vote shares."""
+    shares = forest_votes(trees, X, len(vocab))
+    return [vocab[j] for j in np.argmax(shares, axis=1)], shares
 
 
 def _feature_array(model: PropertyModel,
@@ -163,27 +169,32 @@ def _feature_array(model: PropertyModel,
 
 def predict(model: PropertyModel,
             fv: FeatureVector | Mapping[str, float]) -> Prediction:
-    label, shares = _vote(model.trees, _feature_array(model, fv),
-                          model.vocabulary)
+    labels, shares = _vote(model.trees, _feature_array(model, fv)[None, :],
+                           model.vocabulary)
     return Prediction(
-        label=label,
-        vote_shares={v: float(s) for v, s in zip(model.vocabulary, shares)},
+        label=labels[0],
+        vote_shares={v: float(s) for v, s in zip(model.vocabulary, shares[0])},
     )
 
 
 def lofo_cv(rows: Sequence[LabelledRow], property_name: str,
             train_seed: int = 0, n_trees: int = DEFAULT_TREES) -> CVResult:
     """Leave-one-group-out cross-validation: every fold withholds all
-    rows of one source group, so a group never predicts itself."""
+    rows of one source group, so a group never predicts itself.  Every
+    fold's training rows are checked before the first fold trains."""
     groups = sorted({r.group for r in rows})
     if len(groups) < 3:
         raise TooFewGroups(f"need >= 3 source groups, got {len(groups)}")
+    for g in groups:
+        _check_training_rows([r.label for r in rows if r.group != g],
+                             f" without group {g!r}")
     folds = []
     for g in groups:
         test = [r for r in rows if r.group == g]
         rest = [r for r in rows if r.group != g]
         model = train(rest, property_name, train_seed, n_trees)
-        hits = sum(predict(model, r.features).label == r.label for r in test)
+        predicted, _ = _vote(model.trees, _matrix(test), model.vocabulary)
+        hits = sum(p == r.label for p, r in zip(predicted, test))
         folds.append(FoldResult(group=g, n_test=len(test),
                                 accuracy=hits / len(test)))
     mean = sum(f.accuracy for f in folds) / len(folds)

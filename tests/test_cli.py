@@ -262,6 +262,30 @@ def test_train_classify_round_trip(capsys, tmp_path):
     assert labels <= {"yes", "no"}
 
 
+def test_classify_refuses_features_of_another_set_up(capsys, tmp_path):
+    model_path = tmp_path / "model.json"
+    assert _run(capsys, ["train", "--property", "funnel", "--dim", "2",
+                         "--n", "20", "--trees", "3",
+                         "--out", str(model_path)])[0] == 0
+    bare_path = tmp_path / "bare.json"
+    doc = json.loads(model_path.read_text())
+    del doc["metadata"]
+    bare_path.write_text(json.dumps(doc))
+    for dim, n in ((3, 20), (2, 30)):
+        features = tmp_path / f"sphere-d{dim}-n{n}.json"
+        assert _run(capsys, ["features", "--problem", "sphere",
+                             "--dim", str(dim), "--n", str(n),
+                             "--out", str(features)])[0] == 0
+        code, out, err = _run(capsys, ["classify", "--model", str(model_path),
+                                       "--features", str(features)])
+        assert (code, out) == (1, "")
+        assert "ManifestMismatch" in err
+        # a model without training metadata classifies it as before
+        code, out, _ = _run(capsys, ["classify", "--model", str(bare_path),
+                                     "--features", str(features)])
+        assert code == 0 and "sphere" in out
+
+
 def test_classify_needs_exactly_one_source(capsys, tmp_path):
     code, _, err = _run(capsys, ["classify", "--model", "m.json"])
     assert code == 2

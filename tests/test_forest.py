@@ -1,0 +1,198 @@
+"""The forest's array passes against the per-feature, per-row code they
+replaced.
+
+``grow_tree`` scores all candidate features of a node in one array pass and
+partitions a once-per-tree presort down the tree; ``forest_votes`` descends
+all rows and trees together.  The references below are the earlier
+per-feature ``argsort`` split and per-row, per-tree leaf descent.  Trees
+must come out node for node the same, and votes share for share.
+"""
+import math
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from landscape_atlas.ela import FEATURE_NAMES
+from landscape_atlas.properties import PropertyModel, predict
+from landscape_atlas.properties.forest import Tree, forest_votes, grow_tree
+
+# A value pool with heavy ties.
+POOL = (0.0, 1.0, 2.0, 3.0, -0.5)
+# Two neighbouring doubles whose midpoint rounds up to the larger one, so a
+# cut between them sends the whole node left and leaves the right child
+# empty.  The left child then repeats its parent, and only a feature draw
+# without that column ends the repeats, so random data leaves them out.
+LOW, HIGH = 1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51
+
+
+def _ref_best_split(X, y, idx, features, n_classes):
+    m = len(idx)
+    yn = y[idx]
+    best_g = math.inf
+    best = None
+    for f in features:
+        v = X[idx, f]
+        order = np.argsort(v, kind="stable")
+        vs = v[order]
+        if vs[0] == vs[-1]:
+            continue
+        onehot = np.zeros((m, n_classes))
+        onehot[np.arange(m), yn[order]] = 1.0
+        left = np.cumsum(onehot, axis=0)[:-1]
+        right = left[-1] + onehot[-1] - left
+        nl = np.arange(1, m, dtype=float)
+        nr = m - nl
+        gl = 1.0 - np.sum((left / nl[:, None]) ** 2, axis=1)
+        gr = 1.0 - np.sum((right / nr[:, None]) ** 2, axis=1)
+        g = (nl * gl + nr * gr) / m
+        g[vs[1:] == vs[:-1]] = math.inf
+        i = int(np.argmin(g))
+        if g[i] < best_g:
+            best_g = g[i]
+            best = (int(f), float((vs[i] + vs[i + 1]) / 2.0))
+    return best
+
+
+def _ref_grow_tree(X, y, n_classes, rng):
+    n, F = X.shape
+    k = math.ceil(math.sqrt(F))
+    boot = rng.integers(0, n, size=n)
+    feature, threshold, left, right, counts = [], [], [], [], []
+
+    def new_node():
+        for column, blank in ((feature, -1), (threshold, 0.0), (left, -1),
+                              (right, -1), (counts, ())):
+            column.append(blank)
+        return len(feature) - 1
+
+    stack = [(new_node(), boot)]
+    while stack:
+        node, idx = stack.pop()
+        dist = np.bincount(y[idx], minlength=n_classes)
+        if len(idx) < 2 or np.count_nonzero(dist) == 1:
+            counts[node] = tuple(int(c) for c in dist)
+            continue
+        sub = rng.permutation(F)[:k]
+        split = _ref_best_split(X, y, idx, sub, n_classes)
+        if split is None:
+            counts[node] = tuple(int(c) for c in dist)
+            continue
+        f, thr = split
+        go_left = X[idx, f] <= thr
+        feature[node], threshold[node] = f, thr
+        nl, nr = new_node(), new_node()
+        left[node], right[node] = nl, nr
+        stack.append((nr, idx[~go_left]))
+        stack.append((nl, idx[go_left]))
+    return Tree(tuple(feature), tuple(threshold), tuple(left), tuple(right),
+                tuple(counts))
+
+
+def _ref_leaf_counts(tree, x):
+    i = 0
+    while tree.feature[i] >= 0:
+        i = tree.left[i] if x[tree.feature[i]] <= tree.threshold[i] else tree.right[i]
+    return tree.counts[i]
+
+
+def _ref_votes(trees, x, n_classes):
+    votes = np.zeros(n_classes)
+    for t in trees:
+        c = _ref_leaf_counts(t, x)
+        votes[max(range(n_classes), key=lambda j: (c[j], -j))] += 1.0
+    return votes / len(trees)
+
+
+@st.composite
+def _data(draw, max_rows=24, max_features=7):
+    n = draw(st.integers(2, max_rows))
+    F = draw(st.integers(1, max_features))
+    n_classes = draw(st.integers(2, 5))
+    constant = draw(st.lists(st.booleans(), min_size=F, max_size=F))
+    columns = []
+    for c in range(F):
+        if constant[c]:
+            columns.append([draw(st.sampled_from(POOL))] * n)
+        elif draw(st.booleans()):
+            columns.append(draw(st.lists(st.sampled_from(POOL),
+                                         min_size=n, max_size=n)))
+        else:
+            columns.append(draw(st.lists(
+                st.floats(-4.0, 4.0, allow_nan=False, width=16),
+                min_size=n, max_size=n)))
+    X = np.array(columns, dtype=float).T
+    y = np.array(draw(st.lists(st.integers(0, n_classes - 1),
+                               min_size=n, max_size=n)))
+    return X, y, n_classes
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_grow_tree_matches_the_per_feature_reference(data, seed):
+    X, y, n_classes = data
+    got = grow_tree(X, y, n_classes, np.random.default_rng(seed))
+    want = _ref_grow_tree(X, y, n_classes, np.random.default_rng(seed))
+    assert got == want
+
+
+def test_a_cut_that_rounds_up_leaves_an_empty_child_as_before():
+    assert (LOW + HIGH) / 2.0 == HIGH
+    # column 0 separates the labels perfectly, so whenever it is drawn it
+    # wins, and its cut sends every row left
+    X = np.array([[LOW, 0.0, 2.0], [HIGH, 1.0, 2.0], [LOW, 1.0, 3.0],
+                  [HIGH, 0.0, 3.0]] * 2)
+    y = np.array([0, 1] * 4)
+    empty = 0
+    for seed in range(10):
+        got = grow_tree(X, y, 2, np.random.default_rng(seed))
+        assert got == _ref_grow_tree(X, y, 2, np.random.default_rng(seed))
+        empty += got.counts.count((0, 0))
+    assert empty > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_data(max_rows=16, max_features=4),
+       n_trees=st.integers(1, 6),
+       leaf_counts=st.lists(st.integers(0, 2), min_size=1, max_size=40),
+       n_queries=st.integers(1, 12),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_forest_votes_match_per_row_per_tree_voting(data, n_trees, leaf_counts,
+                                                    n_queries, seed):
+    X, y, n_classes = data
+    rng = np.random.default_rng(seed)
+    trees = []
+    for t in range(n_trees):
+        tree = grow_tree(X, y, n_classes, rng)
+        # overwrite the leaves' counts with small integers, so count ties
+        # at the leaves (all-zero included) are common
+        counts = tuple(
+            tuple(leaf_counts[(i * n_classes + c) % len(leaf_counts)]
+                  for c in range(n_classes)) if f < 0 else ()
+            for i, f in enumerate(tree.feature))
+        trees.append(Tree(tree.feature, tree.threshold, tree.left, tree.right,
+                          counts))
+    trees = tuple(trees)
+    rows = rng.integers(0, len(X), size=n_queries)
+    queries = X[rows] + rng.choice([0.0, 0.0, 0.25, -0.25], size=X[rows].shape)
+    got = forest_votes(trees, queries, n_classes)
+    assert got.shape == (n_queries, n_classes)
+    for q, shares in zip(queries, got):
+        assert np.array_equal(shares, _ref_votes(trees, q, n_classes))
+
+
+def test_count_and_vote_ties_go_to_the_lowest_class():
+    # every leaf ties on counts; the stump then votes class 1 (x <= 0.5) or
+    # 2, the single leaf class 0, so the forest ties on every row
+    stump = Tree(feature=(0, -1, -1), threshold=(0.5, 0.0, 0.0),
+                 left=(1, -1, -1), right=(2, -1, -1),
+                 counts=((), (0, 1, 1), (0, 3, 3)))
+    leaf = Tree(feature=(-1,), threshold=(0.0,), left=(-1,), right=(-1,),
+                counts=((2, 2, 0),))
+    shares = forest_votes((stump, leaf), np.array([[0.0], [1.0]]), 3)
+    assert shares.tolist() == [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]]
+    model = PropertyModel("adhoc", ("a", "b", "c"), FEATURE_NAMES, 0,
+                          (stump, leaf), 1.0)
+    for x0 in (0.0, 1.0):
+        values = dict.fromkeys(FEATURE_NAMES, 0.0)
+        values[FEATURE_NAMES[0]] = x0
+        assert predict(model, values).label == "a"

@@ -8,6 +8,10 @@ concatenation variant, astar) and m15 (the scared agent), and of a small
 accuracy exercises the vote rule, and of the ``walk`` output for m13 and
 m17 (3 directions) and the ``sample`` output for m11 and m23 (n=60), which
 pin the batch evaluation path of ``diagonal_walk`` and ``lhs_sample``.
+Two more pins cover the forest's deep-tree and CV paths: the ``cv`` output
+for ``separability`` at 25 trees, and a 25-tree model trained on a
+balanced, permuted 5-class labelling of the same rows, whose random labels
+grow deep trees down to pure leaves.
 Byte identity is promised only on the numeric stack the pins were taken
 with, so on another numpy version or OpenBLAS core the tests skip and say
 which part of the stack differs.
@@ -22,6 +26,7 @@ import pytest
 
 from landscape_atlas.cli import main
 from landscape_atlas.problems import list_problems
+from landscape_atlas.properties import LabelledRow, build_labelled_rows, train
 
 GOLDEN = json.loads((Path(__file__).parent / "golden.json").read_text())
 POINT = "--point=0.3,-0.5,0.1,0.7"
@@ -99,3 +104,21 @@ def test_walk_and_sample_output_match_their_digests(tmp_path):
                      "--out", str(out)]) == 0
         got[f"sample {problem}"] = _sha256(out.read_bytes())
     assert _mismatches(got, GOLDEN["paths"]) == []
+
+
+def test_cv_and_deep_tree_model_match_their_digests(tmp_path):
+    out = tmp_path / "cv.json"
+    assert main(["cv", "--property", "separability", "--dim", "4",
+                 "--n", "60", "--trees", "25", "--sample-seed", "1",
+                 "--feature-seed", "0", "--train-seed", "0",
+                 "--format", "json", "--out", str(out)]) == 0
+    got = {"cv separability": _sha256(out.read_bytes())}
+    rows = build_labelled_rows("separability", dimension=4, n=60,
+                               sample_seed=1, feature_seed=0)
+    labels = [f"l{i % 5}" for i in range(len(rows))]
+    np.random.default_rng(0).shuffle(labels)
+    permuted = [LabelledRow(r.features, label, r.group)
+                for r, label in zip(rows, labels)]
+    model = train(permuted, "permuted", train_seed=0, n_trees=25)
+    got["train permuted"] = _sha256(model.to_json().encode())
+    assert _mismatches(got, GOLDEN["forest"]) == []

@@ -9,6 +9,7 @@ from landscape_atlas.properties import (
     PROPERTY_VOCABULARIES, LabelledRow, PropertyModel, build_labelled_rows,
     labelled_functions, load_labels, lofo_cv, predict, train, vocabulary_for,
 )
+from landscape_atlas.properties import forest
 
 
 def _fv(rng, shift=0.0):
@@ -130,6 +131,26 @@ def test_lofo_cv_requires_three_groups():
             for r in _separable_rows()]
     with pytest.raises(TooFewGroups):
         lofo_cv(rows, "funnel", 0, n_trees=5)
+
+
+@pytest.mark.parametrize("error, group, rows", [
+    # holding out g1 leaves only "yes" rows
+    (SingleClass, "g1",
+     [LabelledRow(r.features, "no" if r.group == "g1" else "yes", r.group)
+      for r in _separable_rows()]),
+    # holding out g3, which holds most rows, leaves 6 rows to train on
+    (TooFewRows, "g3",
+     [LabelledRow(r.features, r.label, r.group if i < 6 else "g3")
+      for i, r in enumerate(_separable_rows())]),
+])
+def test_lofo_cv_checks_every_fold_before_the_first(monkeypatch, error, group,
+                                                    rows):
+    grown = []
+    monkeypatch.setattr(forest, "grow_tree",
+                        lambda *args: grown.append(args) or None)
+    with pytest.raises(error, match=f"without group '{group}'"):
+        lofo_cv(rows, "funnel", train_seed=0, n_trees=3)
+    assert grown == []
 
 
 def test_lofo_cv_never_leaks_the_held_out_group():
