@@ -33,7 +33,9 @@ from .problems.core import (
     instance_agent, list_problems, resolve,
 )
 from .properties.corpus import build_labelled_rows
-from .properties.models import PROPERTY_NAMES, PropertyModel, lofo_cv, predict, train
+from .properties.models import (
+    PROPERTY_NAMES, PropertyModel, _feature_array, _vote, lofo_cv, train,
+)
 from .similarity import kl_trace, tsne_embed
 from .walks import walk_bundle
 
@@ -414,17 +416,20 @@ def _cmd_classify(args) -> int:
     # the set-up the model was trained at; models without metadata skip this
     trained = json.loads(text).get("metadata", {})
     paths = [args.features] if args.features else _feature_paths(args.features_dir)
-    rows = []
+    X, rows = [], []
     for path in paths:
-        fv, (suite, problem, instance) = _load_feature_doc(path)
+        fv, (_, problem, instance) = _load_feature_doc(path)
         for key, feature in (("dim", "basic.dim"), ("n", "basic.n_obs")):
             if key in trained and fv.values[feature] != trained[key]:
                 raise ManifestMismatch(
                     f"{path}: {feature} = {_fmt(fv.values[feature])}, but "
                     f"the model was trained at {key} = {trained[key]}")
-        pred = predict(model, fv)
-        rows.append([problem, instance, model.property_name, pred.label,
-                     pred.vote_shares[pred.label]])
+        X.append(_feature_array(model, fv))  # checks the manifest
+        rows.append([problem, instance, model.property_name])
+    # one vote over every file; a row's share is its label's, the largest
+    labels, shares = _vote(model.trees, np.stack(X), model.vocabulary)
+    for row, label, share in zip(rows, labels, shares):
+        row += [label, float(share.max())]
     meta = [("model", os.path.basename(args.model)),
             ("property", model.property_name),
             ("train_seed", model.train_seed)]

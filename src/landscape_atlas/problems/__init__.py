@@ -5,7 +5,7 @@ from .core import (
 )
 from .baselines import (
     BASELINE_NAMES, SHEKEL_PEAK_COUNTS, SHEKEL_SEEDS, ShekelInstance,
-    baseline_box, baseline_eval, shekel_eval, shekel_instance,
+    baseline_box, baseline_eval, shekel_instance,
 )
 
 __all__ = [
@@ -13,5 +13,5 @@ __all__ = [
     "decode_instance_level", "evaluate", "evaluate_batch", "instance_agent",
     "list_problems", "resolve",
     "BASELINE_NAMES", "SHEKEL_PEAK_COUNTS", "SHEKEL_SEEDS", "ShekelInstance",
-    "baseline_box", "baseline_eval", "shekel_eval", "shekel_instance",
+    "baseline_box", "baseline_eval", "shekel_instance",
 ]

@@ -19,54 +19,56 @@ _SCHWEFEL_OFFSET = 418.9828872724339
 _SCHWEFEL_OPT = 420.968746
 
 
-def _sphere(x):
-    return float(np.dot(x, x))
+# Each function maps the shifted rows of an (n, d) design to (n,) values, bit
+# for bit what its formula gives one row at a time: reductions over axis 1,
+# np.vecdot for dot products, np.float_power for the d=1 Rosenbrock square.
+
+def _sphere(X):
+    return np.vecdot(X, X)
 
 
-def _ellipsoid(x):
-    d = x.size
+def _ellipsoid(X):
+    d = X.shape[1]
     if d == 1:
-        return float(x[0] * x[0])
+        return X[:, 0] * X[:, 0]
     expo = 6.0 * np.arange(d) / (d - 1)
-    return float(np.sum(10.0 ** expo * x * x))
+    return np.sum(10.0 ** expo * X * X, axis=1)
 
 
-def _rastrigin(x):
-    return float(10.0 * x.size + np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x)))
+def _rastrigin(X):
+    return 10.0 * X.shape[1] + np.sum(X * X - 10.0 * np.cos(2.0 * np.pi * X),
+                                      axis=1)
 
 
-def _rosenbrock(x):
-    if x.size == 1:
-        return float((1.0 - x[0]) ** 2)
-    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+def _rosenbrock(X):
+    if X.shape[1] == 1:
+        return np.float_power(1.0 - X[:, 0], 2.0)
+    return np.sum(100.0 * (X[:, 1:] - X[:, :-1] ** 2) ** 2
+                  + (1.0 - X[:, :-1]) ** 2, axis=1)
 
 
-def _ackley(x):
-    return float(
-        -20.0 * np.exp(-0.2 * np.sqrt(np.mean(x * x)))
-        - np.exp(np.mean(np.cos(2.0 * np.pi * x)))
-        + 20.0 + np.e
-    )
+def _ackley(X):
+    return (-20.0 * np.exp(-0.2 * np.sqrt(np.mean(X * X, axis=1)))
+            - np.exp(np.mean(np.cos(2.0 * np.pi * X), axis=1))
+            + 20.0 + np.e)
 
 
-def _griewank(x):
-    idx = np.sqrt(np.arange(1.0, x.size + 1.0))
-    return float(np.sum(x * x) / 4000.0 - np.prod(np.cos(x / idx)) + 1.0)
+def _griewank(X):
+    idx = np.sqrt(np.arange(1.0, X.shape[1] + 1.0))
+    return (np.sum(X * X, axis=1) / 4000.0
+            - np.prod(np.cos(X / idx), axis=1) + 1.0)
 
 
-def _schwefel(x):
-    return float(_SCHWEFEL_OFFSET * x.size - np.sum(x * np.sin(np.sqrt(np.abs(x)))))
+def _schwefel(X):
+    return _SCHWEFEL_OFFSET * X.shape[1] - np.sum(
+        X * np.sin(np.sqrt(np.abs(X))), axis=1)
 
 
-def _slope_weights(d: int) -> np.ndarray:
-    if d == 1:
-        return np.ones(1)
-    return 1.0 + 9.0 * np.arange(d) / (d - 1)
-
-
-def _linear_slope(x):
+def _linear_slope(X):
     # Non-negative on the unshifted box, minimum at the lower corner.
-    return float(np.dot(_slope_weights(x.size), x + 5.0))
+    d = X.shape[1]
+    weights = np.ones(1) if d == 1 else 1.0 + 9.0 * np.arange(d) / (d - 1)
+    return np.vecdot(weights, X + 5.0)
 
 
 # name -> (function, box low, box high, unshifted minimiser coordinate)
@@ -84,12 +86,13 @@ _BASELINES = {
 BASELINE_NAMES = tuple(_BASELINES)
 SHEKEL_PEAK_COUNTS = (3, 5, 7, 10, 20, 30, 40, 50)
 SHEKEL_SEEDS = 5
+_SHEKEL_PEAKS = {f"shekel-{p}": p for p in SHEKEL_PEAK_COUNTS}
 
 
 def baseline_box(name: str) -> tuple[float, float]:
     if name in _BASELINES:
         return _BASELINES[name][1], _BASELINES[name][2]
-    if name.startswith("shekel-"):
+    if name in _SHEKEL_PEAKS:
         return 0.0, 10.0
     raise UnknownProblem(name)
 
@@ -106,18 +109,6 @@ def _shift(name: str, instance_seed: int, d: int) -> np.ndarray:
         shift = target - opt
     shift.flags.writeable = False
     return shift
-
-
-def baseline_eval(name: str, instance_seed: int, d: int, x: np.ndarray) -> float:
-    if name not in _BASELINES:
-        raise UnknownProblem(name)
-    if instance_seed < 1:
-        raise UnsupportedSeed("baseline instance seeds start at 1")
-    fn, lo, hi, _ = _BASELINES[name]
-    x = np.asarray(x, dtype=float)
-    if not np.all((x >= lo) & (x <= hi)):  # false for NaN too
-        raise OutOfBounds(f"{name} expects coordinates in [{lo}, {hi}]")
-    return fn(x - _shift(name, instance_seed, d))
 
 
 @dataclass(frozen=True)
@@ -147,9 +138,18 @@ def shekel_instance(peaks: int, instance_seed: int, d: int) -> ShekelInstance:
     return ShekelInstance(peaks, locations, widths)
 
 
-def shekel_eval(inst: ShekelInstance, x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    if not np.all((x >= 0.0) & (x <= 10.0)):  # false for NaN too
-        raise OutOfBounds("shekel expects coordinates in [0, 10]")
-    sq = ((x - inst.locations) ** 2).sum(axis=1)
-    return float(-np.sum(1.0 / (inst.widths + sq)))
+def baseline_eval(name: str, instance_seed: int, X: np.ndarray) -> np.ndarray:
+    """Values of baseline name's instance at the rows of an (n, d) design."""
+    lo, hi = baseline_box(name)
+    if instance_seed < 1:
+        raise UnsupportedSeed("baseline instance seeds start at 1")
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or not np.all((X >= lo) & (X <= hi)):  # false for NaN too
+        raise OutOfBounds(f"{name} expects an (n, d) design with coordinates "
+                          f"in [{lo:g}, {hi:g}]")
+    d = X.shape[1]
+    if name in _BASELINES:
+        return _BASELINES[name][0](X - _shift(name, instance_seed, d))
+    inst = shekel_instance(_SHEKEL_PEAKS[name], instance_seed, d)
+    sq = ((X[:, np.newaxis, :] - inst.locations) ** 2).sum(axis=2)
+    return -np.sum(1.0 / (inst.widths + sq), axis=1)

@@ -26,7 +26,6 @@ from ..mario.sim import (
 from ..mario.tiles import TileGrid, concatenate
 from .baselines import (
     BASELINE_NAMES, SHEKEL_PEAK_COUNTS, baseline_box, baseline_eval,
-    shekel_eval, shekel_instance,
 )
 
 MARIO_SEEDS = 7
@@ -284,31 +283,23 @@ def _remember(key: tuple, record: tuple) -> None:
 
 
 def evaluate(instance: ProblemInstance, x: np.ndarray) -> float:
-    """Deterministic objective value; minimisation sense."""
+    """Deterministic objective value; minimisation sense.  A batch of one
+    over evaluate_batch for every suite."""
     x = np.asarray(x, dtype=float)
     if x.shape != (instance.dimension,):
         raise OutOfBounds(
             f"point must have length {instance.dimension}, got shape {x.shape}")
-    if instance.id.suite == "baseline":
-        name = instance.id.text
-        if name.startswith("shekel-"):
-            peaks = int(name.split("-")[1])
-            inst = shekel_instance(peaks, instance.instance_seed,
-                                   instance.dimension)
-            return shekel_eval(inst, x)
-        return baseline_eval(name, instance.instance_seed,
-                             instance.dimension, x)
     return float(evaluate_batch(instance, x[np.newaxis])[0])
 
 
 def evaluate_batch(instance: ProblemInstance, X: np.ndarray) -> np.ndarray:
-    """evaluate over the rows of an (n, d) design, bit for bit; mario
-    problems decode the design once per decoder and run each agent once per
-    distinct decoded grid, shared through the memo by every problem that
-    reads the same design."""
+    """Objective values at the rows of an (n, d) design.  Baselines make one
+    baseline_eval call per design; mario problems decode the design once per
+    decoder and run each agent once per distinct decoded grid, shared
+    through the memo by every problem that reads the same design."""
     X = _design(instance, X)
     if instance.id.suite == "baseline":
-        return np.array([evaluate(instance, x) for x in X], dtype=float)
+        return baseline_eval(instance.id.text, instance.instance_seed, X)
     measure, agent, _, _ = _MARIO_ROWS[instance.id.index]
     record = _design_record(instance, X, agent)  # decode_levels box-checks X
     if agent is None:

@@ -29,7 +29,10 @@ class WalkSpec:
     def __post_init__(self):
         anchor = np.asarray(self.anchor, dtype=float)
         direction = np.asarray(self.direction, dtype=float)
-        norm = float(np.linalg.norm(direction))
+        norm = float(np.linalg.norm(direction))  # not finite if an entry is not
+        if not (math.isfinite(norm) and math.isfinite(self.step)
+                and np.isfinite(anchor).all()):
+            raise ValueError("anchor, direction and step must be finite")
         if norm == 0.0:
             raise DegenerateDirection("direction must be a nonzero vector")
         if self.step <= 0.0:

@@ -7,6 +7,7 @@ from landscape_atlas import walks
 from landscape_atlas.cli import _design_groups, main
 from landscape_atlas.ela import sampling
 from landscape_atlas.problems import resolve
+from landscape_atlas.properties import PropertyModel, predict
 
 
 def _run(capsys, argv):
@@ -260,6 +261,27 @@ def test_train_classify_round_trip(capsys, tmp_path):
     assert len(lines) == 1 + 8
     labels = {l.split(",")[3] for l in lines[1:]}
     assert labels <= {"yes", "no"}
+
+
+def test_classify_features_dir_equals_per_file_predict(capsys, tmp_path):
+    model_path = tmp_path / "model.json"
+    assert _run(capsys, ["train", "--property", "funnel", "--dim", "2",
+                         "--n", "20", "--trees", "25",
+                         "--out", str(model_path)])[0] == 0
+    feature_dir = _make_feature_dir(tmp_path, capsys)
+    code, out, _ = _run(capsys, ["classify", "--model", str(model_path),
+                                 "--features-dir", str(feature_dir)])
+    assert code == 0
+    model = PropertyModel.from_json(model_path.read_text())
+    expected = []
+    for name in sorted(os.listdir(feature_dir)):
+        doc = json.loads((feature_dir / name).read_text())
+        pred = predict(model, doc["features"])
+        expected.append(",".join([
+            doc["problem"], str(doc["instance"]), "funnel", pred.label,
+            format(pred.vote_shares[pred.label], ".17g")]))
+    assert out.splitlines()[-len(expected):] == expected
+    assert len({line.split(",")[4] for line in expected}) > 1
 
 
 def test_classify_refuses_features_of_another_set_up(capsys, tmp_path):

@@ -6,7 +6,8 @@ import pytest
 
 PACKAGES = ("landscape_atlas", "landscape_atlas.ela", "landscape_atlas.mario",
             "landscape_atlas.problems")
-DELETED = ("CountingEvaluator", "SampleProvenance", "provenance")
+DELETED = ("CountingEvaluator", "SampleProvenance", "provenance",
+           "shekel_eval")
 
 
 @pytest.mark.parametrize("name", PACKAGES)

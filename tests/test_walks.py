@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from landscape_atlas.errors import AnchorOutOfBounds, DegenerateDirection
-from landscape_atlas.problems import decode_instance_level, evaluate, resolve
+from landscape_atlas.problems import (
+    BASELINE_NAMES, SHEKEL_PEAK_COUNTS, decode_instance_level, evaluate, resolve,
+)
 from landscape_atlas.walks import WalkSpec, default_step, diagonal_walk, walk_bundle
 
 
@@ -46,6 +49,18 @@ def test_nonpositive_step_rejected():
         WalkSpec(np.zeros(2), np.ones(2), 0.0)
 
 
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+def test_non_finite_step_anchor_or_direction_rejected(bad):
+    with pytest.raises(ValueError):
+        WalkSpec(np.zeros(2), np.ones(2), bad)
+    with pytest.raises(ValueError):
+        WalkSpec(np.array([0.0, bad]), np.ones(2), 0.5)
+    with pytest.raises(ValueError):
+        WalkSpec(np.zeros(2), np.array([1.0, bad]), 0.5)
+    with np.errstate(over="ignore"), pytest.raises(ValueError):
+        WalkSpec(np.zeros(2), np.full(2, 1e308), 0.5)  # the norm overflows
+
+
 def test_anchor_outside_box_rejected():
     inst = _unit_box_instance()
     with pytest.raises(AnchorOutOfBounds):
@@ -58,15 +73,6 @@ def test_consecutive_points_are_equidistant():
         for trace in walk_bundle(inst, seed, 2):
             steps = np.linalg.norm(np.diff(trace.points, axis=0), axis=1)
             assert np.all(np.abs(steps - trace.spec.step) <= 1e-12)
-
-
-def test_every_walk_point_stays_inside_the_box():
-    inst = resolve("m1", 1, 5)
-    box = inst.domain
-    for seed in range(6):
-        for trace in walk_bundle(inst, seed, 2):
-            for p in trace.points:
-                assert box.contains(p)
 
 
 def test_walks_are_maximal_within_the_box():
@@ -131,3 +137,23 @@ def test_walk_values_equal_pointwise_evaluate(name):
     inst = resolve(name, 1, 10)
     for trace in walk_bundle(inst, 11, 3):
         assert list(trace.values) == [evaluate(inst, p) for p in trace.points]
+
+
+# m1..m10 score the decoded grid without an agent, so their walks are cheap
+_WALK_PROBLEMS = (tuple(f"m{i}" for i in range(1, 11)) + BASELINE_NAMES
+                  + tuple(f"shekel-{p}" for p in SHEKEL_PEAK_COUNTS))
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(_WALK_PROBLEMS), d=st.integers(2, 6),
+       anchor_seed=st.integers(0, 2 ** 16), directions=st.integers(1, 3),
+       scale=st.floats(0.25, 4.0))
+@example(name="m1", d=5, anchor_seed=0, directions=2, scale=1.0)
+def test_every_walk_point_stays_inside_the_box(name, d, anchor_seed,
+                                               directions, scale):
+    inst = resolve(name, 1, d)
+    box = inst.domain
+    for trace in walk_bundle(inst, anchor_seed, directions,
+                             scale * default_step(inst)):
+        for p in trace.points:
+            assert box.contains(p)
