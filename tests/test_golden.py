@@ -12,11 +12,17 @@ Two more pins cover the forest's deep-tree and CV paths: the ``cv`` output
 for ``separability`` at 25 trees, and a 25-tree model trained on a
 balanced, permuted 5-class labelling of the same rows, whose random labels
 grow deep trees down to pure leaves.
+The ``runs`` pins cover the agents at scale: the astar and scared
+``SimulationResult`` tuples that the shared-design memo of
+``evaluate_batch`` holds for a 200-row LHS design under each of the four
+astar decoders (m11..m14: overworld, underground and their concatenations;
+instance 1, d=10).
 Byte identity is promised only on the numeric stack the pins were taken
 with, so on another numpy version or OpenBLAS core the tests skip and say
 which part of the stack differs.
 """
 import ctypes
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -25,6 +31,9 @@ import numpy as np
 import pytest
 
 from landscape_atlas.cli import main
+from landscape_atlas.ela.sampling import lhs_points
+from landscape_atlas.mario.sim import AGENT_KINDS
+from landscape_atlas.problems import core
 from landscape_atlas.problems import list_problems
 from landscape_atlas.properties import LabelledRow, build_labelled_rows, train
 
@@ -122,3 +131,17 @@ def test_cv_and_deep_tree_model_match_their_digests(tmp_path):
     model = train(permuted, "permuted", train_seed=0, n_trees=25)
     got["train permuted"] = _sha256(model.to_json().encode())
     assert _mismatches(got, GOLDEN["forest"]) == []
+
+
+def test_agent_runs_of_the_astar_decoders_match_their_digests():
+    got = {}
+    for problem in ("m11", "m12", "m13", "m14"):
+        inst = core.resolve(problem, 1, 10)
+        box = inst.domain
+        X = lhs_points(200, 10, box.lower, box.upper, 1)
+        core.evaluate_batch(inst, X)
+        for agent in AGENT_KINDS:
+            runs = core._design_record(inst, X, agent)[core._AGENT_SLOTS[agent]]
+            rows = [dataclasses.astuple(r) for r in runs]
+            got[f"{agent} {problem}"] = _sha256(json.dumps(rows).encode())
+    assert _mismatches(got, GOLDEN["runs"]) == []
