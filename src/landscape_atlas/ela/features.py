@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -87,6 +88,15 @@ def _squared_distances(X: np.ndarray) -> np.ndarray:
     return d2
 
 
+@lru_cache(maxsize=8)
+def _upper_pairs(n: int) -> np.ndarray:
+    """Flat indices of the strict upper triangle of an n x n matrix, in
+    np.triu_indices(n, k=1) order."""
+    pairs = np.ravel_multi_index(np.triu_indices(n, k=1), (n, n))
+    pairs.flags.writeable = False
+    return pairs
+
+
 def _lstsq_r2(A: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     """R^2 of the least-squares fit y ~ A, plus the coefficient vector.
 
@@ -126,11 +136,12 @@ def meta_model_r2(sample: SampleSet) -> float:
 def _nearest_distances(D: np.ndarray, y: np.ndarray):
     """Nearest-neighbour distance per point and nearest-strictly-better
     distance for every point that has a strictly better neighbour."""
-    n = len(y)
-    masked = D + np.diag(np.full(n, np.inf))
-    nn = masked.min(axis=1)
-    better = y[None, :] < y[:, None]
-    nb_all = np.where(better, D, np.inf).min(axis=1)
+    work = D.copy()
+    np.fill_diagonal(work, np.inf)
+    nn = work.min(axis=1)
+    # Entry (i, j) stays only where point j is strictly better than point i.
+    np.copyto(work, np.inf, where=y[None, :] >= y[:, None])
+    nb_all = work.min(axis=1)
     nb = nb_all[np.isfinite(nb_all)]
     return nn, nb
 
@@ -287,8 +298,7 @@ def compute_features(sample: SampleSet, feature_seed: int = 0) -> FeatureVector:
 
     # --- dispersion ------------------------------------------------------
     D = np.sqrt(_squared_distances(X))
-    iu = np.triu_indices(n, k=1)
-    mean_all = float(D[iu].mean())
+    mean_all = float(D.take(_upper_pairs(n)).mean())
     rank_order = np.argsort(y, kind="stable")
     for p in _DISP_QUANTILES:
         name = f"disp.ratio_{int(round(p * 100)):02d}"
@@ -298,8 +308,7 @@ def compute_features(sample: SampleSet, feature_seed: int = 0) -> FeatureVector:
         k = max(2, math.ceil(p * n))
         best = rank_order[:k]
         sub = D[np.ix_(best, best)]
-        ku = np.triu_indices(k, k=1)
-        put(name, float(sub[ku].mean()) / mean_all)
+        put(name, float(sub.take(_upper_pairs(k)).mean()) / mean_all)
 
     # --- level sets ------------------------------------------------------
     for q in _LEVEL_QUANTILES:

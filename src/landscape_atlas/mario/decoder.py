@@ -56,6 +56,18 @@ def _variant_offsets(variant: str) -> np.ndarray:
 
 _OFFSETS = {v: _variant_offsets(v) for v in _VARIANT_CODES}
 
+# Channel c ranks N_TILE_TYPES - c, so the lowest of tied top channels ranks
+# highest.
+_CHANNEL_RANK = np.arange(N_TILE_TYPES, 0, -1, dtype=np.uint8)[:, None, None]
+
+
+def _channel_argmax(scores: np.ndarray) -> np.ndarray:
+    """The top channel of every cell of an (n, N_TILE_TYPES, h, w) score
+    stack, ties going to the lowest channel: np.argmax(axis=1) for finite
+    scores, without its strided per-cell scan over the channel axis."""
+    top = scores.max(axis=1, keepdims=True)
+    return N_TILE_TYPES - ((scores == top) * _CHANNEL_RANK).max(axis=1)
+
 
 @dataclass(frozen=True)
 class DecoderParams:
@@ -115,7 +127,7 @@ def decode_levels(params: DecoderParams, Z: np.ndarray) -> list[TileGrid]:
         np.tanh(scores, out=scores)
         scores = scores.reshape(-1, N_TILE_TYPES, HEIGHT, WIDTH)
         scores += offsets
-        raw[rows] = scores.argmax(axis=1)
+        raw[rows] = _channel_argmax(scores)
     if params.variant == UNDERGROUND:
         raw[:, 0, :] = GROUND
         raw[:, 13, :] = GROUND

@@ -28,6 +28,7 @@ jumps whenever a gap or a hazard shows up within two columns of lookahead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from heapq import heappop, heappush
 
 import numpy as np
@@ -90,7 +91,10 @@ class _Level:
         sup = np.zeros((h, w), dtype=bool)
         sup[:-1, :] = std[1:, :]
         self.supported = sup.ravel().tolist()
+        # One entry per cell, then a hazard-free one that the planner's
+        # moves that stay in their cell look up.
         self.hazard = HAZARD_MASK[cells].ravel().tolist()
+        self.hazard.append(False)
         self.coin = (cells == COIN).ravel().tolist()
         self.col_open = (~std.any(axis=0)).tolist()
         self.spawn = -1
@@ -216,39 +220,6 @@ def _run_scared(lv: _Level, track: list | None = None) -> SimulationResult:
                             lv.t_max, False)
 
 
-def _edges(lv: _Level, r: int, c: int, p: int):
-    """Successor (r, c, p, cost) tuples, in a fixed deterministic order."""
-    w, h = lv.width, lv.height
-    supported, hazard = lv.supported, lv.hazard
-    cell = r * w + c
-    standing = p == 0 and supported[cell]
-    out = []
-    moves = ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)) if standing \
-        else ((0, 0), (0, 1))
-    for kind, dx in moves:  # kind: 0 stay/fall, 1 jump, 2 drop
-        if dx and c + 1 >= w:
-            continue
-        if kind == 1:
-            rise = 2 if r >= 2 else r
-            r2, p2 = r - rise, (1 if rise == 2 else 0)
-        elif kind == 2 or not standing:
-            if p > 0:
-                rise = 2 if r >= 2 else r
-                r2, p2 = r - rise, (p - 1 if rise == 2 else 0)
-            else:
-                r2, p2 = r + 1, 0
-                if r2 >= h:
-                    continue  # falls out: dead end
-        else:
-            r2, p2 = r, 0
-        c2 = c + dx
-        cost = 1
-        if (r2 != r or c2 != c) and hazard[r2 * w + c2]:
-            cost += HAZARD_PENALTY
-        out.append((r2, c2, p2, cost))
-    return out
-
-
 def _run_astar(lv: _Level, track: list | None = None) -> SimulationResult:
     w = lv.width
     start = lv.spawn * 3
@@ -269,37 +240,103 @@ def _run_astar(lv: _Level, track: list | None = None) -> SimulationResult:
     return _replay(lv, dist, parent, best_state, won=False, track=track)
 
 
+# Successor-table entry of a state in the last column: the search stops
+# there (a goal) instead of expanding it.  Not (), which a dead end holds.
+_GOAL = object()
+
+
+@lru_cache(maxsize=8)
+def _successor_table(h: int, w: int) -> tuple[list, list]:
+    """The planner's successors on every h x w grid, filled in lazily.
+
+    Entry ``s`` of the first list holds the successors of state s when the
+    agent is not standing; entry ``cell`` of the second, those of the
+    jump-phase-0 state of cell when it is; None until first needed.  Each
+    successor is a tuple ``(s2, k, key)``: the next state; the index into
+    the grid's hazard list that prices the step (the new cell, or the
+    hazard-free last entry when the move stays in its cell); and the heap
+    key of s2 at zero cost (see _astar_search).  Successors come in the
+    order the moves are tried: stay or fall, then jump, then drop, each
+    without and then with a step right.  Only the step prices depend on the
+    grid, so one table serves every grid of its shape."""
+    return [None] * (h * w * 3), [None] * (h * w)
+
+
+def _successors(h: int, w: int, state: int, standing: bool):
+    """Table entry of state (see _successor_table)."""
+    n_states = h * w * 3
+    cell, p = divmod(state, 3)
+    r, c = divmod(cell, w)
+    if c == w - 1:
+        return _GOAL
+    out = []
+    moves = ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)) if standing \
+        else ((0, 0), (0, 1))
+    for kind, dx in moves:  # kind: 0 stay/fall, 1 jump, 2 drop
+        if kind == 1:
+            rise = 2 if r >= 2 else r
+            r2, p2 = r - rise, (1 if rise == 2 else 0)
+        elif kind == 2 or not standing:
+            if p > 0:
+                rise = 2 if r >= 2 else r
+                r2, p2 = r - rise, (p - 1 if rise == 2 else 0)
+            else:
+                r2, p2 = r + 1, 0
+                if r2 >= h:
+                    continue  # falls out: dead end
+        else:
+            r2, p2 = r, 0
+        cell2 = r2 * w + c + dx
+        s2 = cell2 * 3 + p2
+        k = cell2 if cell2 != cell else h * w
+        out.append((s2, k, (w - 1 - c - dx) * n_states + s2))
+    return tuple(out)
+
+
 def _astar_search(lv: _Level, start: int, start_cost: int, early_exit: bool):
-    w = lv.width
-    n_states = lv.height * w * 3
+    """Cheapest ticks from start to every state the search settles.
+
+    States are ``(row * width + col) * 3 + jump_phase``.  The heap orders
+    states by (g + columns left, state), packed into the one int
+    ``(g + columns left) * n_states + state``."""
+    h, w = lv.height, lv.width
+    table, standing_table = _successor_table(h, w)
+    supported, hazard = lv.supported, lv.hazard
+    hit = 1 + HAZARD_PENALTY
+    n_states = h * w * 3
     dist = [_INF] * n_states
     done = [False] * n_states
     parent = [-1] * n_states
     dist[start] = start_cost
-    last_col = w - 1
-    heap = [(start_cost + last_col, start)]
+    heap = [(start_cost + w - 1) * n_states + start]
     goal_state = -1
     while heap:
-        f, state = heappop(heap)
+        state = heappop(heap) % n_states
         if done[state]:
             continue
         done[state] = True
         cell, p = divmod(state, 3)
-        r, c = divmod(cell, w)
-        if c == last_col:
+        if p == 0 and supported[cell]:
+            edges = standing_table[cell]
+            if edges is None:
+                edges = standing_table[cell] = _successors(h, w, state, True)
+        else:
+            edges = table[state]
+            if edges is None:
+                edges = table[state] = _successors(h, w, state, False)
+        if edges is _GOAL:
             if goal_state < 0:
                 goal_state = state
                 if early_exit:
                     break
             continue
         g = dist[state]
-        for r2, c2, p2, cost in _edges(lv, r, c, p):
-            s2 = (r2 * w + c2) * 3 + p2
-            g2 = g + cost
+        for s2, k, key in edges:
+            g2 = g + hit if hazard[k] else g + 1
             if g2 < dist[s2]:
                 dist[s2] = g2
                 parent[s2] = state
-                heappush(heap, (g2 + last_col - c2, s2))
+                heappush(heap, g2 * n_states + key)
     return dist, parent, goal_state
 
 

@@ -56,6 +56,18 @@ ASCII_LEGEND = "-XS?QO<>[BP=E"
 _CODE_OF_CHAR = {ch: code for code, ch in enumerate(ASCII_LEGEND)}
 
 
+def _valid_codes(a: np.ndarray) -> bool:
+    """Whether every entry of a is an integer in 0..12."""
+    if a.dtype == np.int8:  # the decoder's grids: two cheap reductions
+        return a.min() >= 0 and a.max() < N_TILE_TYPES
+    if a.dtype.kind not in "biuf":
+        return False
+    valid = (a >= 0) & (a < N_TILE_TYPES)  # False for NaN
+    if a.dtype.kind == "f":
+        valid &= a == np.floor(a)
+    return bool(valid.all())
+
+
 @dataclass(frozen=True, slots=True)
 class TileGrid:
     """A height x width matrix of tile codes, row 0 at the top."""
@@ -63,12 +75,14 @@ class TileGrid:
     cells: np.ndarray
 
     def __post_init__(self):
-        cells = np.asarray(self.cells, dtype=np.int8)
+        cells = np.asarray(self.cells)
         if cells.ndim != 2 or cells.size == 0:
             raise EmptyInput("grid must be a non-empty 2-D matrix")
-        if cells.min() < 0 or cells.max() >= N_TILE_TYPES:
-            raise ValueError("tile codes must be in 0..12")
-        cells = cells.copy()
+        # Checked before the int8 cast, which would wrap 256 to 0 and cut
+        # 1.5 to 1.
+        if not _valid_codes(cells):
+            raise ValueError("tile codes must be integers in 0..12")
+        cells = cells.astype(np.int8)
         cells.flags.writeable = False
         object.__setattr__(self, "cells", cells)
 

@@ -4,8 +4,8 @@ import pytest
 from landscape_atlas.ela.sampling import lhs_points
 from landscape_atlas.errors import OutOfBounds
 from landscape_atlas.mario.decoder import (
-    _OFFSETS, CHUNK_ROWS, HEIGHT, WIDTH, OVERWORLD, UNDERGROUND, decode_level,
-    decode_levels, decoder_params,
+    _OFFSETS, CHUNK_ROWS, HEIGHT, WIDTH, OVERWORLD, UNDERGROUND,
+    _channel_argmax, decode_level, decode_levels, decoder_params,
 )
 from landscape_atlas.mario.tiles import GROUND, N_TILE_TYPES, STANDABLE_MASK
 
@@ -130,3 +130,19 @@ def test_argmax_margins_dwarf_batch_rounding(variant):
             Z = lhs_points(500, dim, -np.ones(dim), np.ones(dim), seed)
             top2 = np.sort(_reference_scores(params, Z), axis=1)[:, -2:]
             assert (top2[:, 1] - top2[:, 0]).min() >= 1e-12, (seed, dim)
+
+
+def test_channel_argmax_sends_exact_ties_to_the_lowest_channel():
+    rng = np.random.default_rng(6)
+    # Three score levels over 13 channels: most cells tie at the top across
+    # several channels.
+    scores = rng.integers(-1, 2, size=(6, N_TILE_TYPES, 3, 5)).astype(float)
+    scores[0, :, 0, 0] = 0.25                 # all thirteen tie
+    scores[0, :, 0, 1] = -1.0
+    scores[0, 11:, 0, 1] = 2.0                # the last two tie
+    scores[0, 3, 0, 2] = np.nextafter(scores[0, :, 0, 2].max(), np.inf)
+    top = _channel_argmax(scores)
+    assert np.array_equal(top, scores.argmax(axis=1))
+    assert (top[0, 0, 0], top[0, 0, 1], top[0, 0, 2]) == (0, 11, 3)
+    ties = (scores == scores.max(axis=1, keepdims=True)).sum(axis=1)
+    assert (ties >= 3).any()

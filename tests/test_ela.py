@@ -7,6 +7,9 @@ from landscape_atlas.ela import (
     FEATURE_NAMES, FeatureVector, SampleSet, compute_features, lhs_points,
     lhs_sample, meta_model_r2, nearest_better_ratio, normalize_features,
 )
+from landscape_atlas.ela.features import (
+    _nearest_distances, _squared_distances,
+)
 from landscape_atlas.errors import (
     AllEqualFitness, BadSampleSize, ConstantResponse, TooFewRows,
 )
@@ -146,6 +149,27 @@ def test_ratio_matches_brute_force_oracle():
         s = _sample(X, y)
         assert nearest_better_ratio(s) == pytest.approx(
             _brute_force_nbc(s.X, s.y), abs=1e-12)
+
+
+def test_nearest_distances_equal_brute_force_on_duplicates_and_tied_y():
+    rng = np.random.default_rng(3)
+    zero_nn = zero_nb = 0
+    for _ in range(60):
+        n = int(rng.integers(2, 40))
+        X = rng.integers(0, 3, (n, 2)).astype(float)  # duplicate points
+        y = rng.integers(0, 4, n).astype(float)       # tied fitness
+        D = np.sqrt(_squared_distances(X))
+        D_before = D.copy()
+        nn, nb = _nearest_distances(D, y)
+        nn_ref = [min(D[i, j] for j in range(n) if j != i) for i in range(n)]
+        nb_ref = [min(D[i, j] for j in range(n) if y[j] < y[i])
+                  for i in range(n) if (y < y[i]).any()]
+        assert nn.tolist() == nn_ref
+        assert nb.tolist() == nb_ref
+        assert np.array_equal(D, D_before)  # the input is left alone
+        zero_nn += int((nn == 0.0).sum())
+        zero_nb += int((nb == 0.0).sum())
+    assert zero_nn > 0 and zero_nb > 0
 
 
 # --- full feature battery ----------------------------------------------------------

@@ -33,8 +33,7 @@ import pytest
 from landscape_atlas.cli import main
 from landscape_atlas.ela.sampling import lhs_points
 from landscape_atlas.mario.sim import AGENT_KINDS
-from landscape_atlas.problems import core
-from landscape_atlas.problems import list_problems
+from landscape_atlas.problems import core, list_problems
 from landscape_atlas.properties import LabelledRow, build_labelled_rows, train
 
 GOLDEN = json.loads((Path(__file__).parent / "golden.json").read_text())
@@ -141,7 +140,8 @@ def test_agent_runs_of_the_astar_decoders_match_their_digests():
         X = lhs_points(200, 10, box.lower, box.upper, 1)
         core.evaluate_batch(inst, X)
         for agent in AGENT_KINDS:
-            runs = core._design_record(inst, X, agent)[core._AGENT_SLOTS[agent]]
-            rows = [dataclasses.astuple(r) for r in runs]
+            record = core._design_record(inst, X, agent)
+            rows = [dataclasses.astuple(r)
+                    for r in record[core._AGENT_SLOTS[agent]]]
             got[f"{agent} {problem}"] = _sha256(json.dumps(rows).encode())
     assert _mismatches(got, GOLDEN["runs"]) == []

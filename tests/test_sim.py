@@ -1,12 +1,18 @@
+from heapq import heappop, heappush
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from landscape_atlas.mario import tiles
+from landscape_atlas.ela.sampling import lhs_points
+from landscape_atlas.mario import sim, tiles
 from landscape_atlas.mario.sim import (
-    ASTAR, SCARED, SimulationResult, air_time, basic_fitness, simulate,
-    simulate_trace, time_taken,
+    ASTAR, HAZARD_PENALTY, SCARED, SimulationResult, _INF, air_time,
+    basic_fitness, simulate, simulate_trace, time_taken,
 )
 from landscape_atlas.mario.tiles import TileGrid
+from landscape_atlas.problems import core
 
 
 def _floor_grid(width, height=4):
@@ -186,3 +192,149 @@ def test_trace_matches_result_and_walks_rightward():
         assert all(b - a in (0, 1) for a, b in zip(cols, cols[1:]))
         if result.won:
             assert max(cols) == g.width - 1
+
+
+# --- the table-driven planner against the edge-by-edge reference -------------
+#
+# _edges and _reference_astar_search below are the planner's _edges and
+# _astar_search as they were before the successor table: each expansion
+# derives its successors afresh.  Swapping the reference search into sim
+# must leave every run and track unchanged.
+
+def _edges(lv, r: int, c: int, p: int):
+    """Successor (r, c, p, cost) tuples, in a fixed deterministic order."""
+    w, h = lv.width, lv.height
+    supported, hazard = lv.supported, lv.hazard
+    cell = r * w + c
+    standing = p == 0 and supported[cell]
+    out = []
+    moves = ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)) if standing \
+        else ((0, 0), (0, 1))
+    for kind, dx in moves:  # kind: 0 stay/fall, 1 jump, 2 drop
+        if dx and c + 1 >= w:
+            continue
+        if kind == 1:
+            rise = 2 if r >= 2 else r
+            r2, p2 = r - rise, (1 if rise == 2 else 0)
+        elif kind == 2 or not standing:
+            if p > 0:
+                rise = 2 if r >= 2 else r
+                r2, p2 = r - rise, (p - 1 if rise == 2 else 0)
+            else:
+                r2, p2 = r + 1, 0
+                if r2 >= h:
+                    continue  # falls out: dead end
+        else:
+            r2, p2 = r, 0
+        c2 = c + dx
+        cost = 1
+        if (r2 != r or c2 != c) and hazard[r2 * w + c2]:
+            cost += HAZARD_PENALTY
+        out.append((r2, c2, p2, cost))
+    return out
+
+
+def _reference_astar_search(lv, start: int, start_cost: int,
+                            early_exit: bool):
+    w = lv.width
+    n_states = lv.height * w * 3
+    dist = [_INF] * n_states
+    done = [False] * n_states
+    parent = [-1] * n_states
+    dist[start] = start_cost
+    last_col = w - 1
+    heap = [(start_cost + last_col, start)]
+    goal_state = -1
+    while heap:
+        f, state = heappop(heap)
+        if done[state]:
+            continue
+        done[state] = True
+        cell, p = divmod(state, 3)
+        r, c = divmod(cell, w)
+        if c == last_col:
+            if goal_state < 0:
+                goal_state = state
+                if early_exit:
+                    break
+            continue
+        g = dist[state]
+        for r2, c2, p2, cost in _edges(lv, r, c, p):
+            s2 = (r2 * w + c2) * 3 + p2
+            g2 = g + cost
+            if g2 < dist[s2]:
+                dist[s2] = g2
+                parent[s2] = state
+                heappush(heap, (g2 + last_col - c2, s2))
+    return dist, parent, goal_state
+
+
+def _astar_runs(grid: TileGrid) -> tuple:
+    """(simulate, simulate_trace) of the astar agent on grid."""
+    return simulate(grid, ASTAR), simulate_trace(grid, ASTAR)
+
+
+def _reference_runs(grid: TileGrid) -> tuple:
+    with mock.patch.object(sim, "_astar_search", _reference_astar_search):
+        return _astar_runs(grid)
+
+
+def _full_searches(grid: TileGrid) -> int:
+    """Searches without early exit that one astar run makes."""
+    search = sim._astar_search
+    calls = []
+
+    def counted(lv, start, start_cost, early_exit):
+        calls.append(early_exit)
+        return search(lv, start, start_cost, early_exit)
+
+    with mock.patch.object(sim, "_astar_search", counted):
+        simulate(grid, ASTAR)
+    return calls.count(False)
+
+
+@st.composite
+def _grids(draw):
+    """Grids up to 16 x 60 over a drawn multiset of the 13 tile codes.  With
+    enemies in place of air, most winnable levels cost more than the 4 x
+    width budget, which sends the run through the second, full search."""
+    h = draw(st.integers(1, 16))
+    w = draw(st.integers(1, 60))
+    codes = draw(st.lists(st.integers(0, tiles.N_TILE_TYPES - 1),
+                          min_size=1, max_size=2 * tiles.N_TILE_TYPES))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = np.array(codes, dtype=np.int8)[rng.integers(0, len(codes), (h, w))]
+    if draw(st.booleans()):
+        m[m == tiles.AIR] = tiles.ENEMY
+    return TileGrid(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid=_grids())
+def test_planner_matches_the_reference_search_on_random_grids(grid):
+    assert _astar_runs(grid) == _reference_runs(grid)
+
+
+def test_over_budget_goal_takes_the_full_search_and_matches_reference():
+    # Enemies fill every cell above the floor, so each step costs the
+    # hazard penalty and the goal lies far over the 4 x width budget.
+    m = np.full((4, 9), tiles.ENEMY, dtype=np.int8)
+    m[3, :] = tiles.GROUND
+    grid = TileGrid(m)
+    assert _full_searches(grid) == 1
+    runs = _astar_runs(grid)
+    assert not runs[0].won
+    assert runs == _reference_runs(grid)
+
+
+def test_planner_matches_the_reference_search_on_decoded_levels():
+    grids = []
+    for problem in ("m11", "m12", "m13", "m14"):
+        inst = core.resolve(problem, 2, 10)
+        box = inst.domain
+        X = lhs_points(130, 10, box.lower, box.upper, 7)
+        grids.extend(core._design_levels(inst, X))
+    assert len(grids) >= 500
+    assert {g.width for g in grids} == {28, 56}
+    for grid in grids:
+        assert _astar_runs(grid) == _reference_runs(grid)

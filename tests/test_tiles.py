@@ -40,6 +40,40 @@ def test_grid_rejects_bad_input():
         TileGrid(np.array([[-1]]))
 
 
+@pytest.mark.parametrize("cells", [
+    np.array([[256, 1]]),         # int8 would wrap 256 to 0 (air)
+    np.array([[-256, 1]]),
+    np.array([[0.9, 1.5]]),       # int8 would cut these to 0 and 1
+    np.array([[1.0, np.nan]]),
+    np.array([[1.0, np.inf]]),
+    [[256]],                      # a list, which int8 rejects by overflow
+    [[2 ** 70]],
+    np.array([["1"]]),
+    np.array([[1 + 0j]]),
+])
+def test_grid_rejects_codes_an_int8_cast_would_change(cells):
+    with pytest.raises(ValueError, match="tile codes"):
+        TileGrid(cells)
+
+
+def test_grid_accepts_integral_codes_of_any_numeric_type():
+    expected = np.array([[0, 12], [5, 1]], dtype=np.int8)
+    for cells in (expected, expected.astype(np.int64),
+                  expected.astype(np.uint16), expected.astype(float),
+                  expected.tolist()):
+        g = TileGrid(cells)
+        assert g.cells.dtype == np.int8
+        assert np.array_equal(g.cells, expected)
+    assert np.array_equal(TileGrid(np.array([[True, False]])).cells, [[1, 0]])
+
+
+def test_grid_copies_its_input():
+    source = np.zeros((2, 2), dtype=np.int8)
+    g = TileGrid(source)
+    source[0, 0] = tiles.ENEMY
+    assert g.cells[0, 0] == tiles.AIR
+
+
 def test_grid_equality_and_hash_by_contents():
     a = TileGrid(np.zeros((3, 4), dtype=np.int8))
     b = TileGrid(np.zeros((3, 4), dtype=np.int8))
