@@ -15,7 +15,6 @@ NS_WALK = 31
 NS_LHS = 41
 NS_FEATURES = 42
 NS_FOREST = 51
-NS_TSNE = 61
 
 
 def rng_for(namespace: int, *keys: int) -> np.random.Generator:

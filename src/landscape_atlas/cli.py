@@ -251,6 +251,9 @@ def _cmd_walk(args) -> int:
     if args.step is not None and not (math.isfinite(args.step)
                                       and args.step > 0):
         raise UsageError(f"--step must be a positive real, got {args.step}")
+    if args.directions < 1:
+        raise UsageError(
+            f"--directions must be at least 1, got {args.directions}")
     instance_seed = _resolve_seed(args.instance, "instance")
     anchor_seed = _resolve_seed(args.anchor_seed, "anchor_seed")
     inst = resolve(args.problem, instance_seed, args.dim)
@@ -315,18 +318,22 @@ def _design_groups(instances: list[ProblemInstance]) -> list[list[int]]:
     return list(groups.values())
 
 
-def _cmd_features(args) -> int:
+def _check_feature_n(args) -> None:
     if args.n < 2 * args.dim + 2:
         raise UsageError(f"--n must be at least 2*dim + 2 = "
                          f"{2 * args.dim + 2}, got {args.n}")
+
+
+def _cmd_features(args) -> int:
+    _check_feature_n(args)
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
-    instance_seeds = args.instance or [None]
+    seeds = args.instance or [None]
     sample_seed = _resolve_seed(args.sample_seed, "sample_seed")
     feature_seed = _resolve_seed(args.feature_seed, "feature_seed")
     tasks, instances = [], []
     for problem in args.problem:
-        for seed in instance_seeds:
+        for seed in seeds:
             inst_seed = _resolve_seed(seed, "instance")
             # validate before output
             instances.append(resolve(problem, inst_seed, args.dim))
@@ -360,6 +367,14 @@ def _cmd_features(args) -> int:
     return 0
 
 
+def _check_corpus_flags(args) -> None:
+    if args.property not in PROPERTY_NAMES:
+        raise UsageError(f"--property must be one of {', '.join(PROPERTY_NAMES)}")
+    if args.trees < 1:
+        raise UsageError(f"--trees must be at least 1, got {args.trees}")
+    _check_feature_n(args)
+
+
 def _corpus_meta(args, extra: list[tuple[str, object]]) -> list[tuple[str, object]]:
     return [("dim", args.dim), ("n", args.n),
             ("sample_seed", _resolve_seed(args.sample_seed, "sample_seed")),
@@ -368,8 +383,7 @@ def _corpus_meta(args, extra: list[tuple[str, object]]) -> list[tuple[str, objec
 
 
 def _cmd_train(args) -> int:
-    if args.property not in PROPERTY_NAMES:
-        raise UsageError(f"--property must be one of {', '.join(PROPERTY_NAMES)}")
+    _check_corpus_flags(args)
     sample_seed = _resolve_seed(args.sample_seed, "sample_seed")
     feature_seed = _resolve_seed(args.feature_seed, "feature_seed")
     train_seed = _resolve_seed(args.train_seed, "train_seed")
@@ -439,8 +453,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_cv(args) -> int:
-    if args.property not in PROPERTY_NAMES:
-        raise UsageError(f"--property must be one of {', '.join(PROPERTY_NAMES)}")
+    _check_corpus_flags(args)
     sample_seed = _resolve_seed(args.sample_seed, "sample_seed")
     feature_seed = _resolve_seed(args.feature_seed, "feature_seed")
     train_seed = _resolve_seed(args.train_seed, "train_seed")
@@ -466,6 +479,12 @@ def _cmd_cv(args) -> int:
 
 
 def _cmd_embed(args) -> int:
+    if not (math.isfinite(args.perplexity) and args.perplexity >= 1):
+        raise UsageError(
+            f"--perplexity must be a real >= 1, got {args.perplexity}")
+    if args.iterations < 1:
+        raise UsageError(
+            f"--iterations must be at least 1, got {args.iterations}")
     embed_seed = _resolve_seed(args.embed_seed, "embed_seed")
     paths = _feature_paths(args.features_dir)
     loaded = [_load_feature_doc(p) for p in paths]

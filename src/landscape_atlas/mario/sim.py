@@ -40,7 +40,6 @@ SCARED = "scared"
 AGENT_KINDS = (ASTAR, SCARED)
 
 HAZARD_PENALTY = 10
-_INF = float("inf")
 
 
 @dataclass(frozen=True, slots=True)
@@ -224,14 +223,10 @@ def _run_astar(lv: _Level, track: list | None = None) -> SimulationResult:
     w = lv.width
     start = lv.spawn * 3
     start_cost = HAZARD_PENALTY if lv.hazard[lv.spawn] else 0
-    goal = _astar_search(lv, start, start_cost, early_exit=True)
-    dist, parent, goal_state = goal
-    if goal_state >= 0 and dist[goal_state] <= lv.t_max:
-        return _replay(lv, dist, parent, goal_state, won=True, track=track)
+    dist, parent, goal_state = _astar_search(lv, start, start_cost)
     if goal_state >= 0:
-        # Goal exists but over budget: need the full reachable set.
-        dist, parent, _ = _astar_search(lv, start, start_cost, early_exit=False)
-    best_c, best_d, best_state = -1, _INF, -1
+        return _replay(lv, dist, parent, goal_state, won=True, track=track)
+    best_c, best_d, best_state = -1, lv.t_max + 1, -1
     for state, d in enumerate(dist):
         if d <= lv.t_max:
             c = (state // 3) % w
@@ -293,18 +288,21 @@ def _successors(h: int, w: int, state: int, standing: bool):
     return tuple(out)
 
 
-def _astar_search(lv: _Level, start: int, start_cost: int, early_exit: bool):
+def _astar_search(lv: _Level, start: int, start_cost: int):
     """Cheapest ticks from start to every state the search settles.
 
     States are ``(row * width + col) * 3 + jump_phase``.  The heap orders
     states by (g + columns left, state), packed into the one int
-    ``(g + columns left) * n_states + state``."""
+    ``(g + columns left) * n_states + state``.  Nothing past the t_max
+    budget is pushed, so the first goal settled is within budget; the
+    heuristic is consistent, so every within-budget state settles in the
+    order, and with the parent, of an unbounded search."""
     h, w = lv.height, lv.width
     table, standing_table = _successor_table(h, w)
     supported, hazard = lv.supported, lv.hazard
     hit = 1 + HAZARD_PENALTY
     n_states = h * w * 3
-    dist = [_INF] * n_states
+    dist = [lv.t_max + 1] * n_states
     done = [False] * n_states
     parent = [-1] * n_states
     dist[start] = start_cost
@@ -325,11 +323,8 @@ def _astar_search(lv: _Level, start: int, start_cost: int, early_exit: bool):
             if edges is None:
                 edges = table[state] = _successors(h, w, state, False)
         if edges is _GOAL:
-            if goal_state < 0:
-                goal_state = state
-                if early_exit:
-                    break
-            continue
+            goal_state = state
+            break
         g = dist[state]
         for s2, k, key in edges:
             g2 = g + hit if hazard[k] else g + 1

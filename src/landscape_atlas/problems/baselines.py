@@ -85,7 +85,6 @@ _BASELINES = {
 
 BASELINE_NAMES = tuple(_BASELINES)
 SHEKEL_PEAK_COUNTS = (3, 5, 7, 10, 20, 30, 40, 50)
-SHEKEL_SEEDS = 5
 _SHEKEL_PEAKS = {f"shekel-{p}": p for p in SHEKEL_PEAK_COUNTS}
 
 

@@ -167,8 +167,9 @@ def resolve(id_or_text: ProblemId | str, instance_seed: int,
                 "concatenation variants split the latent vector into two "
                 "equal blocks and need an even d")
     else:
-        if pid.text not in _BASELINE_INDEX:
-            raise UnknownProblem(pid.text)
+        if not 1 <= pid.index <= len(_BASELINE_ORDER):
+            raise UnknownProblem(f"baseline indices are "
+                                 f"1..{len(_BASELINE_ORDER)}, got {pid.index}")
         if instance_seed < 1:
             raise UnsupportedSeed("baseline instance seeds start at 1")
         if dimension < 1:

@@ -32,9 +32,7 @@ def labelled_functions() -> tuple[str, ...]:
 
 def build_labelled_rows(property_name: str, dimension: int = 10,
                         n: int | None = None, sample_seed: int = 1,
-                        feature_seed: int = 0,
-                        instance_seeds: tuple[int, ...] = CORPUS_INSTANCE_SEEDS,
-                        ) -> list[LabelledRow]:
+                        feature_seed: int = 0) -> list[LabelledRow]:
     """One labelled feature row per (function, instance seed); the group
     tag is the function name so grouped CV can hold functions out."""
     labels = load_labels()
@@ -42,7 +40,7 @@ def build_labelled_rows(property_name: str, dimension: int = 10,
         n = 50 * dimension
     rows = []
     for fn in labels:
-        for seed in instance_seeds:
+        for seed in CORPUS_INSTANCE_SEEDS:
             inst = resolve(fn, instance_seed=seed, dimension=dimension)
             fv = compute_features(lhs_sample(inst, n, sample_seed),
                                   feature_seed=feature_seed)

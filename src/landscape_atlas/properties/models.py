@@ -132,6 +132,8 @@ def _matrix(rows: Sequence[LabelledRow]) -> np.ndarray:
 
 def train(rows: Sequence[LabelledRow], property_name: str, train_seed: int,
           n_trees: int = DEFAULT_TREES) -> PropertyModel:
+    if n_trees < 1:
+        raise ValueError(f"need n_trees >= 1, got {n_trees}")
     labels = [r.label for r in rows]
     _check_training_rows(labels)
     vocab = vocabulary_for(property_name, labels)

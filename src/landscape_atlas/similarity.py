@@ -26,6 +26,7 @@ MOMENTUM_SWITCH = 250
 TRACE_EVERY = 50
 _P_FLOOR = 1e-12
 _BANDWIDTH_TOL = 1e-4
+_BANDWIDTH_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -75,17 +76,17 @@ def _row_perplexity(p: np.ndarray) -> float:
     return 2.0 ** h_bits
 
 
-def bandwidth_bisection(d2_row: np.ndarray, perplexity: float,
-                        tol: float = _BANDWIDTH_TOL,
-                        max_iter: int = 200) -> tuple[float, np.ndarray]:
+def bandwidth_bisection(d2_row: np.ndarray, perplexity: float
+                        ) -> tuple[float, np.ndarray]:
     """Find beta so the conditional distribution's perplexity matches the
-    target within tol; returns (beta, conditional probabilities)."""
+    target within _BANDWIDTH_TOL, in at most _BANDWIDTH_MAX_ITER steps;
+    returns (beta, conditional probabilities)."""
     beta = 1.0
     lo, hi = 0.0, np.inf
     p = _conditional_row(d2_row, beta)
-    for _ in range(max_iter):
+    for _ in range(_BANDWIDTH_MAX_ITER):
         perp = _row_perplexity(p)
-        if abs(perp - perplexity) <= tol:
+        if abs(perp - perplexity) <= _BANDWIDTH_TOL:
             break
         if perp > perplexity:  # too flat: tighten the kernel
             lo = beta
@@ -145,6 +146,11 @@ def tsne_embed(matrix: np.ndarray,
     X = np.asarray(matrix, dtype=float)
     if X.ndim != 2 or X.shape[0] < 4:
         raise ValueError("need a 2-D matrix with at least 4 rows")
+    if not np.isfinite(X).all():
+        raise ValueError("the matrix must be finite")
+    # No distribution has perplexity below 1: the bisection cannot reach it.
+    if not (np.isfinite(perplexity) and perplexity >= 1.0):
+        raise ValueError(f"need a finite perplexity >= 1, got {perplexity}")
     n = X.shape[0]
     if not perplexity < (n - 1) / 3.0:
         raise PerplexityTooLarge(

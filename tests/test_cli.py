@@ -410,8 +410,21 @@ def test_design_groups_share_a_decoder_and_keep_baselines_alone():
     ["features", "--problem", "m1", "--dim", "4", "--n", "9"],
     ["walk", "--problem", "m1", "--dim", "4", "--step", "0"],
     ["features", "--problem", "m1", "--dim", "4", "--n", "20", "--jobs", "0"],
+    ["walk", "--problem", "m1", "--dim", "4", "--directions", "0"],
+    ["train", "--property", "funnel", "--dim", "2", "--n", "20", "--trees", "0"],
+    ["cv", "--property", "funnel", "--dim", "2", "--n", "20", "--trees", "0"],
+    ["train", "--property", "funnel", "--dim", "2", "--n", "5"],
+    ["cv", "--property", "funnel", "--dim", "2", "--n", "5"],
+    ["embed", "--perplexity", "0"],
+    ["embed", "--perplexity", "-3"],
+    ["embed", "--perplexity", "nan"],
+    ["embed", "--iterations", "0"],
+    ["embed", "--iterations", "-5"],
 ], ids=["sample-n-below-2d", "features-n-below-2d+2", "walk-step-0",
-        "features-jobs-0"])
+        "features-jobs-0", "walk-directions-0", "train-trees-0", "cv-trees-0",
+        "train-n-below-2d+2", "cv-n-below-2d+2", "embed-perplexity-0",
+        "embed-perplexity-neg", "embed-perplexity-nan", "embed-iterations-0",
+        "embed-iterations-neg"])
 def test_usage_errors_exit_2_before_any_output(capsys, tmp_path, argv,
                                                monkeypatch):
     def no_work(*args):
@@ -423,6 +436,8 @@ def test_usage_errors_exit_2_before_any_output(capsys, tmp_path, argv,
     out_dir = tmp_path / "dir"
     target = ["--out-dir", str(out_dir)] if argv[0] == "features" \
         else ["--out", str(out_file)]
+    if argv[0] == "embed":  # exit 2 then shows that nothing was read
+        target += ["--features-dir", str(tmp_path / "missing")]
     code, out, err = _run(capsys, argv + target)
     assert code == 2
     assert "error" in err

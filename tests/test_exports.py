@@ -7,7 +7,7 @@ import pytest
 PACKAGES = ("landscape_atlas", "landscape_atlas.ela", "landscape_atlas.mario",
             "landscape_atlas.problems")
 DELETED = ("CountingEvaluator", "SampleProvenance", "provenance",
-           "shekel_eval")
+           "shekel_eval", "SHEKEL_SEEDS")
 
 
 @pytest.mark.parametrize("name", PACKAGES)
@@ -26,8 +26,9 @@ def test_star_import_succeeds():
 
 def test_deleted_names_are_gone():
     from landscape_atlas.ela import SampleSet, sampling
-    from landscape_atlas.problems import core
-    modules = [importlib.import_module(n) for n in PACKAGES] + [sampling, core]
+    from landscape_atlas.problems import baselines, core
+    modules = [importlib.import_module(n) for n in PACKAGES] + [
+        sampling, core, baselines]
     for module in modules:
         for name in DELETED:
             assert name not in getattr(module, "__all__", ())

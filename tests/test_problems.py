@@ -30,6 +30,12 @@ def test_problem_id_parsing():
             ProblemId.parse(bad)
 
 
+@pytest.mark.parametrize("index", [0, -3, 17])
+def test_baseline_ids_outside_1_to_16_are_unknown(index):
+    with pytest.raises(UnknownProblem):
+        resolve(ProblemId("baseline", index), 1, 4)
+
+
 def test_mario_seed_and_dimension_validation():
     resolve("m1", 7, 10)
     with pytest.raises(UnsupportedSeed):

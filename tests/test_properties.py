@@ -153,6 +153,18 @@ def test_lofo_cv_checks_every_fold_before_the_first(monkeypatch, error, group,
     assert grown == []
 
 
+@pytest.mark.parametrize("fit", [train, lofo_cv], ids=["train", "lofo_cv"])
+@pytest.mark.parametrize("n_trees", [0, -2])
+def test_fewer_than_one_tree_is_refused_before_growing(monkeypatch, fit,
+                                                       n_trees):
+    grown = []
+    monkeypatch.setattr(forest, "grow_tree",
+                        lambda *args: grown.append(args) or None)
+    with pytest.raises(ValueError, match="n_trees"):
+        fit(_separable_rows(), "funnel", 0, n_trees=n_trees)
+    assert grown == []
+
+
 def test_lofo_cv_never_leaks_the_held_out_group():
     # every group gets its own label; with no leakage the held-out label is
     # unknown to the fold's model, so every fold must score zero
@@ -178,14 +190,13 @@ def test_shipped_labels_cover_the_baseline_suite():
 
 def test_labelled_corpus_rows_carry_function_groups():
     rows = build_labelled_rows("multimodality", dimension=2, n=20,
-                               sample_seed=1, feature_seed=0,
-                               instance_seeds=(1, 2))
-    assert len(rows) == 32  # 16 functions x 2 instances
+                               sample_seed=1, feature_seed=0)
+    assert len(rows) == 80  # 16 functions x 5 instances
     groups = {r.group for r in rows}
     assert groups == set(labelled_functions())
     vocab = PROPERTY_VOCABULARIES["multimodality"]
     assert all(r.label in vocab for r in rows)
     by_group = {g: [r for r in rows if r.group == g] for g in groups}
     for g, rs in by_group.items():
-        assert len(rs) == 2
+        assert len(rs) == 5
         assert len({r.label for r in rs}) == 1  # instances inherit labels

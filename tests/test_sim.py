@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from landscape_atlas.ela.sampling import lhs_points
 from landscape_atlas.mario import sim, tiles
 from landscape_atlas.mario.sim import (
-    ASTAR, HAZARD_PENALTY, SCARED, SimulationResult, _INF, air_time,
+    ASTAR, HAZARD_PENALTY, SCARED, SimulationResult, air_time,
     basic_fitness, simulate, simulate_trace, time_taken,
 )
 from landscape_atlas.mario.tiles import TileGrid
@@ -194,12 +194,18 @@ def test_trace_matches_result_and_walks_rightward():
             assert max(cols) == g.width - 1
 
 
-# --- the table-driven planner against the edge-by-edge reference -------------
+# --- the budget-bounded planner against the two-search reference -------------
 #
-# _edges and _reference_astar_search below are the planner's _edges and
-# _astar_search as they were before the successor table: each expansion
-# derives its successors afresh.  Swapping the reference search into sim
-# must leave every run and track unchanged.
+# _edges, _reference_astar_search and _reference_run_astar below are the
+# planner's _edges, _astar_search and _run_astar as they were before the
+# successor table and the budget bound: each expansion derives its
+# successors afresh, the search keeps states past the budget, and a run
+# whose first goal is over budget searches again without early exit.
+# Swapping the reference run into sim must leave every run and track
+# unchanged.
+
+_INF = float("inf")
+
 
 def _edges(lv, r: int, c: int, p: int):
     """Successor (r, c, p, cost) tuples, in a fixed deterministic order."""
@@ -269,35 +275,57 @@ def _reference_astar_search(lv, start: int, start_cost: int,
     return dist, parent, goal_state
 
 
+def _reference_run_astar(lv, track=None):
+    w = lv.width
+    start = lv.spawn * 3
+    start_cost = HAZARD_PENALTY if lv.hazard[lv.spawn] else 0
+    goal = _reference_astar_search(lv, start, start_cost, early_exit=True)
+    dist, parent, goal_state = goal
+    if goal_state >= 0 and dist[goal_state] <= lv.t_max:
+        return sim._replay(lv, dist, parent, goal_state, won=True, track=track)
+    if goal_state >= 0:
+        # Goal exists but over budget: need the full reachable set.
+        dist, parent, _ = _reference_astar_search(lv, start, start_cost,
+                                                  early_exit=False)
+    best_c, best_d, best_state = -1, _INF, -1
+    for state, d in enumerate(dist):
+        if d <= lv.t_max:
+            c = (state // 3) % w
+            if c > best_c or (c == best_c and d < best_d):
+                best_c, best_d, best_state = c, d, state
+    return sim._replay(lv, dist, parent, best_state, won=False, track=track)
+
+
 def _astar_runs(grid: TileGrid) -> tuple:
     """(simulate, simulate_trace) of the astar agent on grid."""
     return simulate(grid, ASTAR), simulate_trace(grid, ASTAR)
 
 
 def _reference_runs(grid: TileGrid) -> tuple:
-    with mock.patch.object(sim, "_astar_search", _reference_astar_search):
+    with mock.patch.object(sim, "_run_astar", _reference_run_astar):
         return _astar_runs(grid)
 
 
-def _full_searches(grid: TileGrid) -> int:
-    """Searches without early exit that one astar run makes."""
+def _searches_per_run(grid: TileGrid) -> int:
+    """_astar_search calls that one astar run makes."""
     search = sim._astar_search
     calls = []
 
-    def counted(lv, start, start_cost, early_exit):
-        calls.append(early_exit)
-        return search(lv, start, start_cost, early_exit)
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
 
     with mock.patch.object(sim, "_astar_search", counted):
         simulate(grid, ASTAR)
-    return calls.count(False)
+    return len(calls)
 
 
 @st.composite
 def _grids(draw):
     """Grids up to 16 x 60 over a drawn multiset of the 13 tile codes.  With
     enemies in place of air, most winnable levels cost more than the 4 x
-    width budget, which sends the run through the second, full search."""
+    width budget, which sends the reference run through its second, full
+    search."""
     h = draw(st.integers(1, 16))
     w = draw(st.integers(1, 60))
     codes = draw(st.lists(st.integers(0, tiles.N_TILE_TYPES - 1),
@@ -315,16 +343,20 @@ def test_planner_matches_the_reference_search_on_random_grids(grid):
     assert _astar_runs(grid) == _reference_runs(grid)
 
 
-def test_over_budget_goal_takes_the_full_search_and_matches_reference():
+def test_over_budget_and_no_goal_levels_take_one_search_and_match_reference():
     # Enemies fill every cell above the floor, so each step costs the
     # hazard penalty and the goal lies far over the 4 x width budget.
-    m = np.full((4, 9), tiles.ENEMY, dtype=np.int8)
-    m[3, :] = tiles.GROUND
-    grid = TileGrid(m)
-    assert _full_searches(grid) == 1
-    runs = _astar_runs(grid)
-    assert not runs[0].won
-    assert runs == _reference_runs(grid)
+    over_budget = np.full((4, 9), tiles.ENEMY, dtype=np.int8)
+    over_budget[3, :] = tiles.GROUND
+    # A floor gap wider than a full jump: no path reaches the last column.
+    no_goal = _floor_grid(20)
+    no_goal[3, 4:14] = tiles.AIR
+    for m in (over_budget, no_goal):
+        grid = TileGrid(m)
+        assert _searches_per_run(grid) == 1
+        runs = _astar_runs(grid)
+        assert not runs[0].won
+        assert runs == _reference_runs(grid)
 
 
 def test_planner_matches_the_reference_search_on_decoded_levels():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from landscape_atlas import similarity
 from landscape_atlas.errors import (
     DegenerateInput, PerplexityTooLarge, TraceDisabled,
 )
@@ -91,6 +92,26 @@ def test_input_validation():
         tsne_embed(np.ones((12, 3)), perplexity=2.0)
     with pytest.raises(ValueError):
         tsne_embed(_blobs(), ids=[("s", "p", 0)], perplexity=5.0)
+
+
+@pytest.mark.parametrize("matrix, perplexity", [
+    (np.where(np.arange(24)[:, None] == 3, np.nan, _blobs()), 5.0),
+    (np.where(np.arange(24)[:, None] == 3, np.inf, _blobs()), 5.0),
+    (_blobs(), float("nan")),
+    (_blobs(), float("inf")),
+    (_blobs(), 0.5),
+    (_blobs(), 0.0),
+    (_blobs(), -3.0),
+], ids=["nan-row", "inf-row", "perplexity-nan", "perplexity-inf",
+        "perplexity-0.5", "perplexity-0", "perplexity-neg"])
+def test_non_finite_rows_and_perplexity_below_1_are_refused_first(
+        monkeypatch, matrix, perplexity):
+    def no_work(*args):
+        raise AssertionError("affinities started")
+
+    monkeypatch.setattr(similarity, "_affinities", no_work)
+    with pytest.raises(ValueError, match="finite"):
+        tsne_embed(matrix, perplexity=perplexity, iterations=10)
 
 
 def test_embedding_rejects_bad_kl():
