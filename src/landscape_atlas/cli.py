@@ -1,8 +1,9 @@
 """Command-line front door.
 
-Every subcommand resolves its seeds explicitly (flag > LANDSCAPE_ATLAS_SEED
-environment variable > built-in default), records the full seed set in the
-output metadata, and writes files atomically, so identical invocations
+``main`` rejects count flags below 1 and resolves every unset seed flag
+(flag > LANDSCAPE_ATLAS_SEED environment variable > built-in default) once,
+before any subcommand runs.  Every subcommand records the full seed set in
+the output metadata and writes files atomically, so identical invocations
 produce byte-identical files.
 
 Exit codes: 0 success, 2 usage error (no output files written), 1 runtime
@@ -41,6 +42,8 @@ from .walks import walk_bundle
 
 _TOOL = f"landscape-atlas {__version__}"
 
+_SEED_ENV = "LANDSCAPE_ATLAS_SEED"
+_COUNT_FLAGS = ("directions", "jobs", "trees", "iterations")
 _DEFAULT_SEEDS = {
     "instance": 1,
     "anchor_seed": 1,
@@ -88,30 +91,28 @@ def _emit(text: str, out: str | None) -> None:
         _atomic_write(out, text)
 
 
-def _env_seed() -> int | None:
-    raw = os.environ.get("LANDSCAPE_ATLAS_SEED")
-    if raw is None:
-        return None
+def _env_record() -> str:
+    """The environment seed as every output's env_seed field records it."""
+    return os.environ.get(_SEED_ENV, "unset")
+
+
+def _resolve_seeds(args) -> None:
+    """Fill every unset seed flag the subcommand takes, in place, from the
+    environment override or else the default; the override is parsed only
+    when some seed is unset."""
+    unset = [name for name in _DEFAULT_SEEDS if getattr(args, name, 0) is None]
+    raw = os.environ.get(_SEED_ENV) if unset else None
     try:
-        return int(raw)
+        env = None if raw is None else int(raw)
     except ValueError as exc:
-        raise UsageError(f"LANDSCAPE_ATLAS_SEED must be an integer, got {raw!r}") from exc
-
-
-def _resolve_seed(flag_value: int | None, name: str) -> int:
-    """Seed resolution order: explicit flag, environment override, default."""
-    if flag_value is not None:
-        return int(flag_value)
-    env = _env_seed()
-    if env is not None:
-        return env
-    return _DEFAULT_SEEDS[name]
+        raise UsageError(f"{_SEED_ENV} must be an integer, got {raw!r}") from exc
+    for name in unset:
+        setattr(args, name, _DEFAULT_SEEDS[name] if env is None else env)
 
 
 def _meta_block(command: str, pairs: list[tuple[str, object]]) -> str:
-    env = os.environ.get("LANDSCAPE_ATLAS_SEED", "unset")
     lines = [f"# tool: {_TOOL}", f"# command: {command}",
-             f"# env_seed: {env}"]
+             f"# env_seed: {_env_record()}"]
     lines += [f"# {k}: {_fmt(v)}" for k, v in pairs]
     return "".join(line + "\n" for line in lines)
 
@@ -124,8 +125,7 @@ def _csv(command: str, meta: list[tuple[str, object]], header: list[str],
 
 
 def _json_doc(command: str, meta: list[tuple[str, object]], payload: dict) -> str:
-    env = os.environ.get("LANDSCAPE_ATLAS_SEED", "unset")
-    doc = {"tool": _TOOL, "command": command, "env_seed": env}
+    doc = {"tool": _TOOL, "command": command, "env_seed": _env_record()}
     doc.update({k: v for k, v in meta})
     doc.update(payload)
     return json.dumps(doc, indent=2) + "\n"
@@ -188,21 +188,23 @@ def _cmd_list(args) -> int:
     return 0
 
 
-def _check_point(point: np.ndarray, dim: int) -> None:
-    if point.shape != (dim,):
-        raise UsageError(
-            f"--point needs exactly {dim} comma-separated reals, got {point.size}")
+def _instance(args) -> tuple[ProblemInstance, list[tuple[str, object]]]:
+    """The instance the flags name, with --point (for the subcommands that
+    take one) checked against its dimension, and its metadata pairs."""
+    inst = resolve(args.problem, args.instance, args.dim)
+    point = getattr(args, "point", None)
+    if point is not None and point.shape != (args.dim,):
+        raise UsageError(f"--point needs exactly {args.dim} comma-separated "
+                         f"reals, got {point.size}")
+    return inst, [("problem", args.problem), ("instance", args.instance),
+                  ("dim", args.dim)]
 
 
 def _cmd_eval(args) -> int:
-    instance_seed = _resolve_seed(args.instance, "instance")
-    inst = resolve(args.problem, instance_seed, args.dim)
-    _check_point(args.point, args.dim)
+    inst, meta = _instance(args)
     value = evaluate(inst, args.point)
     sys.stdout.write(_fmt(value) + "\n")
     if args.out:
-        meta = [("problem", args.problem), ("instance", instance_seed),
-                ("dim", args.dim)]
         text = _csv("eval", meta, _x_header(args.dim) + ["value"],
                     [list(args.point) + [value]])
         _atomic_write(args.out, text)
@@ -210,20 +212,15 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_level(args) -> int:
-    instance_seed = _resolve_seed(args.instance, "instance")
-    inst = resolve(args.problem, instance_seed, args.dim)
-    _check_point(args.point, args.dim)
+    inst, meta = _instance(args)
     grid = decode_instance_level(inst, args.point)
-    meta = [("problem", args.problem), ("instance", instance_seed),
-            ("dim", args.dim), ("height", grid.height), ("width", grid.width)]
+    meta += [("height", grid.height), ("width", grid.width)]
     _emit(_meta_block("level", meta) + render_ascii(grid) + "\n", args.out)
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    instance_seed = _resolve_seed(args.instance, "instance")
-    inst = resolve(args.problem, instance_seed, args.dim)
-    _check_point(args.point, args.dim)
+    inst, meta = _instance(args)
     agent = args.agent or instance_agent(inst)
     if agent is None:
         raise UsageError(
@@ -240,8 +237,6 @@ def _cmd_simulate(args) -> int:
     for r, c in path:
         lines[r][c] = "*"
     overlay = "\n".join("".join(row) for row in lines)
-    meta = [("problem", args.problem), ("instance", instance_seed),
-            ("dim", args.dim)]
     _emit(_meta_block("simulate", meta) + listing + "\n" + overlay + "\n",
           args.out)
     return 0
@@ -251,17 +246,11 @@ def _cmd_walk(args) -> int:
     if args.step is not None and not (math.isfinite(args.step)
                                       and args.step > 0):
         raise UsageError(f"--step must be a positive real, got {args.step}")
-    if args.directions < 1:
-        raise UsageError(
-            f"--directions must be at least 1, got {args.directions}")
-    instance_seed = _resolve_seed(args.instance, "instance")
-    anchor_seed = _resolve_seed(args.anchor_seed, "anchor_seed")
-    inst = resolve(args.problem, instance_seed, args.dim)
-    traces = walk_bundle(inst, anchor_seed, args.directions, step=args.step)
-    step = traces[0].spec.step
-    meta = [("problem", args.problem), ("instance", instance_seed),
-            ("dim", args.dim), ("anchor_seed", anchor_seed),
-            ("directions", args.directions), ("step", step)]
+    inst, meta = _instance(args)
+    traces = walk_bundle(inst, args.anchor_seed, args.directions,
+                         step=args.step)
+    meta += [("anchor_seed", args.anchor_seed),
+             ("directions", args.directions), ("step", traces[0].spec.step)]
     rows = []
     for walk_id, tr in enumerate(traces):
         for k, off in enumerate(tr.offsets):
@@ -275,12 +264,9 @@ def _cmd_sample(args) -> int:
     if args.n < 2 * args.dim:
         raise UsageError(f"--n must be at least 2*dim = {2 * args.dim}, "
                          f"got {args.n}")
-    instance_seed = _resolve_seed(args.instance, "instance")
-    sample_seed = _resolve_seed(args.sample_seed, "sample_seed")
-    inst = resolve(args.problem, instance_seed, args.dim)
-    s = lhs_sample(inst, args.n, sample_seed)
-    meta = [("problem", args.problem), ("instance", instance_seed),
-            ("dim", args.dim), ("n", args.n), ("sample_seed", sample_seed)]
+    inst, meta = _instance(args)
+    s = lhs_sample(inst, args.n, args.sample_seed)
+    meta += [("n", args.n), ("sample_seed", args.sample_seed)]
     rows = [list(s.X[i]) + [float(s.y[i])] for i in range(s.n)]
     _emit(_csv("sample", meta, _x_header(args.dim) + ["y"], rows), args.out)
     return 0
@@ -326,19 +312,14 @@ def _check_feature_n(args) -> None:
 
 def _cmd_features(args) -> int:
     _check_feature_n(args)
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
-    seeds = args.instance or [None]
-    sample_seed = _resolve_seed(args.sample_seed, "sample_seed")
-    feature_seed = _resolve_seed(args.feature_seed, "feature_seed")
+    # a list from the flag; one seed when main filled it
+    seeds = args.instance if isinstance(args.instance, list) else [args.instance]
     tasks, instances = [], []
     for problem in args.problem:
         for seed in seeds:
-            inst_seed = _resolve_seed(seed, "instance")
-            # validate before output
-            instances.append(resolve(problem, inst_seed, args.dim))
-            tasks.append((problem, inst_seed, args.dim, args.n,
-                          sample_seed, feature_seed))
+            instances.append(resolve(problem, seed, args.dim))  # validate first
+            tasks.append((problem, seed, args.dim, args.n, args.sample_seed,
+                          args.feature_seed))
     if len(tasks) > 1 and not args.out_dir:
         raise UsageError("multiple problem/instance combinations need --out-dir")
     if args.out_dir:
@@ -367,37 +348,25 @@ def _cmd_features(args) -> int:
     return 0
 
 
-def _check_corpus_flags(args) -> None:
+def _corpus(args) -> tuple[list, list[tuple[str, object]]]:
+    """The labelled rows that train and cv fit, after their flag checks,
+    and the corpus set-up as metadata pairs."""
     if args.property not in PROPERTY_NAMES:
         raise UsageError(f"--property must be one of {', '.join(PROPERTY_NAMES)}")
-    if args.trees < 1:
-        raise UsageError(f"--trees must be at least 1, got {args.trees}")
     _check_feature_n(args)
-
-
-def _corpus_meta(args, extra: list[tuple[str, object]]) -> list[tuple[str, object]]:
-    return [("dim", args.dim), ("n", args.n),
-            ("sample_seed", _resolve_seed(args.sample_seed, "sample_seed")),
-            ("feature_seed", _resolve_seed(args.feature_seed, "feature_seed")),
-            ("trees", args.trees)] + extra
+    rows = build_labelled_rows(args.property, dimension=args.dim, n=args.n,
+                               sample_seed=args.sample_seed,
+                               feature_seed=args.feature_seed)
+    return rows, [("dim", args.dim), ("n", args.n),
+                  ("sample_seed", args.sample_seed),
+                  ("feature_seed", args.feature_seed)]
 
 
 def _cmd_train(args) -> int:
-    _check_corpus_flags(args)
-    sample_seed = _resolve_seed(args.sample_seed, "sample_seed")
-    feature_seed = _resolve_seed(args.feature_seed, "feature_seed")
-    train_seed = _resolve_seed(args.train_seed, "train_seed")
-    rows = build_labelled_rows(args.property, dimension=args.dim, n=args.n,
-                               sample_seed=sample_seed, feature_seed=feature_seed)
-    model = train(rows, args.property, train_seed, n_trees=args.trees)
-    metadata = {
-        "tool": _TOOL,
-        "dim": args.dim,
-        "n": args.n,
-        "sample_seed": sample_seed,
-        "feature_seed": feature_seed,
-        "env_seed": os.environ.get("LANDSCAPE_ATLAS_SEED", "unset"),
-    }
+    rows, meta = _corpus(args)
+    model = train(rows, args.property, args.train_seed, n_trees=args.trees)
+    # to_json sorts the keys
+    metadata = dict(meta, tool=_TOOL, env_seed=_env_record())
     _atomic_write(args.out, model.to_json(metadata) + "\n")
     sys.stdout.write(
         f"trained {args.property}: training accuracy "
@@ -453,16 +422,11 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_cv(args) -> int:
-    _check_corpus_flags(args)
-    sample_seed = _resolve_seed(args.sample_seed, "sample_seed")
-    feature_seed = _resolve_seed(args.feature_seed, "feature_seed")
-    train_seed = _resolve_seed(args.train_seed, "train_seed")
-    rows = build_labelled_rows(args.property, dimension=args.dim, n=args.n,
-                               sample_seed=sample_seed, feature_seed=feature_seed)
-    cv = lofo_cv(rows, args.property, train_seed, n_trees=args.trees)
-    meta = _corpus_meta(args, [("property", args.property),
-                               ("train_seed", train_seed),
-                               ("mean_accuracy", cv.mean_accuracy)])
+    rows, meta = _corpus(args)
+    cv = lofo_cv(rows, args.property, args.train_seed, n_trees=args.trees)
+    meta += [("trees", args.trees), ("property", args.property),
+             ("train_seed", args.train_seed),
+             ("mean_accuracy", cv.mean_accuracy)]
     if args.format == "json":
         payload = {
             "property": args.property,
@@ -482,19 +446,15 @@ def _cmd_embed(args) -> int:
     if not (math.isfinite(args.perplexity) and args.perplexity >= 1):
         raise UsageError(
             f"--perplexity must be a real >= 1, got {args.perplexity}")
-    if args.iterations < 1:
-        raise UsageError(
-            f"--iterations must be at least 1, got {args.iterations}")
-    embed_seed = _resolve_seed(args.embed_seed, "embed_seed")
     paths = _feature_paths(args.features_dir)
     loaded = [_load_feature_doc(p) for p in paths]
     fvs = [fv for fv, _ in loaded]
     ids = [ident for _, ident in loaded]
     matrix, kept = normalize_features(fvs)
     emb = tsne_embed(matrix, ids=ids, perplexity=args.perplexity,
-                     embed_seed=embed_seed, iterations=args.iterations,
+                     embed_seed=args.embed_seed, iterations=args.iterations,
                      trace=True)
-    meta = [("perplexity", args.perplexity), ("embed_seed", embed_seed),
+    meta = [("perplexity", args.perplexity), ("embed_seed", args.embed_seed),
             ("iterations", args.iterations), ("rows", len(emb.rows)),
             ("final_kl", emb.final_kl)]
     rows = [[r.suite, r.problem, r.instance, r.u, r.v] for r in emb.rows]
@@ -629,6 +589,11 @@ def main(argv: list[str] | None = None) -> int:
     if hasattr(args, "n") and args.n is None and hasattr(args, "dim"):
         args.n = 50 * args.dim
     try:
+        for flag in _COUNT_FLAGS:
+            if getattr(args, flag, 1) < 1:
+                raise UsageError(f"--{flag} must be at least 1, "
+                                 f"got {getattr(args, flag)}")
+        _resolve_seeds(args)
         return args.fn(args)
     except UsageError as exc:
         print(f"{ap.prog}: error: {exc}", file=sys.stderr)

@@ -66,6 +66,15 @@ class ProblemId:
     suite: str  # "mario" | "baseline"
     index: int
 
+    def __post_init__(self):
+        if self.suite not in ("mario", "baseline"):
+            raise UnknownProblem(f"unknown suite {self.suite!r}")
+        if self.suite == "mario" and not 1 <= self.index <= 28:
+            raise UnknownProblem(f"mario problems are m1..m28, got m{self.index}")
+        if self.suite == "baseline" and not 1 <= self.index <= len(_BASELINE_ORDER):
+            raise UnknownProblem(f"baseline indices are "
+                                 f"1..{len(_BASELINE_ORDER)}, got {self.index}")
+
     @property
     def text(self) -> str:
         if self.suite == "mario":
@@ -76,10 +85,7 @@ class ProblemId:
     def parse(cls, text: str) -> "ProblemId":
         text = text.strip()
         if text.startswith("m") and text[1:].isdigit():
-            index = int(text[1:])
-            if not 1 <= index <= 28:
-                raise UnknownProblem(f"mario problems are m1..m28, got {text}")
-            return cls("mario", index)
+            return cls("mario", int(text[1:]))
         if text in _BASELINE_INDEX:
             return cls("baseline", _BASELINE_INDEX[text])
         raise UnknownProblem(f"no problem named {text!r}")
@@ -150,13 +156,9 @@ class ProblemInstance:
 def resolve(id_or_text: ProblemId | str, instance_seed: int,
             dimension: int) -> ProblemInstance:
     pid = ProblemId.parse(id_or_text) if isinstance(id_or_text, str) else id_or_text
-    if pid.suite not in ("mario", "baseline"):
-        raise UnknownProblem(f"unknown suite {pid.suite!r}")
     instance_seed = int(instance_seed)
     dimension = int(dimension)
     if pid.suite == "mario":
-        if not 1 <= pid.index <= 28:
-            raise UnknownProblem(f"mario problems are m1..m28, got m{pid.index}")
         if not 1 <= instance_seed <= MARIO_SEEDS:
             raise UnsupportedSeed(
                 f"mario instance seeds are 1..{MARIO_SEEDS}, got {instance_seed}")
@@ -167,9 +169,6 @@ def resolve(id_or_text: ProblemId | str, instance_seed: int,
                 "concatenation variants split the latent vector into two "
                 "equal blocks and need an even d")
     else:
-        if not 1 <= pid.index <= len(_BASELINE_ORDER):
-            raise UnknownProblem(f"baseline indices are "
-                                 f"1..{len(_BASELINE_ORDER)}, got {pid.index}")
         if instance_seed < 1:
             raise UnsupportedSeed("baseline instance seeds start at 1")
         if dimension < 1:

@@ -33,14 +33,31 @@ class Tree:
         }
 
     @staticmethod
-    def from_dict(d: dict) -> "Tree":
-        return Tree(
-            feature=tuple(d["feature"]),
-            threshold=tuple(d["threshold"]),
-            left=tuple(d["left"]),
-            right=tuple(d["right"]),
-            counts=tuple(tuple(c) for c in d["counts"]),
+    def from_dict(d: dict, n_features: int, n_classes: int) -> "Tree":
+        """The tree d describes; ValueError unless grow_tree could have
+        written it: equal-length node arrays, internal nodes that split one
+        of n_features features into two later nodes (so every descent ends),
+        and leaves that count each of n_classes classes."""
+        tree = Tree(
+            feature=tuple(int(f) for f in d["feature"]),
+            threshold=tuple(float(t) for t in d["threshold"]),
+            left=tuple(int(i) for i in d["left"]),
+            right=tuple(int(i) for i in d["right"]),
+            counts=tuple(tuple(int(k) for k in c) for c in d["counts"]),
         )
+        n = len(tree.feature)
+        if n == 0 or {len(tree.threshold), len(tree.left), len(tree.right),
+                      len(tree.counts)} != {n}:
+            raise ValueError("tree node arrays need one equal, non-zero length")
+        for i, (f, lo, hi, c) in enumerate(zip(tree.feature, tree.left,
+                                               tree.right, tree.counts)):
+            if f == -1 and len(c) != n_classes:
+                raise ValueError(f"leaf {i} needs {n_classes} class counts")
+            if f != -1 and not (0 <= f < n_features and i < lo < n
+                                and i < hi < n):
+                raise ValueError(f"node {i} must split one of {n_features} "
+                                 f"features into two later nodes")
+        return tree
 
 
 def _best_split(V: np.ndarray, onehot: np.ndarray):

@@ -68,12 +68,18 @@ class PropertyModel:
         if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported model schema {doc.get('schema_version')!r}")
+        try:
+            trees = tuple(Tree.from_dict(t, len(doc["manifest"]),
+                                         len(doc["vocabulary"]))
+                          for t in doc["trees"])
+        except TypeError as exc:  # a null or a number where a list belongs
+            raise ValueError(f"malformed model trees: {exc}") from exc
         return PropertyModel(
             property_name=doc["property"],
             vocabulary=tuple(doc["vocabulary"]),
             manifest=tuple(doc["manifest"]),
             train_seed=doc["train_seed"],
-            trees=tuple(Tree.from_dict(t) for t in doc["trees"]),
+            trees=trees,
             training_accuracy=doc["training_accuracy"],
         )
 

@@ -151,6 +151,8 @@ def tsne_embed(matrix: np.ndarray,
     # No distribution has perplexity below 1: the bisection cannot reach it.
     if not (np.isfinite(perplexity) and perplexity >= 1.0):
         raise ValueError(f"need a finite perplexity >= 1, got {perplexity}")
+    if iterations < 1:
+        raise ValueError(f"need iterations >= 1, got {iterations}")
     n = X.shape[0]
     if not perplexity < (n - 1) / 3.0:
         raise PerplexityTooLarge(

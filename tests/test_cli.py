@@ -443,3 +443,81 @@ def test_usage_errors_exit_2_before_any_output(capsys, tmp_path, argv,
     assert "error" in err
     assert out == ""
     assert not out_file.exists() and not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["walk", "--problem", "m1", "--dim", "4"],
+    ["sample", "--problem", "m1", "--dim", "4", "--n", "20"],
+    ["features", "--problem", "m1", "--dim", "4", "--n", "20"],
+    ["train", "--property", "funnel", "--dim", "2", "--n", "20"],
+    ["cv", "--property", "funnel", "--dim", "2", "--n", "20"],
+    ["embed"],
+], ids=["walk", "sample", "features", "train", "cv", "embed"])
+def test_malformed_environment_seed_exits_2_before_any_output(
+        capsys, tmp_path, argv, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("library work started")
+
+    for module in (sampling, walks):
+        monkeypatch.setattr(module, "evaluate_batch", no_work)
+    monkeypatch.setattr("landscape_atlas.cli.build_labelled_rows", no_work)
+    monkeypatch.setenv("LANDSCAPE_ATLAS_SEED", "abc")
+    out_file = tmp_path / "out"
+    out_dir = tmp_path / "dir"
+    target = ["--out-dir", str(out_dir)] if argv[0] == "features" \
+        else ["--out", str(out_file)]
+    if argv[0] == "embed":  # exit 2 then shows that nothing was read
+        target += ["--features-dir", str(tmp_path / "missing")]
+    code, out, err = _run(capsys, argv + target)
+    assert code == 2
+    assert "LANDSCAPE_ATLAS_SEED" in err
+    assert out == ""
+    assert not out_file.exists() and not out_dir.exists()
+
+
+def test_subcommands_without_seeds_ignore_a_malformed_environment_seed(
+        capsys, tmp_path, monkeypatch):
+    model_path = tmp_path / "model.json"
+    assert _run(capsys, ["train", "--property", "funnel", "--dim", "2",
+                         "--n", "20", "--trees", "3",
+                         "--out", str(model_path)])[0] == 0
+    feature_dir = _make_feature_dir(tmp_path, capsys)
+    monkeypatch.setenv("LANDSCAPE_ATLAS_SEED", "abc")
+    code, out, _ = _run(capsys, ["list"])
+    assert code == 0 and "# env_seed: abc" in out
+    code, out, _ = _run(capsys, ["classify", "--model", str(model_path),
+                                 "--features-dir", str(feature_dir)])
+    assert code == 0 and "# env_seed: abc" in out
+
+
+def test_environment_seed_fills_and_names_feature_instances(
+        capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("LANDSCAPE_ATLAS_SEED", "5")
+    out_dir = tmp_path / "dir"
+    code, _, _ = _run(capsys, ["features", "--problem", "m1,sphere",
+                               "--dim", "4", "--n", "20",
+                               "--out-dir", str(out_dir)])
+    assert code == 0
+    assert sorted(os.listdir(out_dir)) == ["m1-i5.json", "sphere-i5.json"]
+    doc = json.loads((out_dir / "m1-i5.json").read_text())
+    assert (doc["instance"], doc["sample_seed"], doc["feature_seed"],
+            doc["env_seed"]) == (5, 5, 5, "5")
+
+
+def test_classify_refuses_a_malformed_model_with_exit_1(capsys, tmp_path):
+    model_path = tmp_path / "model.json"
+    assert _run(capsys, ["train", "--property", "funnel", "--dim", "2",
+                         "--n", "20", "--trees", "3",
+                         "--out", str(model_path)])[0] == 0
+    features = tmp_path / "sphere.json"
+    assert _run(capsys, ["features", "--problem", "sphere", "--dim", "2",
+                         "--n", "20", "--out", str(features)])[0] == 0
+    doc = json.loads(model_path.read_text())
+    tree = doc["trees"][0]
+    assert tree["feature"][0] != -1  # the root splits
+    tree["feature"][0] = 99
+    model_path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["classify", "--model", str(model_path),
+                                   "--features", str(features)])
+    assert (code, out) == (1, "")
+    assert "ValueError" in err and "Traceback" not in err

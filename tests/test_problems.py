@@ -180,3 +180,12 @@ def test_baseline_dispatch_matches_direct_calls():
     y = np.array([4.0, 6.0])
     assert evaluate(resolve("shekel-7", 3, 2), y) == baseline_eval(
         "shekel-7", 3, y[None])[0]
+
+
+@pytest.mark.parametrize("suite, index", [
+    ("baseline", 0), ("baseline", 17), ("mario", 0), ("mario", 29),
+    ("nes", 1),
+])
+def test_problem_ids_check_their_own_suite_and_index(suite, index):
+    with pytest.raises(UnknownProblem):
+        ProblemId(suite, index)

@@ -110,6 +110,38 @@ def test_model_json_round_trip():
         PropertyModel.from_json('{"schema_version": 99}')
 
 
+# Node 0 splits feature 3 into leaf 1 and node 2; node 2 splits feature 5
+# into leaves 3 and 4: the depth-first numbering grow_tree writes.
+_TREE = {"feature": [3, -1, 5, -1, -1], "threshold": [0.5, 0, -1.0, 0, 0],
+         "left": [1, -1, 3, -1, -1], "right": [2, -1, 4, -1, -1],
+         "counts": [[], [4, 0], [], [1, 0], [0, 3]]}
+
+
+@pytest.mark.parametrize("change", [
+    {"left": [0, -1, 3, -1, -1]},
+    {"left": [None, -1, 3, -1, -1]},
+    {"left": [1, -1, 0, -1, -1]},
+    {"right": [2, -1, 5, -1, -1]},
+    {"feature": [99, -1, 5, -1, -1]},
+    {"feature": [3, -1, -2, -1, -1]},
+    {"counts": [[], [4, 0], [], [], [0, 3]]},
+    {"counts": [[], [4, 0, 0], [], [1, 0], [0, 3]]},
+    {"threshold": [0.5, 0, -1.0, 0]},
+    {key: [] for key in _TREE},
+], ids=["node-0-is-its-own-child", "null-child", "child-before-parent",
+        "child-out-of-range", "feature-outside-manifest", "negative-feature",
+        "leaf-counts-missing", "leaf-counts-off-vocabulary",
+        "arrays-differ-in-length", "no-nodes"])
+def test_malformed_model_trees_are_refused_on_load(change):
+    import json
+    doc = json.loads(train(_separable_rows(), "funnel", 0, n_trees=3).to_json())
+    doc["trees"][0] = _TREE
+    assert PropertyModel.from_json(json.dumps(doc)).trees[0].left[2] == 3
+    doc["trees"][0] = dict(_TREE, **change)
+    with pytest.raises(ValueError):
+        PropertyModel.from_json(json.dumps(doc))
+
+
 def test_model_json_can_carry_metadata():
     import json
     model = train(_separable_rows(), "funnel", 0, n_trees=5)

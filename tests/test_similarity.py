@@ -160,3 +160,13 @@ def test_well_separated_clusters_stay_separated():
     intra = max(np.linalg.norm(p - q) for p in a for q in a)
     centroid_gap = np.linalg.norm(a.mean(axis=0) - b.mean(axis=0))
     assert centroid_gap > intra
+
+
+@pytest.mark.parametrize("iterations", [0, -5])
+def test_fewer_than_one_iteration_is_refused_first(monkeypatch, iterations):
+    def no_work(*args):
+        raise AssertionError("affinities started")
+
+    monkeypatch.setattr(similarity, "_affinities", no_work)
+    with pytest.raises(ValueError, match="iterations"):
+        tsne_embed(_blobs(), perplexity=5.0, iterations=iterations)
