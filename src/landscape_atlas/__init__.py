@@ -20,7 +20,7 @@ from .ela import (
     nearest_better_ratio,
     normalize_features,
 )
-from .mario.decoder import decode_level, decode_levels, decoder_params
+from .mario.decoder import decode_levels, decoder_params
 from .mario.sim import SimulationResult, air_time, basic_fitness, simulate, time_taken
 from .mario.tiles import TileGrid, concatenate, parse_ascii, render_ascii
 from .problems.core import (
@@ -71,7 +71,6 @@ __all__ = [
     "compute_features",
     "concatenate",
     "decode_instance_level",
-    "decode_level",
     "decode_levels",
     "decoder_params",
     "default_step",

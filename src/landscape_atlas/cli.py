@@ -26,7 +26,7 @@ from .ela.features import FEATURE_NAMES, FeatureVector, compute_features, normal
 from .ela.sampling import lhs_sample
 from .errors import LandscapeError, ManifestMismatch
 from .mario.sim import (
-    ASTAR, SCARED, air_time, basic_fitness, simulate_trace, time_taken,
+    ASTAR, SCARED, air_time, basic_fitness, simulate, time_taken,
 )
 from .mario.tiles import render_ascii
 from .problems.core import (
@@ -226,7 +226,8 @@ def _cmd_simulate(args) -> int:
         raise UsageError(
             "--agent is required for problems without a bound agent")
     grid = decode_instance_level(inst, args.point)
-    res, path = simulate_trace(grid, agent)
+    path: list[tuple[int, int]] = []
+    res = simulate(grid, agent, path)
     fields = [("agent", agent), ("won", res.won), ("d_level", res.d_level),
               ("t_level", res.t_level), ("n_coins", res.n_coins),
               ("t_g", res.t_g), ("t_tot", res.t_tot), ("t_max", res.t_max),
@@ -317,7 +318,11 @@ def _cmd_features(args) -> int:
     tasks, instances = [], []
     for problem in args.problem:
         for seed in seeds:
-            instances.append(resolve(problem, seed, args.dim))  # validate first
+            inst = resolve(problem, seed, args.dim)  # validate first
+            if inst in instances:
+                raise UsageError(f"--problem/--instance repeat the pair "
+                                 f"{inst.id.text} instance {seed}")
+            instances.append(inst)
             tasks.append((problem, seed, args.dim, args.n, args.sample_seed,
                           args.feature_seed))
     if len(tasks) > 1 and not args.out_dir:

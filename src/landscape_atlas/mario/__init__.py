@@ -1,5 +1,5 @@
 from .tiles import TileGrid, concatenate, parse_ascii, render_ascii
-from .decoder import DecoderParams, decode_level, decode_levels, decoder_params
+from .decoder import DecoderParams, decode_levels, decoder_params
 from .metrics import (
     GapReport, LeniencyBreakdown, decoration_frequency, detect_gaps,
     enemy_distribution, leniency, negative_space, position_distribution,
@@ -11,7 +11,7 @@ from .sim import (
 
 __all__ = [
     "TileGrid", "concatenate", "parse_ascii", "render_ascii",
-    "DecoderParams", "decode_level", "decode_levels", "decoder_params",
+    "DecoderParams", "decode_levels", "decoder_params",
     "GapReport", "LeniencyBreakdown", "decoration_frequency", "detect_gaps",
     "enemy_distribution", "leniency", "negative_space",
     "position_distribution",

@@ -97,11 +97,6 @@ def decoder_params(variant: str, instance_seed: int, dim: int) -> DecoderParams:
     return DecoderParams(variant, instance_seed, dim, w1, b1, w2, b2)
 
 
-def decode_level(params: DecoderParams, z: np.ndarray) -> TileGrid:
-    """Decode one latent vector into a 14 x 28 tile grid."""
-    return decode_levels(params, np.asarray(z, dtype=float)[np.newaxis])[0]
-
-
 def decode_levels(params: DecoderParams, Z: np.ndarray) -> list[TileGrid]:
     """Decode each row of an (n, dim) latent design into a tile grid.
 

@@ -24,6 +24,7 @@ states with the admissible remaining-columns heuristic, then replays it.  On
 an unwinnable level it replays the cheapest path to the farthest column
 reachable within the budget.  The scared agent never plans: it runs right and
 jumps whenever a gap or a hazard shows up within two columns of lookahead.
+Both agents move by the one successor table of _successors.
 """
 from __future__ import annotations
 
@@ -121,9 +122,10 @@ def _spawn_result(lv: _Level, agent: str) -> SimulationResult | None:
     return None
 
 
-def _simulate(grid: TileGrid, agent: str,
-              track: list | None = None) -> SimulationResult:
-    """One run; track, if given, collects the visited (row, col) cells."""
+def simulate(grid: TileGrid, agent: str,
+             track: list | None = None) -> SimulationResult:
+    """One run of agent through grid; track, if given, collects the visited
+    (row, col) cells."""
     if agent not in AGENT_KINDS:
         raise ValueError(f"unknown agent kind {agent!r}")
     lv = _Level(grid)
@@ -136,18 +138,6 @@ def _simulate(grid: TileGrid, agent: str,
     return result
 
 
-def simulate(grid: TileGrid, agent: str) -> SimulationResult:
-    """One run of agent through grid."""
-    return _simulate(grid, agent)
-
-
-def simulate_trace(grid: TileGrid, agent: str
-                   ) -> tuple[SimulationResult, tuple[tuple[int, int], ...]]:
-    """Like simulate, but also returns the visited (row, col) cells."""
-    track: list[tuple[int, int]] = []
-    return _simulate(grid, agent, track), tuple(track)
-
-
 # The process's one evaluation memo: the shared-design records of
 # problems.core, which fills and bounds it.  Emptying it with .clear() makes
 # the next evaluation of every design decode and simulate afresh.
@@ -155,67 +145,54 @@ _CACHE: dict = {}
 
 
 def _run_scared(lv: _Level, track: list | None = None) -> SimulationResult:
-    w, h = lv.width, lv.height
+    """Run right, jumping when a gap or a hazard lies within two columns.
+
+    Each tick takes a move of the planner's successor table that steps one
+    column right, so a run that neither falls out nor meets a hazard reaches
+    the last column after w - 1 ticks, inside the 4 x w budget."""
+    h, w = lv.height, lv.width
+    table, standing_table = _successor_table(h, w)
     supported, hazard, coin, col_open = lv.supported, lv.hazard, lv.coin, lv.col_open
-    r, c, p = lv.spawn // w, 0, 0
-    coins = {lv.spawn} if coin[lv.spawn] else set()
-    t_tot = t_g = 0
-    best_c = 0
+    cell, p = lv.spawn, 0
+    coins = {cell} if coin[cell] else set()
+    t_g = 0
     if track is not None:
-        track.append((r, c))
-    while True:
-        cell = r * w + c
-        standing = p == 0 and supported[cell]
-        if standing:
-            jump = False
-            for cc in (c + 1, c + 2):
-                if cc < w and col_open[cc]:
-                    jump = True
-                    break
+        track.append(divmod(cell, w))
+    for t_tot in range(1, w):
+        if p == 0 and supported[cell]:
+            edges = standing_table[cell]
+            if edges is None:
+                edges = standing_table[cell] = _successors(h, w, cell * 3, True)
+            r, c = divmod(cell, w)
+            end = min(c + 3, w)  # the lookahead: up to two columns ahead
+            jump = True in col_open[c + 1:end]
             if not jump:
-                for cc in (c + 1, c + 2):
-                    if cc >= w:
+                for rr in range(max(0, r - 1), min(h, r + 2)):
+                    if True in hazard[rr * w + c + 1:rr * w + end]:
+                        jump = True
                         break
-                    for rr in range(max(0, r - 1), min(h, r + 2)):
-                        if hazard[rr * w + cc]:
-                            jump = True
-                            break
-                    if jump:
-                        break
-            if jump:
-                rise = 2 if r >= 2 else r
-                r -= rise
-                p = 1 if rise == 2 else 0
-        elif p > 0:
-            rise = 2 if r >= 2 else r
-            r -= rise
-            p = p - 1 if rise == 2 else 0
+            move = _JUMP_RIGHT if jump else _STEP_RIGHT
         else:
-            r += 1
-            if r >= h:
-                t_tot += 1
-                break  # fell out of the level
-        c += 1
-        t_tot += 1
-        cell = r * w + c
+            state = cell * 3 + p
+            edges = table[state]
+            if edges is None:
+                edges = table[state] = _successors(h, w, state, False)
+            move = _STEP_RIGHT
+        if not edges:
+            break  # fell out of the level
+        cell, p = divmod(edges[move][0], 3)
         if track is not None:
-            track.append((r, c))
+            track.append(divmod(cell, w))
         if coin[cell]:
             coins.add(cell)
-        if c > best_c:
-            best_c = c
         if hazard[cell]:
             break  # contact with a hazard in a new cell: run over
         if p == 0 and supported[cell]:
             t_g += 1
-        if c == w - 1:
-            won = t_tot <= lv.t_max
-            return SimulationResult(w if won else best_c + 1, t_tot,
-                                    len(coins), t_g, t_tot, lv.t_max, won)
-        if t_tot >= lv.t_max:
-            break
-    t_tot = min(t_tot, lv.t_max)
-    return SimulationResult(best_c + 1, t_tot, len(coins), t_g, t_tot,
+    else:  # in the last column
+        return SimulationResult(w, w - 1, len(coins), t_g, w - 1, lv.t_max,
+                                True)
+    return SimulationResult(cell % w + 1, t_tot, len(coins), t_g, t_tot,
                             lv.t_max, False)
 
 
@@ -255,6 +232,13 @@ def _successor_table(h: int, w: int) -> tuple[list, list]:
     without and then with a step right.  Only the step prices depend on the
     grid, so one table serves every grid of its shape."""
     return [None] * (h * w * 3), [None] * (h * w)
+
+
+# Entries of a successor tuple that step one column right: walking on
+# (_STEP_RIGHT) or jumping (_JUMP_RIGHT) when standing, rising or falling
+# (_STEP_RIGHT) when airborne.  An airborne state that falls out of the level
+# has no successors.
+_STEP_RIGHT, _JUMP_RIGHT = 1, 3
 
 
 def _successors(h: int, w: int, state: int, standing: bool):

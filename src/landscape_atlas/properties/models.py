@@ -74,6 +74,8 @@ class PropertyModel:
                           for t in doc["trees"])
         except TypeError as exc:  # a null or a number where a list belongs
             raise ValueError(f"malformed model trees: {exc}") from exc
+        if not trees:
+            raise ValueError("malformed model trees: the forest is empty")
         return PropertyModel(
             property_name=doc["property"],
             vocabulary=tuple(doc["vocabulary"]),

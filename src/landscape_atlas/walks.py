@@ -17,8 +17,6 @@ from ._seeds import NS_WALK, rng_for
 from .errors import AnchorOutOfBounds, DegenerateDirection
 from .problems.core import ProblemInstance, evaluate_batch
 
-_EDGE_SLACK = 1e-9  # floating-point guard at box-touching offsets
-
 
 @dataclass(frozen=True)
 class WalkSpec:
@@ -65,32 +63,24 @@ def diagonal_walk(instance: ProblemInstance, spec: WalkSpec) -> WalkTrace:
     anchor, direction = spec.anchor, spec.direction
     if not box.contains(anchor):
         raise AnchorOutOfBounds("anchor must lie inside the box")
-
-    def at(k: int) -> np.ndarray:
-        return anchor + (k * spec.step) * direction
-
-    k_lo, k_hi = -math.inf, math.inf
-    for i in range(box.dimension):
-        move = spec.step * direction[i]
-        if move == 0.0:
-            continue
-        a = (box.lower[i] - anchor[i]) / move
-        b = (box.upper[i] - anchor[i]) / move
-        k_lo = max(k_lo, min(a, b))
-        k_hi = min(k_hi, max(a, b))
-    # The float estimates can be off by an ulp at boundary-touching offsets;
-    # settle both ends by direct containment checks so points are exact.
-    k_min, k_max = math.ceil(k_lo - _EDGE_SLACK), math.floor(k_hi + _EDGE_SLACK)
-    while box.contains(at(k_max + 1)):
-        k_max += 1
-    while k_max > 0 and not box.contains(at(k_max)):
-        k_max -= 1
-    while box.contains(at(k_min - 1)):
-        k_min -= 1
-    while k_min < 0 and not box.contains(at(k_min)):
-        k_min += 1
-    offsets = tuple(range(k_min, k_max + 1))
-    points = np.array([at(k) for k in offsets])
+    # Bracket the offsets that stay inside by the per-coordinate crossings,
+    # one wider on each side against rounding, and test each point exactly.
+    # Every coordinate is monotone in k, so the kept offsets run contiguously
+    # through 0.  A coordinate that moves by only a few ulps of the box per
+    # step may round onto its face for several steps past the crossing, so
+    # only coordinates that move by more than 1e-12 of the box's scale
+    # bracket k; the others are left to the exact test.
+    move = spec.step * direction
+    scale = np.maximum(np.abs(box.lower), np.abs(box.upper))
+    moving = np.abs(move) > 1e-12 * scale
+    a = (box.lower - anchor)[moving] / move[moving]
+    b = (box.upper - anchor)[moving] / move[moving]
+    k = np.arange(math.floor(np.minimum(a, b).max()) - 1,
+                  math.ceil(np.maximum(a, b).min()) + 2)
+    points = anchor + (k[:, None] * spec.step) * direction
+    inside = np.all((points >= box.lower) & (points <= box.upper), axis=1)
+    offsets = tuple(k[inside].tolist())
+    points = points[inside]
     values = tuple(evaluate_batch(instance, points).tolist())
     return WalkTrace(spec, offsets, points, values)
 

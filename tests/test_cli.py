@@ -420,11 +420,15 @@ def test_design_groups_share_a_decoder_and_keep_baselines_alone():
     ["embed", "--perplexity", "nan"],
     ["embed", "--iterations", "0"],
     ["embed", "--iterations", "-5"],
+    ["features", "--problem", "sphere,sphere", "--dim", "4", "--n", "20"],
+    ["features", "--problem", "m1", "--instance", "1-3,2", "--dim", "4",
+     "--n", "20"],
 ], ids=["sample-n-below-2d", "features-n-below-2d+2", "walk-step-0",
         "features-jobs-0", "walk-directions-0", "train-trees-0", "cv-trees-0",
         "train-n-below-2d+2", "cv-n-below-2d+2", "embed-perplexity-0",
         "embed-perplexity-neg", "embed-perplexity-nan", "embed-iterations-0",
-        "embed-iterations-neg"])
+        "embed-iterations-neg", "features-repeated-problem",
+        "features-repeated-instance"])
 def test_usage_errors_exit_2_before_any_output(capsys, tmp_path, argv,
                                                monkeypatch):
     def no_work(*args):
@@ -516,8 +520,10 @@ def test_classify_refuses_a_malformed_model_with_exit_1(capsys, tmp_path):
     tree = doc["trees"][0]
     assert tree["feature"][0] != -1  # the root splits
     tree["feature"][0] = 99
-    model_path.write_text(json.dumps(doc))
-    code, out, err = _run(capsys, ["classify", "--model", str(model_path),
-                                   "--features", str(features)])
-    assert (code, out) == (1, "")
-    assert "ValueError" in err and "Traceback" not in err
+    for bad in (doc, dict(doc, trees=[])):
+        model_path.write_text(json.dumps(bad))
+        code, out, err = _run(capsys, ["classify", "--model", str(model_path),
+                                       "--features", str(features)])
+        assert (code, out) == (1, "")
+        assert "ValueError" in err and "Traceback" not in err
+    assert "forest is empty" in err

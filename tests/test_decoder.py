@@ -5,7 +5,7 @@ from landscape_atlas.ela.sampling import lhs_points
 from landscape_atlas.errors import OutOfBounds
 from landscape_atlas.mario.decoder import (
     _OFFSETS, CHUNK_ROWS, HEIGHT, WIDTH, OVERWORLD, UNDERGROUND,
-    _channel_argmax, decode_level, decode_levels, decoder_params,
+    _channel_argmax, decode_levels, decoder_params,
 )
 from landscape_atlas.mario.tiles import GROUND, N_TILE_TYPES, STANDABLE_MASK
 
@@ -16,14 +16,14 @@ def _latent(dim, seed=0):
 
 def test_output_shape_is_fixed():
     params = decoder_params(OVERWORLD, 1, 10)
-    grid = decode_level(params, _latent(10))
+    grid = decode_levels(params, _latent(10)[None])[0]
     assert (grid.height, grid.width) == (HEIGHT, WIDTH) == (14, 28)
 
 
 def test_decoding_is_deterministic():
     z = _latent(20, seed=3)
-    a = decode_level(decoder_params(UNDERGROUND, 2, 20), z)
-    b = decode_level(decoder_params(UNDERGROUND, 2, 20), z)
+    a = decode_levels(decoder_params(UNDERGROUND, 2, 20), z[None])[0]
+    b = decode_levels(decoder_params(UNDERGROUND, 2, 20), z[None])[0]
     assert a == b
 
 
@@ -49,14 +49,14 @@ def test_unknown_variant_rejected():
 def test_latent_validation():
     params = decoder_params(OVERWORLD, 1, 10)
     with pytest.raises(OutOfBounds):
-        decode_level(params, np.zeros(9))
+        decode_levels(params, np.zeros((1, 9)))
     with pytest.raises(OutOfBounds):
-        decode_level(params, np.full(10, 1.5))
+        decode_levels(params, np.full((1, 10), 1.5))
     with pytest.raises(OutOfBounds):
-        decode_level(params, np.full(10, -1.0001))
+        decode_levels(params, np.full((1, 10), -1.0001))
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(OutOfBounds):
-            decode_level(params, np.array([bad] + [0.0] * 9))
+            decode_levels(params, np.array([[bad] + [0.0] * 9]))
     with pytest.raises(OutOfBounds):
         decode_levels(params, np.zeros(10))  # a point, not a design
     with pytest.raises(OutOfBounds):
@@ -69,14 +69,14 @@ def test_latent_validation():
 
 def test_boundary_latents_are_accepted():
     params = decoder_params(OVERWORLD, 1, 10)
-    decode_level(params, np.ones(10))
-    decode_level(params, -np.ones(10))
+    decode_levels(params, np.ones((1, 10)))
+    decode_levels(params, -np.ones((1, 10)))
 
 
 def test_underground_has_solid_cap_rows():
     params = decoder_params(UNDERGROUND, 1, 10)
     for seed in range(5):
-        grid = decode_level(params, _latent(10, seed))
+        grid = decode_levels(params, _latent(10, seed)[None])[0]
         assert (grid.cells[0, :] == GROUND).all()
         assert (grid.cells[13, :] == GROUND).all()
 
@@ -86,7 +86,7 @@ def test_overworld_floor_or_gap_in_every_column():
     # bottom two rows hold nothing standable.
     params = decoder_params(OVERWORLD, 1, 10)
     for seed in range(5):
-        grid = decode_level(params, _latent(10, seed))
+        grid = decode_levels(params, _latent(10, seed)[None])[0]
         floored = grid.cells[13, :] == GROUND
         bottom_standable = STANDABLE_MASK[grid.cells[12:14, :]].any(axis=0)
         assert np.array_equal(floored, bottom_standable)
@@ -94,8 +94,8 @@ def test_overworld_floor_or_gap_in_every_column():
 
 def test_different_latents_give_different_levels():
     params = decoder_params(OVERWORLD, 1, 10)
-    a = decode_level(params, _latent(10, seed=0))
-    b = decode_level(params, _latent(10, seed=1))
+    a = decode_levels(params, _latent(10, seed=0)[None])[0]
+    b = decode_levels(params, _latent(10, seed=1)[None])[0]
     assert a != b
 
 
@@ -112,7 +112,7 @@ def test_decode_levels_match_decode_level_cell_by_cell(variant):
     params = decoder_params(variant, 3, 7)  # m1 or m2 at an odd d
     Z = np.random.default_rng(4).uniform(-1.0, 1.0, (2 * CHUNK_ROWS + 1, 7))
     grids = decode_levels(params, Z)
-    assert grids == [decode_level(params, z) for z in Z]
+    assert grids == [decode_levels(params, z[None])[0] for z in Z]
     raw = _reference_scores(params, Z).argmax(axis=1)
     # the post-pass rewrites only the bottom row (and the top underground)
     assert np.array_equal(np.array([g.cells for g in grids])[:, 1:13],

@@ -7,7 +7,7 @@ import pytest
 PACKAGES = ("landscape_atlas", "landscape_atlas.ela", "landscape_atlas.mario",
             "landscape_atlas.problems")
 DELETED = ("CountingEvaluator", "SampleProvenance", "provenance",
-           "shekel_eval", "SHEKEL_SEEDS")
+           "shekel_eval", "SHEKEL_SEEDS", "decode_level", "simulate_trace")
 
 
 @pytest.mark.parametrize("name", PACKAGES)
@@ -26,9 +26,10 @@ def test_star_import_succeeds():
 
 def test_deleted_names_are_gone():
     from landscape_atlas.ela import SampleSet, sampling
+    from landscape_atlas.mario import decoder, sim
     from landscape_atlas.problems import baselines, core
     modules = [importlib.import_module(n) for n in PACKAGES] + [
-        sampling, core, baselines]
+        sampling, core, baselines, decoder, sim]
     for module in modules:
         for name in DELETED:
             assert name not in getattr(module, "__all__", ())

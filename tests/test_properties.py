@@ -128,16 +128,20 @@ _TREE = {"feature": [3, -1, 5, -1, -1], "threshold": [0.5, 0, -1.0, 0, 0],
     {"counts": [[], [4, 0, 0], [], [1, 0], [0, 3]]},
     {"threshold": [0.5, 0, -1.0, 0]},
     {key: [] for key in _TREE},
+    None,
 ], ids=["node-0-is-its-own-child", "null-child", "child-before-parent",
         "child-out-of-range", "feature-outside-manifest", "negative-feature",
         "leaf-counts-missing", "leaf-counts-off-vocabulary",
-        "arrays-differ-in-length", "no-nodes"])
+        "arrays-differ-in-length", "no-nodes", "empty-forest"])
 def test_malformed_model_trees_are_refused_on_load(change):
     import json
     doc = json.loads(train(_separable_rows(), "funnel", 0, n_trees=3).to_json())
     doc["trees"][0] = _TREE
     assert PropertyModel.from_json(json.dumps(doc)).trees[0].left[2] == 3
-    doc["trees"][0] = dict(_TREE, **change)
+    if change is None:  # a forest of no trees
+        doc["trees"] = []
+    else:
+        doc["trees"][0] = dict(_TREE, **change)
     with pytest.raises(ValueError):
         PropertyModel.from_json(json.dumps(doc))
 

@@ -9,7 +9,7 @@ from landscape_atlas.ela.sampling import lhs_points
 from landscape_atlas.mario import sim, tiles
 from landscape_atlas.mario.sim import (
     ASTAR, HAZARD_PENALTY, SCARED, SimulationResult, air_time,
-    basic_fitness, simulate, simulate_trace, time_taken,
+    basic_fitness, simulate, time_taken,
 )
 from landscape_atlas.mario.tiles import TileGrid
 from landscape_atlas.problems import core
@@ -185,7 +185,8 @@ def test_trace_matches_result_and_walks_rightward():
     m[3, 3] = tiles.AIR
     g = TileGrid(m)
     for agent in (ASTAR, SCARED):
-        result, path = simulate_trace(g, agent)
+        path = []
+        result = simulate(g, agent, path)
         assert result == simulate(g, agent)
         assert path[0][1] == 0  # spawn in the first column
         cols = [c for _, c in path]
@@ -296,14 +297,15 @@ def _reference_run_astar(lv, track=None):
     return sim._replay(lv, dist, parent, best_state, won=False, track=track)
 
 
-def _astar_runs(grid: TileGrid) -> tuple:
-    """(simulate, simulate_trace) of the astar agent on grid."""
-    return simulate(grid, ASTAR), simulate_trace(grid, ASTAR)
+def _runs(grid: TileGrid, agent: str) -> tuple:
+    """An untracked and a tracked run of agent on grid, and the track."""
+    track = []
+    return simulate(grid, agent), simulate(grid, agent, track), track
 
 
 def _reference_runs(grid: TileGrid) -> tuple:
     with mock.patch.object(sim, "_run_astar", _reference_run_astar):
-        return _astar_runs(grid)
+        return _runs(grid, ASTAR)
 
 
 def _searches_per_run(grid: TileGrid) -> int:
@@ -340,7 +342,7 @@ def _grids(draw):
 @settings(max_examples=300, deadline=None)
 @given(grid=_grids())
 def test_planner_matches_the_reference_search_on_random_grids(grid):
-    assert _astar_runs(grid) == _reference_runs(grid)
+    assert _runs(grid, ASTAR) == _reference_runs(grid)
 
 
 def test_over_budget_and_no_goal_levels_take_one_search_and_match_reference():
@@ -354,7 +356,7 @@ def test_over_budget_and_no_goal_levels_take_one_search_and_match_reference():
     for m in (over_budget, no_goal):
         grid = TileGrid(m)
         assert _searches_per_run(grid) == 1
-        runs = _astar_runs(grid)
+        runs = _runs(grid, ASTAR)
         assert not runs[0].won
         assert runs == _reference_runs(grid)
 
@@ -369,4 +371,99 @@ def test_planner_matches_the_reference_search_on_decoded_levels():
     assert len(grids) >= 500
     assert {g.width for g in grids} == {28, 56}
     for grid in grids:
-        assert _astar_runs(grid) == _reference_runs(grid)
+        assert _runs(grid, ASTAR) == _reference_runs(grid)
+
+
+# --- the scared agent against its own-physics reference ----------------------
+#
+# _reference_run_scared is _run_scared as it was before the agent stepped
+# through the planner's successor table: it derives each jump, rise and fall
+# itself.  Swapping it into sim must leave every run and track unchanged.
+
+def _reference_run_scared(lv, track=None):
+    w, h = lv.width, lv.height
+    supported, hazard, coin, col_open = lv.supported, lv.hazard, lv.coin, lv.col_open
+    r, c, p = lv.spawn // w, 0, 0
+    coins = {lv.spawn} if coin[lv.spawn] else set()
+    t_tot = t_g = 0
+    best_c = 0
+    if track is not None:
+        track.append((r, c))
+    while True:
+        cell = r * w + c
+        standing = p == 0 and supported[cell]
+        if standing:
+            jump = False
+            for cc in (c + 1, c + 2):
+                if cc < w and col_open[cc]:
+                    jump = True
+                    break
+            if not jump:
+                for cc in (c + 1, c + 2):
+                    if cc >= w:
+                        break
+                    for rr in range(max(0, r - 1), min(h, r + 2)):
+                        if hazard[rr * w + cc]:
+                            jump = True
+                            break
+                    if jump:
+                        break
+            if jump:
+                rise = 2 if r >= 2 else r
+                r -= rise
+                p = 1 if rise == 2 else 0
+        elif p > 0:
+            rise = 2 if r >= 2 else r
+            r -= rise
+            p = p - 1 if rise == 2 else 0
+        else:
+            r += 1
+            if r >= h:
+                t_tot += 1
+                break  # fell out of the level
+        c += 1
+        t_tot += 1
+        cell = r * w + c
+        if track is not None:
+            track.append((r, c))
+        if coin[cell]:
+            coins.add(cell)
+        if c > best_c:
+            best_c = c
+        if hazard[cell]:
+            break  # contact with a hazard in a new cell: run over
+        if p == 0 and supported[cell]:
+            t_g += 1
+        if c == w - 1:
+            won = t_tot <= lv.t_max
+            return SimulationResult(w if won else best_c + 1, t_tot,
+                                    len(coins), t_g, t_tot, lv.t_max, won)
+        if t_tot >= lv.t_max:
+            break
+    t_tot = min(t_tot, lv.t_max)
+    return SimulationResult(best_c + 1, t_tot, len(coins), t_g, t_tot,
+                            lv.t_max, False)
+
+
+def _reference_scared_runs(grid: TileGrid) -> tuple:
+    with mock.patch.object(sim, "_run_scared", _reference_run_scared):
+        return _runs(grid, SCARED)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid=_grids())
+def test_scared_agent_matches_the_reference_run_on_random_grids(grid):
+    assert _runs(grid, SCARED) == _reference_scared_runs(grid)
+
+
+def test_scared_agent_matches_the_reference_run_on_decoded_levels():
+    grids = []
+    for problem in ("m15", "m16"):
+        inst = core.resolve(problem, 2, 10)
+        box = inst.domain
+        X = lhs_points(250, 10, box.lower, box.upper, 7)
+        grids.extend(core._design_levels(inst, X))
+    assert len(grids) >= 500
+    runs = [_runs(grid, SCARED) for grid in grids]
+    assert runs == [_reference_scared_runs(grid) for grid in grids]
+    assert {r[0].won for r in runs} == {False, True}

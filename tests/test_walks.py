@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -157,3 +159,75 @@ def test_every_walk_point_stays_inside_the_box(name, d, anchor_seed,
                              scale * default_step(inst)):
         for p in trace.points:
             assert box.contains(p)
+
+
+# --- walk offsets against the bound-and-fix-up reference ---------------------
+
+def _reference_walk(box, spec):
+    """Offsets and points of diagonal_walk as it found them before its one
+    containment test: per-coordinate bounds, settled by stepping each end
+    until the next point leaves the box and the last one lies inside."""
+    anchor, direction = spec.anchor, spec.direction
+
+    def at(k):
+        return anchor + (k * spec.step) * direction
+
+    k_lo, k_hi = -math.inf, math.inf
+    for i in range(box.dimension):
+        move = spec.step * direction[i]
+        if move == 0.0:
+            continue
+        a = (box.lower[i] - anchor[i]) / move
+        b = (box.upper[i] - anchor[i]) / move
+        k_lo = max(k_lo, min(a, b))
+        k_hi = min(k_hi, max(a, b))
+    k_min, k_max = math.ceil(k_lo - 1e-9), math.floor(k_hi + 1e-9)
+    while box.contains(at(k_max + 1)):
+        k_max += 1
+    while k_max > 0 and not box.contains(at(k_max)):
+        k_max -= 1
+    while box.contains(at(k_min - 1)):
+        k_min -= 1
+    while k_min < 0 and not box.contains(at(k_min)):
+        k_min += 1
+    offsets = tuple(range(k_min, k_max + 1))
+    return offsets, np.array([at(k) for k in offsets])
+
+
+@st.composite
+def _walk_specs(draw):
+    """A baseline instance of dimension 1..11 and a walk through it: anchors
+    inside or on the faces, directions with zero entries or along an axis,
+    steps from 1e-3 to 7."""
+    name = draw(st.sampled_from(("sphere", "rastrigin", "rosenbrock",
+                                 "shekel-5")))
+    d = draw(st.integers(1, 11))
+    inst = resolve(name, 1, d)
+    box = inst.domain
+    u = np.array(draw(st.lists(st.one_of(st.just(0.0), st.just(1.0),
+                                         st.floats(0.0, 1.0)),
+                               min_size=d, max_size=d)))
+    anchor = np.clip(box.lower + u * (box.upper - box.lower),
+                     box.lower, box.upper)
+    direction = np.array(draw(st.lists(st.one_of(st.just(0.0),
+                                                 st.floats(-1.0, 1.0)),
+                                       min_size=d, max_size=d)))
+    if draw(st.booleans()) or np.linalg.norm(direction) == 0.0:
+        direction = np.zeros(d)
+        direction[draw(st.integers(0, d - 1))] = draw(st.sampled_from((-1, 1)))
+    step = 10.0 ** draw(st.floats(-3.0, math.log10(7.0)))
+    return inst, WalkSpec(anchor, direction, step)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_walk_specs())
+@example(case=(resolve("sphere", 1, 2),  # rounds onto its face for 10 steps
+               WalkSpec(np.full(2, -5.0), np.array([3.7e-225, -1.0]), 1.0)))
+def test_walk_offsets_and_points_match_the_reference(case):
+    inst, spec = case
+    trace = diagonal_walk(inst, spec)
+    offsets, points = _reference_walk(inst.domain, spec)
+    assert trace.offsets == offsets
+    assert 0 in offsets
+    assert trace.points.shape == points.shape
+    assert trace.points.tobytes() == points.tobytes()
