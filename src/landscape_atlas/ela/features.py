@@ -97,64 +97,81 @@ def _upper_pairs(n: int) -> np.ndarray:
     return pairs
 
 
-def _lstsq_r2(A: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """R^2 of the least-squares fit y ~ A, plus the coefficient vector.
+def _constant(a: np.ndarray) -> bool:
+    """Every entry (every row, for a design) equals the first, exactly."""
+    return bool(np.all(a == a[0]))
 
-    Raises RankDeficient when A has linearly dependent columns and
-    AllEqualFitness when y is constant (R^2 undefined)."""
-    sstot = float(np.sum((y - y.mean()) ** 2))
-    if sstot == 0.0:
-        raise AllEqualFitness("response is constant; R^2 undefined")
+
+def _quadratic_design(X: np.ndarray) -> np.ndarray:
+    """Intercept, linear and squared columns, no interactions; the linear
+    model's design is its first 1 + d columns."""
+    return np.hstack([np.ones((len(X), 1)), X, X ** 2])
+
+
+def _lstsq_r2(A: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray] | None:
+    """R^2 of the least-squares fit y ~ A, plus the coefficient vector,
+    for a response y that is not constant; None when A has linearly
+    dependent columns."""
     coef, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
     if rank < A.shape[1]:
-        raise RankDeficient(
-            f"design matrix rank {rank} < {A.shape[1]} columns")
+        return None
+    sstot = float(np.sum((y - y.mean()) ** 2))
     ssres = float(np.sum((y - A @ coef) ** 2))
-    r2 = 1.0 - ssres / sstot
-    return min(1.0, max(0.0, r2)), coef
+    return min(1.0, max(0.0, 1.0 - ssres / sstot)), coef
 
 
 def meta_model_r2(sample: SampleSet) -> float:
     """R^2 of the full quadratic model (intercept, linear and squared
     terms, no interactions) fitted to the sample by least squares.
 
-    A constant response makes R^2 undefined; the convention here is to
-    report 1.0 (the constant model is exact) and warn ConstantResponse."""
+    A constant response (every y equal) makes R^2 undefined; the
+    convention here is to report 1.0 (the constant model is exact) and
+    warn ConstantResponse.  Raises ValueError unless n > 1 + 2d, and
+    RankDeficient for a constant design or linearly dependent columns."""
     n, d = sample.n, sample.dim
     if n <= 1 + 2 * d:
         raise ValueError("need more points than quadratic model terms")
-    A = np.hstack([np.ones((n, 1)), sample.X, sample.X ** 2])
-    try:
-        r2, _ = _lstsq_r2(A, sample.y)
-    except AllEqualFitness:
+    if _constant(sample.y):
         warnings.warn("constant response; reporting R^2 = 1.0",
                       ConstantResponse)
         return 1.0
-    return r2
+    A = _quadratic_design(sample.X)
+    fit = None if _constant(sample.X) else _lstsq_r2(A, sample.y)
+    if fit is None:
+        raise RankDeficient(f"quadratic design of rank < {1 + 2 * d} columns")
+    return fit[0]
 
 
 def _nearest_distances(D: np.ndarray, y: np.ndarray):
     """Nearest-neighbour distance per point and nearest-strictly-better
-    distance for every point that has a strictly better neighbour."""
+    distance for every point that has a strictly better neighbour (none
+    for a constant response)."""
     work = D.copy()
     np.fill_diagonal(work, np.inf)
     nn = work.min(axis=1)
     # Entry (i, j) stays only where point j is strictly better than point i.
     np.copyto(work, np.inf, where=y[None, :] >= y[:, None])
     nb_all = work.min(axis=1)
-    nb = nb_all[np.isfinite(nb_all)]
-    return nn, nb
+    return nn, nb_all[np.isfinite(nb_all)]
 
 
 def nearest_better_ratio(sample: SampleSet) -> float:
     """Mean nearest-neighbour distance divided by mean distance to the
     nearest strictly better point (points with no better point drop out
-    of the denominator)."""
+    of the denominator).
+
+    Raises ValueError for fewer than 3 points, AllEqualFitness for a
+    constant response, and ValueError for a constant design or when every
+    nearest-better distance is 0 (the only better points are duplicates)."""
     if sample.n < 3:
         raise ValueError("need at least 3 points")
-    if np.all(sample.y == sample.y[0]):
+    if _constant(sample.y):
         raise AllEqualFitness("all fitness values equal")
+    if _constant(sample.X):
+        raise ValueError("constant design: every distance is 0")
     nn, nb = _nearest_distances(np.sqrt(_squared_distances(sample.X)), sample.y)
+    if not nb.any():
+        raise ValueError("every nearest-better distance is 0")
     return float(nn.mean() / nb.mean())
 
 
@@ -205,40 +222,44 @@ def _information_content(D: np.ndarray, y: np.ndarray, start: int):
 
     s0 = np.sign(slopes).astype(int)
     nz = s0[s0 != 0]
-    m0 = 0.0
-    if len(nz):
-        changes = 1 + int(np.count_nonzero(nz[1:] != nz[:-1]))
-        m0 = changes / len(slopes)
+    changes = 1 + int(np.count_nonzero(nz[1:] != nz[:-1]))
+    m0 = changes / len(slopes) if len(nz) else 0.0
 
-    settled = False
-    eps_settle = _IC_SETTLE_FALLBACK
-    for eps, h in zip(_IC_EPSILONS, h_by_eps):
-        if h < _IC_SETTLE:
-            eps_settle = eps
-            settled = True
-            break
-    return h_max, eps_max, m0, eps_settle, settled
+    settle = [eps for eps, h in zip(_IC_EPSILONS, h_by_eps) if h < _IC_SETTLE]
+    eps_settle = settle[0] if settle else _IC_SETTLE_FALLBACK
+    return h_max, eps_max, m0, eps_settle, bool(settle)
 
 
 def _pca_counts(M: np.ndarray) -> tuple[float, float]:
     """(fraction of components covering 90% variance, first-component
-    variance share); (1, 1) for an all-constant matrix."""
+    variance share) of a matrix whose rows are not all equal."""
     C = M - M.mean(axis=0)
     s = np.linalg.svd(C, compute_uv=False)
     var = s ** 2
     total = float(var.sum())
-    if total == 0.0:
-        return 1.0, 1.0
     cum = np.cumsum(var) / total
     k = int(np.searchsorted(cum, 0.9 - 1e-15) + 1)
     return k / M.shape[1], float(var[0] / total)
 
 
 def compute_features(sample: SampleSet, feature_seed: int = 0) -> FeatureVector:
+    """The FEATURE_NAMES of a sample of n >= 2d + 2 points (ValueError
+    otherwise).  feature_seed only picks the information-content tour's
+    start; every other feature depends on the sample alone.
+
+    An undefined feature takes a fixed fallback and is named on
+    ``degenerate``; it never raises.  Two facts are decided once, by exact
+    equality: a constant response (every y equal) flags ydist.*, meta.*
+    and level.*; a constant design (every row of X equal, so every
+    distance is 0) flags meta.*, disp.* and pca.* (pca.expl_xy_90 only with
+    a constant response).  nbc.* are flagged when no nearest-better
+    distance is above 0: either fact, or better points only at duplicates.
+    README.md tabulates the fallbacks and the local rules."""
     n, d = sample.n, sample.dim
     if n < 2 * d + 2:
         raise ValueError("need n >= 2d + 2 points to compute features")
     X, y = sample.X, sample.y
+    const_y, const_x = _constant(y), _constant(X)
     values: dict[str, float] = {}
     degenerate: list[str] = []
 
@@ -248,20 +269,17 @@ def compute_features(sample: SampleSet, feature_seed: int = 0) -> FeatureVector:
             degenerate.append(name)
 
     # --- basic ---------------------------------------------------------
-    y_sd = float(y.std())
-    constant_y = y_sd == 0.0
     put("basic.dim", d)
     put("basic.n_obs", n)
     put("basic.y_min", y.min())
     put("basic.y_max", y.max())
     put("basic.y_mean", y.mean())
-    put("basic.y_sd", y_sd)
+    put("basic.y_sd", y.std())
 
     # --- y-distribution -------------------------------------------------
-    if constant_y:
-        put("ydist.skewness", 0.0, flag=True)
-        put("ydist.kurtosis", 0.0, flag=True)
-        put("ydist.entropy", 0.0, flag=True)
+    if const_y:
+        for name in ("ydist.skewness", "ydist.kurtosis", "ydist.entropy"):
+            put(name, 0.0, flag=True)
     else:
         c = y - y.mean()
         m2 = float(np.mean(c ** 2))
@@ -270,39 +288,28 @@ def compute_features(sample: SampleSet, feature_seed: int = 0) -> FeatureVector:
         put("ydist.entropy", _entropy_nat(y))
 
     # --- meta-model ------------------------------------------------------
-    lin = np.hstack([np.ones((n, 1)), X])
-    quad = np.hstack([lin, X ** 2])
-    try:
-        lin_r2, lin_coef = _lstsq_r2(lin, y)
-        beta = np.abs(lin_coef[1:])
-        lin_vals = (lin_r2, float(beta.min()), float(beta.max()))
-        lin_flag = False
-    except (AllEqualFitness, RankDeficient):
-        lin_vals, lin_flag = (1.0, 0.0, 0.0), True
-    try:
-        quad_r2, quad_coef = _lstsq_r2(quad, y)
-        gamma = np.abs(quad_coef[1 + d:])
-        if gamma.min() == 0.0:
-            quad_cond, flag_cond = 1.0, True
-        else:
-            quad_cond, flag_cond = float(gamma.max() / gamma.min()), False
-        flag_r2 = False
-    except (AllEqualFitness, RankDeficient):
-        quad_r2, quad_cond = 1.0, 1.0
-        flag_r2 = flag_cond = True
-    put("meta.lin_r2", lin_vals[0], flag=lin_flag)
-    put("meta.quad_r2", quad_r2, flag=flag_r2)
-    put("meta.lin_coef_min", lin_vals[1], flag=lin_flag)
-    put("meta.lin_coef_max", lin_vals[2], flag=lin_flag)
-    put("meta.quad_cond", quad_cond, flag=flag_cond)
+    quad = _quadratic_design(X)
+    lin_fit = quad_fit = None
+    if not (const_y or const_x):
+        lin_fit, quad_fit = _lstsq_r2(quad[:, :1 + d], y), _lstsq_r2(quad, y)
+    beta = np.abs(lin_fit[1][1:]) if lin_fit else np.zeros(1)
+    gamma = np.abs(quad_fit[1][1 + d:]) if quad_fit else np.zeros(1)
+    put("meta.lin_r2", lin_fit[0] if lin_fit else 1.0, flag=not lin_fit)
+    put("meta.quad_r2", quad_fit[0] if quad_fit else 1.0, flag=not quad_fit)
+    put("meta.lin_coef_min", beta.min(), flag=not lin_fit)
+    put("meta.lin_coef_max", beta.max(), flag=not lin_fit)
+    no_cond = gamma.min() == 0.0
+    put("meta.quad_cond", 1.0 if no_cond else gamma.max() / gamma.min(),
+        flag=no_cond)
 
     # --- dispersion ------------------------------------------------------
-    D = np.sqrt(_squared_distances(X))
+    # The Gram form leaves rounding noise in a constant design's distances.
+    D = np.zeros((n, n)) if const_x else np.sqrt(_squared_distances(X))
     mean_all = float(D.take(_upper_pairs(n)).mean())
     rank_order = np.argsort(y, kind="stable")
     for p in _DISP_QUANTILES:
         name = f"disp.ratio_{int(round(p * 100)):02d}"
-        if mean_all == 0.0:
+        if const_x:
             put(name, 1.0, flag=True)
             continue
         k = max(2, math.ceil(p * n))
@@ -326,26 +333,19 @@ def compute_features(sample: SampleSet, feature_seed: int = 0) -> FeatureVector:
         put(name, float(np.mean(pred_low != low)))
 
     # --- nearest-better --------------------------------------------------
-    if constant_y:
-        put("nbc.ratio", 1.0, flag=True)
+    nn, nb = _nearest_distances(D, y)
+    nn_sd = float(nn.std())
+    no_nb = not nb.any()
+    put("nbc.ratio", 1.0 if no_nb else float(nn.mean() / nb.mean()), flag=no_nb)
+    if no_nb or nn_sd == 0.0:
         put("nbc.sd_ratio", 1.0, flag=True)
         put("nbc.cor_nn_y", 0.0, flag=True)
     else:
-        nn, nb = _nearest_distances(D, y)
-        put("nbc.ratio", float(nn.mean() / nb.mean()))
-        nn_sd = float(nn.std())
-        if nn_sd == 0.0:
-            put("nbc.sd_ratio", 1.0, flag=True)
-        else:
-            put("nbc.sd_ratio", float(nb.std()) / nn_sd)
-        if nn_sd == 0.0:
-            put("nbc.cor_nn_y", 0.0, flag=True)
-        else:
-            put("nbc.cor_nn_y", float(np.corrcoef(nn, y)[0, 1]))
+        put("nbc.sd_ratio", float(nb.std()) / nn_sd)
+        put("nbc.cor_nn_y", float(np.corrcoef(nn, y)[0, 1]))
 
     # --- information content ---------------------------------------------
-    rng = rng_for(NS_FEATURES, feature_seed)
-    start = int(rng.integers(n))
+    start = int(rng_for(NS_FEATURES, feature_seed).integers(n))
     h_max, eps_max, m0, eps_settle, settled = _information_content(D, y, start)
     put("ic.h_max", h_max)
     put("ic.eps_max", eps_max)
@@ -353,12 +353,12 @@ def compute_features(sample: SampleSet, feature_seed: int = 0) -> FeatureVector:
     put("ic.eps_settle", eps_settle, flag=not settled)
 
     # --- principal components ---------------------------------------------
-    expl_x, first_share = _pca_counts(X)
-    expl_xy, _ = _pca_counts(np.hstack([X, y[:, None]]))
-    x_const = bool(np.all(X == X[0]))
-    put("pca.expl_x_90", expl_x, flag=x_const)
-    put("pca.expl_xy_90", expl_xy, flag=x_const and constant_y)
-    put("pca.first_pc_share", first_share, flag=x_const)
+    expl_x, first_share = (1.0, 1.0) if const_x else _pca_counts(X)
+    expl_xy = 1.0 if const_x and const_y else \
+        _pca_counts(np.hstack([X, y[:, None]]))[0]
+    put("pca.expl_x_90", expl_x, flag=const_x)
+    put("pca.expl_xy_90", expl_xy, flag=const_x and const_y)
+    put("pca.first_pc_share", first_share, flag=const_x)
 
     return FeatureVector(values=values, degenerate=tuple(degenerate))
 

@@ -169,6 +169,15 @@ def test_features_single_row_to_stdout(capsys):
     assert doc["n"] == 24 and doc["d"] == 2
 
 
+def test_features_flag_a_response_that_is_constant_on_the_design(capsys):
+    # m23 reads the same value on all six rows of this design
+    code, out, err = _run(capsys, ["features", "--problem", "m23", "--dim", "2",
+                                   "--n", "6", "--sample-seed", "1"])
+    assert code == 0, err
+    doc = json.loads(out)
+    assert {"nbc.ratio", "nbc.sd_ratio", "nbc.cor_nn_y"} <= set(doc["degenerate"])
+
+
 def test_features_rerun_byte_identical(capsys, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["features", "--problem", "m1", "--instance", "1", "--dim", "4",

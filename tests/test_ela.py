@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from landscape_atlas.ela import (
     FEATURE_NAMES, FeatureVector, SampleSet, compute_features, lhs_points,
@@ -11,7 +12,8 @@ from landscape_atlas.ela.features import (
     _nearest_distances, _squared_distances,
 )
 from landscape_atlas.errors import (
-    AllEqualFitness, BadSampleSize, ConstantResponse, TooFewRows,
+    AllEqualFitness, BadSampleSize, ConstantResponse, RankDeficient,
+    TooFewRows,
 )
 from landscape_atlas.problems import resolve
 
@@ -93,6 +95,20 @@ def test_constant_response_warns_and_reports_one():
         assert meta_model_r2(_sample(X, np.ones(8))) == 1.0
 
 
+def test_constant_response_whose_mean_does_not_round_back_reports_one():
+    X = np.linspace(0, 1, 60).reshape(-1, 1)
+    y = np.full(60, 0.1)
+    assert y.std() > 0.0  # the mean of sixty 0.1s is not 0.1
+    with pytest.warns(ConstantResponse):
+        assert meta_model_r2(_sample(X, y)) == 1.0
+
+
+def test_constant_design_is_rank_deficient():
+    X = np.tile([1.0 / 3.0], (8, 1))
+    with pytest.raises(RankDeficient):
+        meta_model_r2(_sample(X, np.arange(8.0)))
+
+
 def test_r2_is_invariant_under_affine_response_rescaling():
     rng = np.random.default_rng(3)
     X = rng.uniform(-2, 2, (40, 3))
@@ -122,6 +138,20 @@ def test_uneven_line_hand_enumeration():
 def test_all_equal_fitness_rejected():
     s = _sample([[0.0], [1.0], [2.0]], [1.0, 1.0, 1.0])
     with pytest.raises(AllEqualFitness):
+        nearest_better_ratio(s)
+
+
+def test_constant_design_rejected():
+    # the tiled rows leave Gram-form distances of rounding noise, not 0
+    s = _sample(np.tile([1.0 / 3.0, 2.0 / 3.0], (8, 1)), np.arange(8.0))
+    with pytest.raises(ValueError, match="constant design"):
+        nearest_better_ratio(s)
+
+
+def test_all_zero_nearest_better_distances_rejected():
+    # the only point with a better one has it at its own position
+    s = _sample([[0.0], [0.0], [1.0], [2.0]], [1.0, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="nearest-better distance"):
         nearest_better_ratio(s)
 
 
@@ -221,14 +251,76 @@ def test_quadratic_problem_has_perfect_meta_model_features():
     assert fv.values["meta.quad_r2"] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_constant_landscape_features_are_flagged_not_fatal():
+@pytest.mark.parametrize("value", [0.1, 0.7, 1.0 / 3.0])
+def test_constant_landscape_features_are_flagged_not_fatal(value):
     X = lhs_points(20, 2, np.zeros(2), np.ones(2), sample_seed=9)
-    s = SampleSet(X, np.full(20, 3.25))
+    s = SampleSet(X, np.full(20, value))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConstantResponse)
         fv = compute_features(s)
     assert np.all(np.isfinite(fv.as_array()))
     assert len(fv.degenerate) > 0
+
+
+_CONSTANT_RESPONSE_FLAGS = {"ydist.skewness", "ydist.kurtosis", "ydist.entropy"}
+_NBC_FLAGS = {"nbc.ratio", "nbc.sd_ratio", "nbc.cor_nn_y"}
+_CONSTANT_DESIGN_FLAGS = {"disp.ratio_02", "disp.ratio_05", "disp.ratio_10",
+                          "disp.ratio_25", "pca.expl_x_90",
+                          "pca.first_pc_share"}
+_META_FLAGS = {"meta.lin_r2", "meta.quad_r2", "meta.lin_coef_min",
+               "meta.lin_coef_max", "meta.quad_cond"}
+
+
+@st.composite
+def _degenerate_samples(draw):
+    """(kind, X, y) with a constant response, a constant design, both, or
+    duplicated rows; whatever is not constant varies.  Varying parts come
+    from a lattice of quarters, where the Gram-form distances are exact, so
+    a duplicated row lies at distance 0; the constants are any floats, so
+    their means need not round back."""
+    kind = draw(st.sampled_from(["response", "design", "both", "duplicates"]))
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(2 * d + 2, 24))
+    quarters = st.integers(-12, 12).map(lambda k: k / 4.0)
+    constants = st.floats(-1e3, 1e3, allow_subnormal=False)
+    X = np.array(draw(st.lists(st.lists(quarters, min_size=d, max_size=d),
+                               min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(quarters, min_size=n, max_size=n)))
+    if kind in ("response", "both"):
+        y = np.full(n, draw(constants))
+    if kind in ("design", "both"):
+        X = np.tile(draw(st.lists(constants, min_size=d, max_size=d)), (n, 1))
+    if kind == "duplicates":
+        X[draw(st.integers(1, n - 1))] = X[0]
+    assume(kind in ("response", "both") or not np.all(y == y[0]))
+    assume(kind in ("design", "both") or not np.all(X == X[0]))
+    return kind, X, y
+
+
+@settings(max_examples=200, deadline=None)
+@given(_degenerate_samples())
+@example(("duplicates", np.array([[0.0], [0.0], [1.0], [2.0]]),
+          np.array([1.0, 0.0, 0.0, 0.0])))
+def test_degenerate_inputs_give_finite_flagged_features(case):
+    kind, X, y = case
+    fv = compute_features(SampleSet(X, y))
+    assert np.all(np.isfinite(fv.as_array()))
+    flagged = set(fv.degenerate)
+    const_y, const_x = kind in ("response", "both"), kind in ("design", "both")
+    for constant, group in ((const_y, _CONSTANT_RESPONSE_FLAGS),
+                            (const_x, _CONSTANT_DESIGN_FLAGS),
+                            (const_x and const_y, {"pca.expl_xy_90"})):
+        assert group <= flagged if constant else not group & flagged
+    if const_y or const_x:
+        assert _META_FLAGS | _NBC_FLAGS <= flagged
+    else:
+        n = len(y)
+        nb = [min(np.linalg.norm(X[i] - X[j]) for j in range(n) if y[j] < y[i])
+              for i in range(n) if (y < y[i]).any()]
+        if not any(nb):
+            assert _NBC_FLAGS <= flagged
+        else:
+            assert "nbc.ratio" not in flagged
 
 
 def test_feature_vector_rejects_nonfinite_values():

@@ -173,14 +173,16 @@ def _reference_walk(box, spec):
         return anchor + (k * spec.step) * direction
 
     k_lo, k_hi = -math.inf, math.inf
-    for i in range(box.dimension):
-        move = spec.step * direction[i]
-        if move == 0.0:
-            continue
-        a = (box.lower[i] - anchor[i]) / move
-        b = (box.upper[i] - anchor[i]) / move
-        k_lo = max(k_lo, min(a, b))
-        k_hi = min(k_hi, max(a, b))
+    # a tiny direction component overflows its bracket to +-inf on purpose
+    with np.errstate(over="ignore", divide="ignore"):
+        for i in range(box.dimension):
+            move = spec.step * direction[i]
+            if move == 0.0:
+                continue
+            a = (box.lower[i] - anchor[i]) / move
+            b = (box.upper[i] - anchor[i]) / move
+            k_lo = max(k_lo, min(a, b))
+            k_hi = min(k_hi, max(a, b))
     k_min, k_max = math.ceil(k_lo - 1e-9), math.floor(k_hi + 1e-9)
     while box.contains(at(k_max + 1)):
         k_max += 1
