@@ -7,6 +7,7 @@ recorded on the vector's ``degenerate`` list instead of raising.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -102,6 +103,13 @@ def _constant(a: np.ndarray) -> bool:
     return bool(np.all(a == a[0]))
 
 
+def _spread_underflows(y: np.ndarray) -> bool:
+    """The square of y's variance underflows (is below the smallest normal
+    float), so its moments, R^2 and correlation are 0/0 or rounding noise;
+    such a response is treated like a constant one."""
+    return float(np.mean((y - y.mean()) ** 2)) ** 2 < sys.float_info.min
+
+
 def _quadratic_design(X: np.ndarray) -> np.ndarray:
     """Intercept, linear and squared columns, no interactions; the linear
     model's design is its first 1 + d columns."""
@@ -131,7 +139,7 @@ def meta_model_r2(sample: SampleSet) -> float:
     n, d = sample.n, sample.dim
     if n <= 1 + 2 * d:
         raise ValueError("need more points than quadratic model terms")
-    if _constant(sample.y):
+    if _constant(sample.y) or _spread_underflows(sample.y):
         warnings.warn("constant response; reporting R^2 = 1.0",
                       ConstantResponse)
         return 1.0
@@ -142,17 +150,72 @@ def meta_model_r2(sample: SampleSet) -> float:
     return fit[0]
 
 
-def _nearest_distances(D: np.ndarray, y: np.ndarray):
+class _Design:
+    """The terms of a feature battery that read the design X alone.
+
+    ``D`` holds the Euclidean distances with an ``inf`` diagonal; rows that
+    are exactly equal lie at distance 0 (the Gram form leaves rounding
+    noise there), so a constant design has every distance 0.  ``nn`` is
+    each point's nearest-neighbour distance and ``mean_all`` the mean
+    distance over all pairs.  Tours are kept per start, so at most n of
+    them.  Every array is read-only."""
+
+    def __init__(self, X: np.ndarray):
+        n = len(X)
+        self.constant = _constant(X)
+        D = np.sqrt(_squared_distances(X))
+        rows, inverse = np.unique(X, axis=0, return_inverse=True)
+        if len(rows) < n:
+            inverse = inverse.reshape(-1)
+            D[inverse[:, None] == inverse[None, :]] = 0.0
+        np.fill_diagonal(D, np.inf)
+        self.mean_all = float(D.take(_upper_pairs(n)).mean())
+        self.nn = D.min(axis=1)
+        self.D = D
+        for a in (D, self.nn):
+            a.flags.writeable = False
+        self._tours: dict[int, np.ndarray] = {}
+
+    def tour(self, start: int) -> np.ndarray:
+        """Greedy nearest-neighbour tour from start: each step goes to the
+        nearest unvisited point, the lowest index on ties."""
+        order = self._tours.get(start)
+        if order is None:
+            n = len(self.D)
+            visited = np.zeros(n, dtype=bool)
+            order = np.empty(n, dtype=int)
+            cur = start
+            for i in range(n):
+                order[i] = cur
+                visited[cur] = True
+                if i + 1 < n:
+                    cur = int(np.argmin(np.where(visited, np.inf, self.D[cur])))
+            order.flags.writeable = False
+            self._tours[start] = order
+        return order
+
+
+@lru_cache(maxsize=1)
+def _design_terms(shape: tuple[int, ...], data: bytes) -> _Design:
+    return _Design(np.frombuffer(data).reshape(shape))
+
+
+def _design(X: np.ndarray) -> _Design:
+    """The X-only terms of a float design, from a memo that holds the last
+    design read: callers read designs one after another, each under many
+    responses.  It is keyed on the shape and bytes, so values never depend
+    on its state; _design_terms.cache_clear() empties it."""
+    return _design_terms(X.shape, X.tobytes())
+
+
+def _nearest_distances(design: _Design, y: np.ndarray):
     """Nearest-neighbour distance per point and nearest-strictly-better
     distance for every point that has a strictly better neighbour (none
     for a constant response)."""
-    work = D.copy()
-    np.fill_diagonal(work, np.inf)
-    nn = work.min(axis=1)
-    # Entry (i, j) stays only where point j is strictly better than point i.
-    np.copyto(work, np.inf, where=y[None, :] >= y[:, None])
-    nb_all = work.min(axis=1)
-    return nn, nb_all[np.isfinite(nb_all)]
+    # Entry (i, j) stays only where point j is strictly better than point
+    # i; a masked np.min (where=) takes three times as long here.
+    nb_all = np.where(y[None, :] < y[:, None], design.D, np.inf).min(axis=1)
+    return design.nn, nb_all[np.isfinite(nb_all)]
 
 
 def nearest_better_ratio(sample: SampleSet) -> float:
@@ -167,9 +230,10 @@ def nearest_better_ratio(sample: SampleSet) -> float:
         raise ValueError("need at least 3 points")
     if _constant(sample.y):
         raise AllEqualFitness("all fitness values equal")
-    if _constant(sample.X):
+    design = _design(sample.X)
+    if design.constant:
         raise ValueError("constant design: every distance is 0")
-    nn, nb = _nearest_distances(np.sqrt(_squared_distances(sample.X)), sample.y)
+    nn, nb = _nearest_distances(design, sample.y)
     if not nb.any():
         raise ValueError("every nearest-better distance is 0")
     return float(nn.mean() / nb.mean())
@@ -181,21 +245,11 @@ def _entropy_nat(y: np.ndarray) -> float:
     return float(-(p * np.log(p)).sum())
 
 
-def _information_content(D: np.ndarray, y: np.ndarray, start: int):
-    """Greedy nearest-neighbour tour statistics.
+def _information_content(D: np.ndarray, y: np.ndarray, order: np.ndarray):
+    """Statistics of the tour that visits the points in order.
 
     Returns (h_max, eps_max, m0, eps_settle, settled) where the entropies
     are base-6 symbol-pair entropies over the tour's slope signs."""
-    n = len(y)
-    visited = np.zeros(n, dtype=bool)
-    order = np.empty(n, dtype=int)
-    cur = start
-    for i in range(n):
-        order[i] = cur
-        visited[cur] = True
-        if i + 1 < n:
-            row = np.where(visited, np.inf, D[cur])
-            cur = int(np.argmin(row))  # argmin takes the lowest index on ties
     dy = np.diff(y[order])
     dd = D[order[:-1], order[1:]]
     slopes = np.divide(dy, dd, out=np.zeros_like(dy), where=dd > 0)
@@ -250,16 +304,23 @@ def compute_features(sample: SampleSet, feature_seed: int = 0) -> FeatureVector:
     An undefined feature takes a fixed fallback and is named on
     ``degenerate``; it never raises.  Two facts are decided once, by exact
     equality: a constant response (every y equal) flags ydist.*, meta.*
-    and level.*; a constant design (every row of X equal, so every
-    distance is 0) flags meta.*, disp.* and pca.* (pca.expl_xy_90 only with
-    a constant response).  nbc.* are flagged when no nearest-better
-    distance is above 0: either fact, or better points only at duplicates.
-    README.md tabulates the fallbacks and the local rules."""
+    and level.*; a constant design (every row of X equal) flags meta.*,
+    disp.* and pca.* (pca.expl_xy_90 only with a constant response).  A
+    response whose spread underflows counts as constant for ydist.*,
+    meta.* and nbc.cor_nn_y; disp.* are flagged whenever every distance is
+    0.  nbc.* are flagged when no nearest-better distance is above 0:
+    either fact, or better points only at duplicates.  README.md tabulates
+    the fallbacks and the local rules.
+
+    The terms that read X alone come from the one-design memo of _design,
+    so a run of calls on one design computes them once."""
     n, d = sample.n, sample.dim
     if n < 2 * d + 2:
         raise ValueError("need n >= 2d + 2 points to compute features")
     X, y = sample.X, sample.y
-    const_y, const_x = _constant(y), _constant(X)
+    design = _design(X)
+    const_y, const_x = _constant(y), design.constant
+    flat_y = const_y or _spread_underflows(y)
     values: dict[str, float] = {}
     degenerate: list[str] = []
 
@@ -277,7 +338,7 @@ def compute_features(sample: SampleSet, feature_seed: int = 0) -> FeatureVector:
     put("basic.y_sd", y.std())
 
     # --- y-distribution -------------------------------------------------
-    if const_y:
+    if flat_y:
         for name in ("ydist.skewness", "ydist.kurtosis", "ydist.entropy"):
             put(name, 0.0, flag=True)
     else:
@@ -290,7 +351,7 @@ def compute_features(sample: SampleSet, feature_seed: int = 0) -> FeatureVector:
     # --- meta-model ------------------------------------------------------
     quad = _quadratic_design(X)
     lin_fit = quad_fit = None
-    if not (const_y or const_x):
+    if not (flat_y or const_x):
         lin_fit, quad_fit = _lstsq_r2(quad[:, :1 + d], y), _lstsq_r2(quad, y)
     beta = np.abs(lin_fit[1][1:]) if lin_fit else np.zeros(1)
     gamma = np.abs(quad_fit[1][1 + d:]) if quad_fit else np.zeros(1)
@@ -303,13 +364,11 @@ def compute_features(sample: SampleSet, feature_seed: int = 0) -> FeatureVector:
         flag=no_cond)
 
     # --- dispersion ------------------------------------------------------
-    # The Gram form leaves rounding noise in a constant design's distances.
-    D = np.zeros((n, n)) if const_x else np.sqrt(_squared_distances(X))
-    mean_all = float(D.take(_upper_pairs(n)).mean())
+    D, mean_all = design.D, design.mean_all
     rank_order = np.argsort(y, kind="stable")
     for p in _DISP_QUANTILES:
         name = f"disp.ratio_{int(round(p * 100)):02d}"
-        if const_x:
+        if mean_all == 0.0:
             put(name, 1.0, flag=True)
             continue
         k = max(2, math.ceil(p * n))
@@ -333,7 +392,7 @@ def compute_features(sample: SampleSet, feature_seed: int = 0) -> FeatureVector:
         put(name, float(np.mean(pred_low != low)))
 
     # --- nearest-better --------------------------------------------------
-    nn, nb = _nearest_distances(D, y)
+    nn, nb = _nearest_distances(design, y)
     nn_sd = float(nn.std())
     no_nb = not nb.any()
     put("nbc.ratio", 1.0 if no_nb else float(nn.mean() / nb.mean()), flag=no_nb)
@@ -342,11 +401,13 @@ def compute_features(sample: SampleSet, feature_seed: int = 0) -> FeatureVector:
         put("nbc.cor_nn_y", 0.0, flag=True)
     else:
         put("nbc.sd_ratio", float(nb.std()) / nn_sd)
-        put("nbc.cor_nn_y", float(np.corrcoef(nn, y)[0, 1]))
+        put("nbc.cor_nn_y", 0.0 if flat_y else np.corrcoef(nn, y)[0, 1],
+            flag=flat_y)
 
     # --- information content ---------------------------------------------
     start = int(rng_for(NS_FEATURES, feature_seed).integers(n))
-    h_max, eps_max, m0, eps_settle, settled = _information_content(D, y, start)
+    h_max, eps_max, m0, eps_settle, settled = _information_content(
+        D, y, design.tour(start))
     put("ic.h_max", h_max)
     put("ic.eps_max", eps_max)
     put("ic.m0", m0)

@@ -394,24 +394,27 @@ def test_feature_file_naming_an_unknown_problem_is_a_runtime_error(
 
 
 def test_features_jobs_output_matches_serial_on_shared_designs(capsys, tmp_path):
-    argv = ["features", "--problem", "m1,m3,m11,m13,m15,sphere",
+    argv = ["features", "--problem",
+            "m1,m3,m11,m13,m15,sphere,ellipsoid,ackley,shekel-5",
             "--instance", "1-2", "--dim", "4", "--n", "20"]
     parallel, serial = tmp_path / "jobs2", tmp_path / "serial"
     assert main(argv + ["--out-dir", str(parallel), "--jobs", "2"]) == 0
     assert main(argv + ["--out-dir", str(serial)]) == 0
     capsys.readouterr()
     names = sorted(p.name for p in serial.iterdir())
-    assert len(names) == 12
+    assert len(names) == 18
     assert sorted(p.name for p in parallel.iterdir()) == names
     for name in names:
         assert (parallel / name).read_bytes() == (serial / name).read_bytes()
 
 
-def test_design_groups_share_a_decoder_and_keep_baselines_alone():
+def test_design_groups_share_a_decoder_or_a_box():
     order = [("m1", 1), ("m11", 1), ("sphere", 1), ("m13", 1), ("m1", 2),
-             ("m15", 1), ("sphere", 2), ("m3", 1)]
+             ("m15", 1), ("sphere", 2), ("m3", 1), ("ackley", 1),
+             ("linear-slope", 3), ("shekel-5", 1), ("shekel-10", 2),
+             ("ackley", 2)]
     groups = _design_groups([resolve(p, k, 4) for p, k in order])
-    assert groups == [[0, 1, 5, 7], [2], [3], [4], [6]]
+    assert groups == [[0, 1, 5, 7], [2, 6, 9], [3], [4], [8, 12], [10, 11]]
 
 
 @pytest.mark.parametrize("argv", [

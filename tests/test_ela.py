@@ -8,9 +8,9 @@ from landscape_atlas.ela import (
     FEATURE_NAMES, FeatureVector, SampleSet, compute_features, lhs_points,
     lhs_sample, meta_model_r2, nearest_better_ratio, normalize_features,
 )
-from landscape_atlas.ela.features import (
-    _nearest_distances, _squared_distances,
-)
+from landscape_atlas.ela import features
+from landscape_atlas.ela.features import _design, _nearest_distances
+from landscape_atlas._seeds import NS_FEATURES, rng_for
 from landscape_atlas.errors import (
     AllEqualFitness, BadSampleSize, ConstantResponse, RankDeficient,
     TooFewRows,
@@ -188,15 +188,14 @@ def test_nearest_distances_equal_brute_force_on_duplicates_and_tied_y():
         n = int(rng.integers(2, 40))
         X = rng.integers(0, 3, (n, 2)).astype(float)  # duplicate points
         y = rng.integers(0, 4, n).astype(float)       # tied fitness
-        D = np.sqrt(_squared_distances(X))
-        D_before = D.copy()
-        nn, nb = _nearest_distances(D, y)
-        nn_ref = [min(D[i, j] for j in range(n) if j != i) for i in range(n)]
-        nb_ref = [min(D[i, j] for j in range(n) if y[j] < y[i])
+        nn, nb = _nearest_distances(_design(X), y)
+        D = [[float(np.linalg.norm(X[i] - X[j])) for j in range(n)]
+             for i in range(n)]
+        nn_ref = [min(D[i][j] for j in range(n) if j != i) for i in range(n)]
+        nb_ref = [min(D[i][j] for j in range(n) if y[j] < y[i])
                   for i in range(n) if (y < y[i]).any()]
         assert nn.tolist() == nn_ref
         assert nb.tolist() == nb_ref
-        assert np.array_equal(D, D_before)  # the input is left alone
         zero_nn += int((nn == 0.0).sum())
         zero_nb += int((nb == 0.0).sum())
     assert zero_nn > 0 and zero_nb > 0
@@ -249,6 +248,130 @@ def test_basic_features_are_the_sample_statistics():
 def test_quadratic_problem_has_perfect_meta_model_features():
     fv = compute_features(lhs_sample(resolve("sphere", 1, 10), 500, sample_seed=1))
     assert fv.values["meta.quad_r2"] == pytest.approx(1.0, abs=1e-9)
+
+
+def _reference_designs():
+    """(X, y) pairs: LHS samples of three baselines, and lattice designs
+    with duplicated rows and tied responses, where every distance is exact."""
+    for k, name in enumerate(("sphere", "rastrigin", "ackley")):
+        s = lhs_sample(resolve(name, 1, 3), 40, sample_seed=k)
+        yield s.X, s.y
+    rng = np.random.default_rng(21)
+    for _ in range(6):
+        n = int(rng.integers(8, 30))
+        yield (rng.integers(0, 3, (n, 2)).astype(float),
+               rng.integers(0, 4, n).astype(float))
+
+
+def _mean_pairwise(X):
+    n = len(X)
+    return np.mean([np.linalg.norm(X[i] - X[j])
+                    for i in range(n) for j in range(i + 1, n)])
+
+
+def test_dispersion_ratios_match_brute_force():
+    for X, y in _reference_designs():
+        fv = compute_features(_sample(X, y))
+        n = len(y)
+        for p in (0.02, 0.05, 0.10, 0.25):
+            k = max(2, int(np.ceil(p * n)))
+            best = np.argsort(y, kind="stable")[:k]
+            ref = _mean_pairwise(X[best]) / _mean_pairwise(X)
+            name = f"disp.ratio_{int(round(p * 100)):02d}"
+            assert fv.values[name] == pytest.approx(ref, rel=1e-12, abs=1e-15)
+
+
+def _reference_tour(X, start):
+    """(distances, greedy tour from start: the nearest unvisited point
+    next, the lowest index on ties), written out point by point."""
+    n = len(X)
+    dist = [[float(np.linalg.norm(X[i] - X[j])) for j in range(n)]
+            for i in range(n)]
+    order = [start]
+    while len(order) < n:
+        cur = order[-1]
+        order.append(min((j for j in range(n) if j not in order),
+                         key=lambda j: (dist[cur][j], j)))
+    return dist, order
+
+
+def _reference_information_content(X, y, start):
+    """The information-content features of the reference tour."""
+    dist, order = _reference_tour(X, start)
+    slopes = [(y[b] - y[a]) / dist[a][b] if dist[a][b] > 0 else 0.0
+              for a, b in zip(order, order[1:])]
+    epsilons = [0.0] + [10.0 ** k for k in range(-5, 3)]
+    hs = []
+    for eps in epsilons:
+        s = [1 if v > eps else -1 if v < -eps else 0 for v in slopes]
+        pairs = [(a, b) for a, b in zip(s, s[1:]) if a != b]
+        counts = {pair: pairs.count(pair) for pair in set(pairs)}
+        hs.append(-sum(c / (len(s) - 1) * np.log(c / (len(s) - 1)) / np.log(6)
+                       for c in counts.values()))
+    signs = [int(np.sign(v)) for v in slopes if v != 0]
+    m0 = (1 + sum(a != b for a, b in zip(signs, signs[1:]))) / len(slopes) \
+        if signs else 0.0
+    settle = [eps for eps, h in zip(epsilons, hs) if h < 0.05]
+    return {"ic.h_max": max(hs), "ic.eps_max": epsilons[int(np.argmax(hs))],
+            "ic.m0": m0, "ic.eps_settle": settle[0] if settle else 100.0}
+
+
+def test_information_content_matches_brute_force_tour():
+    for X, y in _reference_designs():
+        s = _sample(X, y)
+        for feature_seed in (0, 1, 2):
+            start = int(rng_for(NS_FEATURES, feature_seed).integers(len(y)))
+            ref = _reference_information_content(X, y, start)
+            fv = compute_features(s, feature_seed)
+            for name, value in ref.items():
+                assert fv.values[name] == pytest.approx(value, rel=1e-12)
+
+
+def test_tour_matches_brute_force_order():
+    for X, _ in _reference_designs():
+        for start in (0, len(X) // 2, len(X) - 1):
+            assert _design(X).tour(start).tolist() == _reference_tour(X, start)[1]
+
+
+def test_exactly_equal_rows_lie_at_distance_zero():
+    # The Gram form leaves about 2e-8 between generic equal rows; the better
+    # points of row 0 are then only its duplicate, as in the lattice case.
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        d = int(rng.integers(2, 11))
+        X = rng.uniform(-1.0, 1.0, (4 * d, d))
+        X[1] = X[0]
+        y = np.zeros(4 * d)
+        y[0] = 1.0
+        s = _sample(X, y)
+        assert _design(s.X).D[0, 1] == 0.0
+        assert _NBC_FLAGS <= set(compute_features(s).degenerate)
+        with pytest.raises(ValueError, match="nearest-better distance"):
+            nearest_better_ratio(s)
+
+
+def test_rows_equal_up_to_rounding_flag_dispersion():
+    # Gram-form distances between 1.0 and the next float are all 0
+    X = np.tile([[1.0], [np.nextafter(1.0, 2.0)]], (3, 1))
+    fv = compute_features(_sample(X, np.arange(6.0)))
+    assert np.all(np.isfinite(fv.as_array()))
+    flagged = {f"disp.ratio_{q:02d}" for q in (2, 5, 10, 25)} | _NBC_FLAGS
+    assert flagged <= set(fv.degenerate)
+    assert all(fv.values[name] == 1.0 for name in flagged - _NBC_FLAGS)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-155, 1e-160, 1e-170])
+def test_response_whose_spread_underflows_is_treated_as_constant(scale):
+    X = lhs_sample(resolve("sphere", 1, 2), 20, sample_seed=1).X
+    s = _sample(X, np.linspace(0.0, 1.0, 20) * scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        fv = compute_features(s)
+        with pytest.warns(ConstantResponse):
+            assert meta_model_r2(s) == 1.0
+    assert np.all(np.isfinite(fv.as_array()))
+    assert _CONSTANT_RESPONSE_FLAGS | _META_FLAGS | {"nbc.cor_nn_y"} \
+        == set(fv.degenerate)
 
 
 @pytest.mark.parametrize("value", [0.1, 0.7, 1.0 / 3.0])
@@ -321,6 +444,64 @@ def test_degenerate_inputs_give_finite_flagged_features(case):
             assert _NBC_FLAGS <= flagged
         else:
             assert "nbc.ratio" not in flagged
+
+
+# --- design memo -----------------------------------------------------------------
+
+def _memo_cases():
+    """(X, y, feature_seed) over four designs, design-major: LHS designs, a
+    duplicated row and a constant design, each under several responses."""
+    rng = np.random.default_rng(4)
+    designs = [lhs_sample(resolve(name, 1, 3), 40, sample_seed=k).X
+               for k, name in enumerate(("sphere", "ackley"))]
+    designs.append(designs[0].copy())
+    designs[-1][5] = designs[-1][9]
+    designs.append(np.tile([1.0 / 3.0, 2.0 / 3.0, 0.1], (40, 1)))
+    for X in designs:
+        for y in (rng.normal(size=40), np.full(40, 0.1),
+                  np.round(rng.normal(size=40))):
+            for feature_seed in (0, 1):
+                yield X, y, feature_seed
+
+
+def test_memo_values_equal_cold_values():
+    cases = list(_memo_cases())
+    shuffled = [cases[i] for i in np.random.default_rng(5).permutation(len(cases))]
+
+    def vector(X, y, feature_seed):
+        fv = compute_features(_sample(X, y), feature_seed)
+        return fv.as_array().tobytes(), fv.degenerate
+
+    features._design_terms.cache_clear()
+    warm = [vector(*case) for case in cases + shuffled]
+    assert features._design_terms.cache_info().hits > 0
+    cold = []
+    for case in cases + shuffled:
+        features._design_terms.cache_clear()
+        cold.append(vector(*case))
+    assert warm == cold
+    assert any(degenerate for _, degenerate in cold)
+
+
+def test_designs_differing_in_the_sign_of_zero_do_not_share_an_entry():
+    X = lhs_points(12, 2, np.full(2, -1.0), np.ones(2), sample_seed=3)
+    X[0, 0] = 0.0
+    X_neg = X.copy()
+    X_neg[0, 0] = -0.0
+    features._design_terms.cache_clear()
+    a, b = _design(X), _design(X_neg)
+    assert a is not b
+    assert features._design_terms.cache_info().misses == 2
+    assert _design(X_neg) is b
+
+
+def test_memo_arrays_are_read_only():
+    X = lhs_points(12, 2, np.zeros(2), np.ones(2), sample_seed=4)
+    design = _design(X)
+    for a in (design.D, design.nn, design.tour(3)):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
 
 
 def test_feature_vector_rejects_nonfinite_values():
