@@ -29,7 +29,6 @@ from .mario.sim import (
     ASTAR, SCARED, air_time, basic_fitness, simulate, time_taken,
 )
 from .mario.tiles import render_ascii
-from .problems.baselines import baseline_box
 from .problems.core import (
     ProblemId, ProblemInstance, _decoder_key, decode_instance_level, evaluate,
     instance_agent, list_problems, resolve,
@@ -296,14 +295,12 @@ def _feature_docs(tasks: list[tuple[str, int, int, int, int, int]]
 
 
 def _design_groups(instances: list[ProblemInstance]) -> list[list[int]]:
-    """Indices of the instances grouped so that each group reads one design
-    (with one n and sample seed, one box) in one worker, which computes the
-    design's distances once: baselines group by box, and m-problems by
-    decoder, so a worker also reuses its decoded grids and agent runs."""
+    """Indices of the instances grouped so that m-problems sharing a decoder
+    (and so, with one n and sample seed, a design) run in one worker and
+    reuse its decoded grids and agent runs; every baseline is a group alone."""
     groups: dict[object, list[int]] = {}
     for i, inst in enumerate(instances):
-        key = (_decoder_key(inst) if inst.id.suite == "mario"
-               else baseline_box(inst.id.text))
+        key = _decoder_key(inst) if inst.id.suite == "mario" else i
         groups.setdefault(key, []).append(i)
     return list(groups.values())
 

@@ -7,7 +7,6 @@ recorded on the vector's ``degenerate`` list instead of raising.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -103,11 +102,11 @@ def _constant(a: np.ndarray) -> bool:
     return bool(np.all(a == a[0]))
 
 
-def _spread_underflows(y: np.ndarray) -> bool:
-    """The square of y's variance underflows (is below the smallest normal
-    float), so its moments, R^2 and correlation are 0/0 or rounding noise;
-    such a response is treated like a constant one."""
-    return float(np.mean((y - y.mean()) ** 2)) ** 2 < sys.float_info.min
+def _sstot(y: np.ndarray) -> float:
+    """Sum of squared deviations from the mean, the divisor of R^2 and of a
+    correlation with y.  It underflows to 0 for a response that is not
+    constant when every deviation is below about 1.5e-162."""
+    return float(np.sum((y - y.mean()) ** 2))
 
 
 def _quadratic_design(X: np.ndarray) -> np.ndarray:
@@ -118,12 +117,12 @@ def _quadratic_design(X: np.ndarray) -> np.ndarray:
 
 def _lstsq_r2(A: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray] | None:
     """R^2 of the least-squares fit y ~ A, plus the coefficient vector,
-    for a response y that is not constant; None when A has linearly
+    for a response y whose sstot is above 0; None when A has linearly
     dependent columns."""
     coef, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
     if rank < A.shape[1]:
         return None
-    sstot = float(np.sum((y - y.mean()) ** 2))
+    sstot = _sstot(y)
     ssres = float(np.sum((y - A @ coef) ** 2))
     return min(1.0, max(0.0, 1.0 - ssres / sstot)), coef
 
@@ -134,12 +133,13 @@ def meta_model_r2(sample: SampleSet) -> float:
 
     A constant response (every y equal) makes R^2 undefined; the
     convention here is to report 1.0 (the constant model is exact) and
-    warn ConstantResponse.  Raises ValueError unless n > 1 + 2d, and
+    warn ConstantResponse.  So does a response whose sum of squared
+    deviations underflows to 0.  Raises ValueError unless n > 1 + 2d, and
     RankDeficient for a constant design or linearly dependent columns."""
     n, d = sample.n, sample.dim
     if n <= 1 + 2 * d:
         raise ValueError("need more points than quadratic model terms")
-    if _constant(sample.y) or _spread_underflows(sample.y):
+    if _constant(sample.y) or _sstot(sample.y) == 0.0:
         warnings.warn("constant response; reporting R^2 = 1.0",
                       ConstantResponse)
         return 1.0
@@ -305,12 +305,13 @@ def compute_features(sample: SampleSet, feature_seed: int = 0) -> FeatureVector:
     ``degenerate``; it never raises.  Two facts are decided once, by exact
     equality: a constant response (every y equal) flags ydist.*, meta.*
     and level.*; a constant design (every row of X equal) flags meta.*,
-    disp.* and pca.* (pca.expl_xy_90 only with a constant response).  A
-    response whose spread underflows counts as constant for ydist.*,
-    meta.* and nbc.cor_nn_y; disp.* are flagged whenever every distance is
-    0.  nbc.* are flagged when no nearest-better distance is above 0:
-    either fact, or better points only at duplicates.  README.md tabulates
-    the fallbacks and the local rules.
+    disp.* and pca.* (pca.expl_xy_90 only with a constant response).
+    Underflow can leave a divisor 0 for a response that is not constant:
+    ydist.* are flagged when m2 ** 2 is 0 (m2 the mean squared deviation),
+    meta.* and nbc.cor_nn_y when the sum of squared deviations is 0.
+    disp.* are flagged whenever every distance is 0, and nbc.* when no
+    nearest-better distance is above 0: either fact, or better points only
+    at duplicates.  README.md tabulates the fallbacks and the local rules.
 
     The terms that read X alone come from the one-design memo of _design,
     so a run of calls on one design computes them once."""
@@ -320,7 +321,6 @@ def compute_features(sample: SampleSet, feature_seed: int = 0) -> FeatureVector:
     X, y = sample.X, sample.y
     design = _design(X)
     const_y, const_x = _constant(y), design.constant
-    flat_y = const_y or _spread_underflows(y)
     values: dict[str, float] = {}
     degenerate: list[str] = []
 
@@ -338,17 +338,18 @@ def compute_features(sample: SampleSet, feature_seed: int = 0) -> FeatureVector:
     put("basic.y_sd", y.std())
 
     # --- y-distribution -------------------------------------------------
-    if flat_y:
+    c = y - y.mean()
+    m2 = float(np.mean(c ** 2))
+    if const_y or m2 ** 2 == 0.0:  # then m2 ** 1.5 may be 0 too
         for name in ("ydist.skewness", "ydist.kurtosis", "ydist.entropy"):
             put(name, 0.0, flag=True)
     else:
-        c = y - y.mean()
-        m2 = float(np.mean(c ** 2))
         put("ydist.skewness", float(np.mean(c ** 3)) / m2 ** 1.5)
         put("ydist.kurtosis", float(np.mean(c ** 4)) / m2 ** 2 - 3.0)
         put("ydist.entropy", _entropy_nat(y))
 
     # --- meta-model ------------------------------------------------------
+    flat_y = const_y or _sstot(y) == 0.0
     quad = _quadratic_design(X)
     lin_fit = quad_fit = None
     if not (flat_y or const_x):

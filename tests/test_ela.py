@@ -361,17 +361,40 @@ def test_rows_equal_up_to_rounding_flag_dispersion():
 
 
 @pytest.mark.parametrize("scale", [1e-150, 1e-155, 1e-160, 1e-170])
-def test_response_whose_spread_underflows_is_treated_as_constant(scale):
+def test_response_whose_spread_underflows_flags_what_divides_by_it(scale):
+    # m2 ** 2 is 0 at every scale here; the sum of squared deviations only
+    # at 1e-170, where y.std() is 0 as well.
     X = lhs_sample(resolve("sphere", 1, 2), 20, sample_seed=1).X
     s = _sample(X, np.linspace(0.0, 1.0, 20) * scale)
+    no_sstot = scale == 1e-170
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         fv = compute_features(s)
-        with pytest.warns(ConstantResponse):
-            assert meta_model_r2(s) == 1.0
+        if no_sstot:
+            with pytest.warns(ConstantResponse):
+                assert meta_model_r2(s) == 1.0
+        else:
+            assert meta_model_r2(s) == fv.values["meta.quad_r2"]
     assert np.all(np.isfinite(fv.as_array()))
-    assert _CONSTANT_RESPONSE_FLAGS | _META_FLAGS | {"nbc.cor_nn_y"} \
-        == set(fv.degenerate)
+    flagged = _CONSTANT_RESPONSE_FLAGS
+    if no_sstot:
+        flagged = flagged | _META_FLAGS | {"nbc.cor_nn_y"}
+    assert set(fv.degenerate) == flagged
+
+
+def test_small_spread_keeps_its_moments_until_m2_squared_is_zero():
+    # Just above the boundary (std about 3e-81, m2 ** 2 subnormal but not
+    # 0) the response is not flagged and its skewness is scale-free; just
+    # below it (std about 3e-82) ydist.* fall back.
+    X = lhs_sample(resolve("sphere", 1, 2), 20, sample_seed=1).X
+    y = np.linspace(0.0, 1.0, 20) ** 2
+    ref = compute_features(_sample(X, y))
+    above = compute_features(_sample(X, y * 1e-80))
+    below = compute_features(_sample(X, y * 1e-81))
+    assert above.degenerate == ()
+    assert above.values["ydist.skewness"] == pytest.approx(
+        ref.values["ydist.skewness"], rel=1e-3)
+    assert set(below.degenerate) == _CONSTANT_RESPONSE_FLAGS
 
 
 @pytest.mark.parametrize("value", [0.1, 0.7, 1.0 / 3.0])
