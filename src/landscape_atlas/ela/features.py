@@ -307,8 +307,10 @@ def compute_features(sample: SampleSet, feature_seed: int = 0) -> FeatureVector:
     and level.*; a constant design (every row of X equal) flags meta.*,
     disp.* and pca.* (pca.expl_xy_90 only with a constant response).
     Underflow can leave a divisor 0 for a response that is not constant:
-    ydist.* are flagged when m2 ** 2 is 0 (m2 the mean squared deviation),
-    meta.* and nbc.cor_nn_y when the sum of squared deviations is 0.
+    ydist.* are flagged when m2 * m2 is 0 (m2 the mean squared deviation),
+    meta.* and nbc.cor_nn_y when the sum of squared deviations is 0.  So are
+    ydist.* when m2 * m2 or the mean fourth deviation overflows to inf; an
+    overflowing y.std() raises ValueError.
     disp.* are flagged whenever every distance is 0, and nbc.* when no
     nearest-better distance is above 0: either fact, or better points only
     at duplicates.  README.md tabulates the fallbacks and the local rules.
@@ -340,12 +342,14 @@ def compute_features(sample: SampleSet, feature_seed: int = 0) -> FeatureVector:
     # --- y-distribution -------------------------------------------------
     c = y - y.mean()
     m2 = float(np.mean(c ** 2))
-    if const_y or m2 ** 2 == 0.0:  # then m2 ** 1.5 may be 0 too
+    with np.errstate(over="ignore"):
+        m4 = float(np.mean(c ** 4))
+    if const_y or not 0.0 < m2 * m2 < math.inf or m4 == math.inf:
         for name in ("ydist.skewness", "ydist.kurtosis", "ydist.entropy"):
             put(name, 0.0, flag=True)
     else:
         put("ydist.skewness", float(np.mean(c ** 3)) / m2 ** 1.5)
-        put("ydist.kurtosis", float(np.mean(c ** 4)) / m2 ** 2 - 3.0)
+        put("ydist.kurtosis", m4 / m2 ** 2 - 3.0)
         put("ydist.entropy", _entropy_nat(y))
 
     # --- meta-model ------------------------------------------------------

@@ -139,8 +139,8 @@ def simulate(grid: TileGrid, agent: str,
 
 
 # The process's one evaluation memo: the shared-design records of
-# problems.core, which fills and bounds it.  Emptying it with .clear() makes
-# the next evaluation of every design decode and simulate afresh.
+# problems.core, one per decoder, which it fills.  Emptying it with .clear()
+# makes the next evaluation of every design decode and simulate afresh.
 _CACHE: dict = {}
 
 

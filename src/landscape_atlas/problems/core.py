@@ -217,15 +217,13 @@ def instance_agent(instance: ProblemInstance) -> str | None:
 
 # Shared-design memo.  The 28 m-problems read only four decoders per
 # (instance seed, dimension) and two agents, so the problems that evaluate
-# one design share its decoded grids and agent runs.  sim._CACHE maps
-# _decoder_key + (design bytes,) to a record (grids, astar runs, scared
-# runs): tuples in design row order, the runs None until a problem first
-# needs them.  Records are kept least recently used first and hold at most
-# _MEMO_ROWS design rows in all, which fits the paper's survey (m1..m28 x 7
-# instances at n=500 read 28 designs).
-_MEMO_ROWS = 14_000
-_AGENT_SLOTS = {ASTAR: 1, SCARED: 2}
-_memo_rows = 0  # rows held in sim._CACHE
+# one design share its decoded grids and agent runs.  sim._CACHE maps each
+# _decoder_key to a record of the last design read under that decoder:
+# (design bytes, grids, astar runs, scared runs), the last three tuples in
+# design row order and the runs None until a problem first needs them.  A
+# different design under the same decoder replaces the record, so the memo
+# holds at most one design per decoder in use.
+_AGENT_SLOTS = {ASTAR: 2, SCARED: 3}
 
 
 def _decoder_key(instance: ProblemInstance) -> tuple[str, int, int, bool]:
@@ -239,14 +237,14 @@ def _design_record(instance: ProblemInstance, X: np.ndarray, agent: str | None
                    ) -> tuple:
     """The memo record of design X under instance's decoder, with the runs
     of agent (if any) filled in."""
-    key = _decoder_key(instance) + (X.tobytes(),)
+    key, design = _decoder_key(instance), X.tobytes()
     record = _CACHE.get(key)
-    if record is None:
-        record = (_design_levels(instance, X), None, None)
+    if record is None or record[0] != design:
+        record = (design, _design_levels(instance, X), None, None)
     slot = _AGENT_SLOTS.get(agent)
     if slot is not None and record[slot] is None:
-        record = record[:slot] + (_runs(record[0], agent),) + record[slot + 1:]
-    _remember(key, record)
+        record = record[:slot] + (_runs(record[1], agent),) + record[slot + 1:]
+    _CACHE[key] = record
     return record
 
 
@@ -262,24 +260,6 @@ def _runs(grids: tuple[TileGrid, ...], agent: str
             result = seen[cells] = simulate(grid, agent)
         runs.append(result)
     return tuple(runs)
-
-
-def _remember(key: tuple, record: tuple) -> None:
-    """Store record as the most recently used, first dropping the least
-    recently used records that would take the memo over _MEMO_ROWS rows."""
-    global _memo_rows
-    old = _CACHE.pop(key, None)
-    if not _CACHE:  # also after an outside _CACHE.clear()
-        _memo_rows = 0
-    elif old is not None:
-        _memo_rows -= len(old[0])
-    n = len(record[0])
-    if n > _MEMO_ROWS:
-        return
-    while _memo_rows + n > _MEMO_ROWS:
-        _memo_rows -= len(_CACHE.pop(next(iter(_CACHE)))[0])
-    _CACHE[key] = record
-    _memo_rows += n
 
 
 def evaluate(instance: ProblemInstance, x: np.ndarray) -> float:
@@ -304,7 +284,7 @@ def evaluate_batch(instance: ProblemInstance, X: np.ndarray) -> np.ndarray:
     record = _design_record(instance, X, agent)  # decode_levels box-checks X
     if agent is None:
         score = _GRID_MEASURES[measure]
-        values = [score(grid) for grid in record[0]]
+        values = [score(grid) for grid in record[1]]
     else:
         score = _SIM_MEASURES[measure]
         values = [score(run) for run in record[_AGENT_SLOTS[agent]]]

@@ -138,26 +138,33 @@ def _matrix(rows: Sequence[LabelledRow]) -> np.ndarray:
     return np.stack([r.features.as_array() for r in rows])
 
 
-def train(rows: Sequence[LabelledRow], property_name: str, train_seed: int,
-          n_trees: int = DEFAULT_TREES) -> PropertyModel:
+def _fit(rows: Sequence[LabelledRow], scored: Sequence[LabelledRow],
+         property_name: str, train_seed: int, n_trees: int) -> tuple:
+    """(vocabulary, forest, accuracy): the forest grown on rows in canonical
+    order, and the share of the scored rows it labels right."""
     if n_trees < 1:
         raise ValueError(f"need n_trees >= 1, got {n_trees}")
-    labels = [r.label for r in rows]
-    _check_training_rows(labels)
-    vocab = vocabulary_for(property_name, labels)
+    vocab = vocabulary_for(property_name, [r.label for r in rows])
     ordered = _canonical_order(rows)
-    X = _matrix(ordered)
     y = np.array([vocab.index(r.label) for r in ordered])
-    trees = grow_forest(X, y, len(vocab), train_seed, n_trees)
-    predicted, _ = _vote(trees, X, vocab)
-    hits = sum(p == r.label for p, r in zip(predicted, ordered))
+    trees = grow_forest(_matrix(ordered), y, len(vocab), train_seed, n_trees)
+    predicted, _ = _vote(trees, _matrix(scored), vocab)
+    hits = sum(p == r.label for p, r in zip(predicted, scored))
+    return vocab, trees, hits / len(scored)
+
+
+def train(rows: Sequence[LabelledRow], property_name: str, train_seed: int,
+          n_trees: int = DEFAULT_TREES) -> PropertyModel:
+    _check_training_rows([r.label for r in rows])
+    vocab, trees, accuracy = _fit(rows, rows, property_name, train_seed,
+                                  n_trees)
     return PropertyModel(
         property_name=property_name,
         vocabulary=vocab,
         manifest=FEATURE_NAMES,
         train_seed=train_seed,
         trees=trees,
-        training_accuracy=hits / len(ordered),
+        training_accuracy=accuracy,
     )
 
 
@@ -201,12 +208,9 @@ def lofo_cv(rows: Sequence[LabelledRow], property_name: str,
     folds = []
     for g in groups:
         test = [r for r in rows if r.group == g]
-        rest = [r for r in rows if r.group != g]
-        model = train(rest, property_name, train_seed, n_trees)
-        predicted, _ = _vote(model.trees, _matrix(test), model.vocabulary)
-        hits = sum(p == r.label for p, r in zip(predicted, test))
-        folds.append(FoldResult(group=g, n_test=len(test),
-                                accuracy=hits / len(test)))
+        *_, accuracy = _fit([r for r in rows if r.group != g], test,
+                            property_name, train_seed, n_trees)
+        folds.append(FoldResult(group=g, n_test=len(test), accuracy=accuracy))
     mean = sum(f.accuracy for f in folds) / len(folds)
     return CVResult(property_name=property_name, folds=tuple(folds),
                     mean_accuracy=mean)

@@ -171,10 +171,11 @@ def tsne_embed(matrix: np.ndarray,
     gains = np.ones_like(Y)
     checkpoints: list[tuple[int, float]] = []
 
+    # One Q per layout, read by the next gradient, a checkpoint or the KL.
+    Q, num = _low_dim_q(Y)
     for it in range(1, iterations + 1):
         if it == EXAGGERATION_ITERS + 1:
             P_run = P
-        Q, num = _low_dim_q(Y)
         W = (P_run - Q) * num
         grad = 4.0 * ((np.diag(W.sum(axis=1)) - W) @ Y)
 
@@ -185,12 +186,10 @@ def tsne_embed(matrix: np.ndarray,
         velocity = momentum * velocity - LEARNING_RATE * (gains * grad)
         Y = Y + velocity
         Y = Y - Y.mean(axis=0)
-
+        Q, num = _low_dim_q(Y)
         if trace and it % TRACE_EVERY == 0:
-            Q_now, _ = _low_dim_q(Y)
-            checkpoints.append((it, _kl_divergence(P, Q_now)))
+            checkpoints.append((it, _kl_divergence(P, Q)))
 
-    Q_final, _ = _low_dim_q(Y)
     rows = tuple(
         EmbeddingRow(suite=s, problem=p, instance=int(k),
                      u=float(Y[i, 0]), v=float(Y[i, 1]))
@@ -198,7 +197,7 @@ def tsne_embed(matrix: np.ndarray,
     )
     return Embedding(
         rows=rows,
-        final_kl=_kl_divergence(P, Q_final),
+        final_kl=_kl_divergence(P, Q),
         iterations=iterations,
         perplexity=perplexity,
         embed_seed=embed_seed,

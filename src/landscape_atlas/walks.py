@@ -58,37 +58,49 @@ def default_step(instance: ProblemInstance) -> float:
     return 0.02 * diagonal / math.sqrt(box.dimension)
 
 
-def diagonal_walk(instance: ProblemInstance, spec: WalkSpec) -> WalkTrace:
+def _walks(instance: ProblemInstance, specs: list[WalkSpec]) -> list[WalkTrace]:
+    """The traces of specs, whose points are evaluated as one design."""
     box = instance.domain
-    anchor, direction = spec.anchor, spec.direction
-    if not box.contains(anchor):
-        raise AnchorOutOfBounds("anchor must lie inside the box")
-    # Bracket the offsets that stay inside by the per-coordinate crossings,
-    # one wider on each side against rounding, and test each point exactly.
-    # Every coordinate is monotone in k, so the kept offsets run contiguously
-    # through 0.  A coordinate that moves by only a few ulps of the box per
-    # step may round onto its face for several steps past the crossing, so
-    # only coordinates that move by more than 1e-12 of the box's scale
-    # bracket k; the others are left to the exact test.
-    move = spec.step * direction
     scale = np.maximum(np.abs(box.lower), np.abs(box.upper))
-    moving = np.abs(move) > 1e-12 * scale
-    a = (box.lower - anchor)[moving] / move[moving]
-    b = (box.upper - anchor)[moving] / move[moving]
-    k = np.arange(math.floor(np.minimum(a, b).max()) - 1,
-                  math.ceil(np.maximum(a, b).min()) + 2)
-    points = anchor + (k[:, None] * spec.step) * direction
-    inside = np.all((points >= box.lower) & (points <= box.upper), axis=1)
-    offsets = tuple(k[inside].tolist())
-    points = points[inside]
-    values = tuple(evaluate_batch(instance, points).tolist())
-    return WalkTrace(spec, offsets, points, values)
+    walked = []
+    for spec in specs:
+        anchor, direction = spec.anchor, spec.direction
+        if not box.contains(anchor):
+            raise AnchorOutOfBounds("anchor must lie inside the box")
+        # Bracket the offsets that stay inside by the per-coordinate
+        # crossings, one wider on each side against rounding, and test each
+        # point exactly.  Every coordinate is monotone in k, so the kept
+        # offsets run contiguously through 0.  A coordinate that moves by
+        # only a few ulps of the box per step may round onto its face for
+        # several steps past the crossing, so only coordinates that move by
+        # more than 1e-12 of the box's scale bracket k; the others are left
+        # to the exact test.
+        move = spec.step * direction
+        moving = np.abs(move) > 1e-12 * scale
+        a = (box.lower - anchor)[moving] / move[moving]
+        b = (box.upper - anchor)[moving] / move[moving]
+        k = np.arange(math.floor(np.minimum(a, b).max()) - 1,
+                      math.ceil(np.maximum(a, b).min()) + 2)
+        points = anchor + (k[:, None] * spec.step) * direction
+        inside = np.all((points >= box.lower) & (points <= box.upper), axis=1)
+        walked.append((tuple(k[inside].tolist()), points[inside]))
+    values = evaluate_batch(instance, np.vstack([p for _, p in walked]))
+    cuts = np.cumsum([len(offsets) for offsets, _ in walked])[:-1]
+    return [WalkTrace(spec, offsets, points, tuple(v.tolist()))
+            for spec, (offsets, points), v
+            in zip(specs, walked, np.split(values, cuts))]
+
+
+def diagonal_walk(instance: ProblemInstance, spec: WalkSpec) -> WalkTrace:
+    return _walks(instance, [spec])[0]
 
 
 def walk_bundle(instance: ProblemInstance, anchor_seed: int,
                 n_directions: int, step: float | None = None) -> list[WalkTrace]:
     """n walks through one random anchor; same seed gives the same anchor
-    and directions for every problem sharing the box."""
+    and directions for every problem sharing the box.  The walks are
+    evaluated as one design, so problems that share a decoder share the
+    bundle's grids and runs."""
     if n_directions < 1:
         raise ValueError("need at least one direction")
     box = instance.domain
@@ -97,10 +109,10 @@ def walk_bundle(instance: ProblemInstance, anchor_seed: int,
     anchor = box.lower + rng.uniform(size=d) * (box.upper - box.lower)
     if step is None:
         step = default_step(instance)
-    traces = []
+    specs = []
     for _ in range(n_directions):
         direction = rng.standard_normal(d)
         while not np.any(direction):
             direction = rng.standard_normal(d)
-        traces.append(diagonal_walk(instance, WalkSpec(anchor, direction, step)))
-    return traces
+        specs.append(WalkSpec(anchor, direction, step))
+    return _walks(instance, specs)

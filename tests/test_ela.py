@@ -397,6 +397,29 @@ def test_small_spread_keeps_its_moments_until_m2_squared_is_zero():
     assert set(below.degenerate) == _CONSTANT_RESPONSE_FLAGS
 
 
+def test_response_whose_moments_overflow_flags_ydist():
+    # From 1e78 the mean of c ** 4 overflows, and m2 * m2 soon after; ydist.*
+    # then fall back as for an underflowing m2 * m2, with no OverflowError
+    # or RuntimeWarning.  Below that the kurtosis is scale-free.  From
+    # about 1e154 y.std() itself overflows, and the vector is refused.
+    X = lhs_sample(resolve("sphere", 1, 2), 20, sample_seed=1).X
+    y = np.linspace(0.0, 1.0, 20)
+    ref = compute_features(_sample(X, y)).values["ydist.kurtosis"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for e in range(60, 154):
+            fv = compute_features(_sample(X, y * 10.0 ** e))
+            assert np.all(np.isfinite(fv.as_array()))
+            flagged = set(fv.degenerate) & _CONSTANT_RESPONSE_FLAGS
+            assert flagged == (_CONSTANT_RESPONSE_FLAGS if e >= 78 else set())
+            if e < 78:
+                assert fv.values["ydist.kurtosis"] == pytest.approx(ref)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ValueError, match="basic.y_sd"):
+            compute_features(_sample(X, y * 1e154))
+
+
 @pytest.mark.parametrize("value", [0.1, 0.7, 1.0 / 3.0])
 def test_constant_landscape_features_are_flagged_not_fatal(value):
     X = lhs_points(20, 2, np.zeros(2), np.ones(2), sample_seed=9)

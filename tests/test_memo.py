@@ -1,11 +1,13 @@
 """The shared-design memo of problems.core.
 
-Every m-problem that evaluates a design under one decoder reads one record
-in ``sim._CACHE``: the decoded grids, and each agent's runs once the first
-problem needs them.  These tests pin that the memo never changes a value
-(cold, warm, after eviction, pointwise, duplicated or permuted rows,
-concatenation variants), that it stays within its row bound, that what it
-hands out cannot be mutated, and that ``sim._CACHE.clear()`` resets it.
+``sim._CACHE`` holds one record per decoder: the last design read under it,
+its decoded grids, and each agent's runs once the first problem needs them.
+Every m-problem that evaluates that design under that decoder reads the
+record.  These tests pin that the memo never changes a value (cold, warm,
+after another design evicted the record, pointwise, duplicated or permuted
+rows, concatenation variants, walk bundles), that it holds one record per
+decoder with the last design read, that what it hands out cannot be
+mutated, and that ``sim._CACHE.clear()`` resets it.
 """
 import dataclasses
 
@@ -13,9 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from landscape_atlas import walks
 from landscape_atlas.ela.sampling import lhs_points
 from landscape_atlas.errors import OutOfBounds
 from landscape_atlas.mario import sim
+from landscape_atlas.mario.decoder import decode_levels
 from landscape_atlas.mario.sim import SimulationResult
 from landscape_atlas.mario.tiles import TileGrid
 from landscape_atlas.problems import core, evaluate, evaluate_batch, resolve
@@ -33,7 +37,7 @@ def _design(n: int, seed: int) -> np.ndarray:
 
 
 def _held_rows() -> int:
-    return sum(len(record[0]) for record in sim._CACHE.values())
+    return sum(len(record[1]) for record in sim._CACHE.values())
 
 
 def _pointwise_cold(inst, X) -> np.ndarray:
@@ -64,14 +68,27 @@ def sim_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def decodes(monkeypatch):
+    """Rows passed to core.decode_levels, one entry per call."""
+    calls = []
+
+    def counting(params, Z):
+        calls.append(len(Z))
+        return decode_levels(params, Z)
+
+    monkeypatch.setattr(core, "decode_levels", counting)
+    return calls
+
+
 @pytest.mark.parametrize("problem", MARIO)
-def test_values_equal_cold_warm_evicted_and_pointwise(problem, monkeypatch):
+def test_values_equal_cold_warm_evicted_and_pointwise(problem):
     inst = resolve(problem, 2, DIM)
     X, other = _design(12, 3), _design(12, 4)
     cold = evaluate_batch(inst, X)
     warm = evaluate_batch(inst, X)
-    monkeypatch.setattr(core, "_MEMO_ROWS", 12)
     evaluate_batch(inst, other)  # takes X's place
+    assert [record[0] for record in sim._CACHE.values()] == [other.tobytes()]
     assert _held_rows() == 12
     evicted = evaluate_batch(inst, X)
     assert np.array_equal(cold, warm)
@@ -107,19 +124,23 @@ def test_duplicated_and_permuted_rows_match_cold_pointwise_values(calls):
 
 
 @settings(max_examples=30, deadline=None)
-@given(bound=st.integers(1, 10), calls=st.lists(
-    st.tuples(st.sampled_from(MIXED), st.integers(1, 9), st.integers(1, 3)),
+@given(calls=st.lists(
+    st.tuples(st.sampled_from(MIXED), st.integers(1, 2), st.integers(1, 9),
+              st.integers(1, 3)),
     min_size=1, max_size=8))
-def test_the_memo_never_holds_more_rows_than_its_bound(bound, calls):
-    saved = core._MEMO_ROWS
-    core._MEMO_ROWS = bound
-    try:
-        sim._CACHE.clear()
-        for problem, n, design_seed in calls:
-            evaluate_batch(resolve(problem, 1, DIM), _design(n, design_seed))
-            assert _held_rows() == core._memo_rows <= bound
-    finally:
-        core._MEMO_ROWS = saved
+def test_the_memo_never_holds_more_rows_than_its_bound(calls):
+    """The bound is one design per decoder read: the last one."""
+    sim._CACHE.clear()
+    last = {}
+    for problem, seed, n, design_seed in calls:
+        inst, X = resolve(problem, seed, DIM), _design(n, design_seed)
+        evaluate_batch(inst, X)
+        last[core._decoder_key(inst)] = X
+        assert sim._CACHE.keys() == last.keys()
+        for key, design in last.items():
+            assert sim._CACHE[key][0] == design.tobytes()
+            assert len(sim._CACHE[key][1]) == len(design)
+        assert _held_rows() == sum(len(design) for design in last.values())
 
 
 def test_problems_sharing_a_design_share_its_grids_and_runs(sim_calls):
@@ -145,8 +166,9 @@ def test_a_hit_hands_out_nothing_mutable():
     X = _design(5, 2)
     evaluate_batch(inst, X)
     record = core._design_record(inst, X, sim.ASTAR)
-    assert record is sim._CACHE[core._decoder_key(inst) + (X.tobytes(),)]
-    grids, astar, scared = record
+    assert record is sim._CACHE[core._decoder_key(inst)]
+    design, grids, astar, scared = record
+    assert design == X.tobytes() and isinstance(design, bytes)
     assert isinstance(record, tuple) and isinstance(grids, tuple)
     assert isinstance(astar, tuple) and scared is None
     assert len(grids) == len(astar) == 5
@@ -185,7 +207,8 @@ def test_clearing_the_cache_makes_the_next_call_recompute(sim_calls):
     sim._CACHE.clear()
     assert np.array_equal(evaluate_batch(inst, X), first)
     assert sim_calls[sim.SCARED] == 2 * runs
-    assert core._memo_rows == _held_rows() == 8
+    assert list(sim._CACHE) == [core._decoder_key(inst)]
+    assert _held_rows() == 8
 
 
 def test_simulate_itself_keeps_no_memo(monkeypatch):
@@ -199,3 +222,44 @@ def test_simulate_itself_keeps_no_memo(monkeypatch):
     assert len(runs) == 2
     assert not hasattr(sim, "_CACHE_LIMIT")
     assert sim._CACHE == {}
+
+
+def _trace_bytes(trace) -> tuple:
+    return (trace.offsets, trace.points.tobytes(),
+            np.array(trace.values).tobytes())
+
+
+# One problem per decoder kind (overworld, underground and both
+# concatenation variants), agents included, and a baseline.
+@pytest.mark.parametrize("problem", ["m1", "m12", "m13", "m14", "m15",
+                                     "rastrigin"])
+@pytest.mark.parametrize("d", [2, 10])
+def test_a_bundle_equals_its_walks_one_by_one(problem, d):
+    inst = resolve(problem, 2, d)
+    for anchor_seed in (1, 2, 3):
+        sim._CACHE.clear()
+        bundle = walks.walk_bundle(inst, anchor_seed, 3)
+        assert len(bundle) == 3
+        for trace in bundle:
+            sim._CACHE.clear()
+            alone = walks.diagonal_walk(inst, trace.spec)
+            assert _trace_bytes(trace) == _trace_bytes(alone)
+
+
+def test_problems_sharing_a_decoder_share_a_bundle(decodes, sim_calls):
+    bundle = walks.walk_bundle(resolve("m1", 1, DIM), 5, 3)
+    rows = sum(len(trace.offsets) for trace in bundle)
+    assert decodes == [rows]  # the bundle is one design
+    distinct = len({core.decode_instance_level(resolve("m1", 1, DIM), x)
+                    .cells.tobytes() for t in bundle for x in t.points})
+    decodes.clear()
+    walks.walk_bundle(resolve("m3", 1, DIM), 5, 3)  # same decoder, grids
+    assert decodes == [] and sim_calls == {sim.ASTAR: 0, sim.SCARED: 0}
+    walks.walk_bundle(resolve("m11", 1, DIM), 5, 3)  # first astar problem
+    assert decodes == []
+    assert sim_calls == {sim.ASTAR: distinct, sim.SCARED: 0}
+    for problem in ("m3", "m11", "m17"):  # grids and astar runs shared
+        walks.walk_bundle(resolve(problem, 1, DIM), 5, 3)
+    assert decodes == []
+    assert sim_calls == {sim.ASTAR: distinct, sim.SCARED: 0}
+    assert len(sim._CACHE) == 1

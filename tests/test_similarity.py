@@ -68,6 +68,7 @@ def test_kl_trace_has_one_checkpoint_per_50_iterations():
     assert len(trace) == 20
     assert [it for it, _ in trace] == [50 * k for k in range(1, 21)]
     assert all(kl >= 0.0 for _, kl in trace)
+    assert trace[-1][1] == emb.final_kl  # both read the final layout
 
 
 def test_trace_can_be_disabled():
