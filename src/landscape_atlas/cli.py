@@ -12,12 +12,14 @@ error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import os
 import sys
 import tempfile
 from multiprocessing import Pool
+from pathlib import Path
 
 import numpy as np
 
@@ -294,6 +296,20 @@ def _feature_docs(tasks: list[tuple[str, int, int, int, int, int]]
     return [_feature_doc(t) for t in tasks]
 
 
+def _one_blas_thread() -> None:
+    """Pool initializer: run this worker's BLAS on one thread, so N workers
+    use N cores, not N times the cores.  It sets the OpenBLAS that numpy's
+    wheels bundle; with any other BLAS the worker keeps its default."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in libs.glob("libscipy_openblas64_*.so"):
+        set_threads = getattr(ctypes.CDLL(str(lib)),
+                              "scipy_openblas_set_num_threads64_", None)
+        if set_threads is not None:
+            set_threads.argtypes = [ctypes.c_int]
+            set_threads.restype = None
+            set_threads(1)
+
+
 def _design_groups(instances: list[ProblemInstance]) -> list[list[int]]:
     """Indices of the instances grouped so that m-problems sharing a decoder
     (and so, with one n and sample seed, a design) run in one worker and
@@ -332,7 +348,8 @@ def _cmd_features(args) -> int:
 
     if args.jobs > 1 and len(tasks) > 1:
         groups = _design_groups(instances)
-        with Pool(min(args.jobs, len(groups))) as pool:
+        with Pool(min(args.jobs, len(groups)),
+                  initializer=_one_blas_thread) as pool:
             grouped = pool.map(_feature_docs,
                                [[tasks[i] for i in g] for g in groups],
                                chunksize=1)

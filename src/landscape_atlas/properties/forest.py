@@ -4,6 +4,10 @@ Trees are stored as parallel arrays.  ``feature[i] == -1`` marks a leaf;
 leaves carry per-class counts, internal nodes carry a threshold and the
 indices of their children.  Test points with ``x[feature] <= threshold``
 descend left.
+
+``_grow`` grows a group of trees in lockstep, one node of every tree a
+step, and each tree keeps its own stream and depth-first order: a tree is
+the same alone (``grow_tree``) or in a group (``grow_forest``).
 """
 from __future__ import annotations
 
@@ -60,29 +64,130 @@ class Tree:
         return tree
 
 
-def _best_split(V: np.ndarray, onehot: np.ndarray):
-    """Lowest weighted-Gini axis split among k candidate features.
+#: Trees that one ``_grow`` call grows together.  A step's temporaries
+#: hold at most _GROUP_TREES * n * ceil(sqrt(F)) entries per class.
+_GROUP_TREES = 25
 
-    Row j of ``V`` holds the node's values of candidate j in ascending
-    order, and ``onehot[j]`` their one-hot labels.  Returns (j, threshold)
-    or None when every candidate is constant on the node.  Ties keep the
-    earliest candidate and the lowest cut position, so the result is
-    deterministic.  The Gini arithmetic is kept term for term: a rewrite
-    changes the rounding and can flip a near-tie."""
-    m = V.shape[1]
-    cum = np.cumsum(onehot, axis=1)
-    left = cum[:, :-1]
-    right = cum[:, -1:] - left
-    nl = np.arange(1, m, dtype=float)
+
+def _dense_ranks(X: np.ndarray) -> np.ndarray:
+    """Rank of each entry of X among the distinct values of its column;
+    equal values, -0.0 and 0.0 included, share a rank."""
+    order = np.argsort(X, axis=0, kind="stable")
+    Xs = np.take_along_axis(X, order, axis=0)
+    rises = np.vstack([Xs[:1] != Xs[:1], Xs[1:] != Xs[:-1]])
+    ranks = np.empty(X.shape, dtype=np.int64)
+    np.put_along_axis(ranks, order, np.cumsum(rises, axis=0), axis=0)
+    return ranks
+
+
+def _class_sum(a: np.ndarray) -> np.ndarray:
+    # numpy adds a contiguous class axis left to right below 8 classes, as
+    # an axis-0 sum of a class-first array does, but pairwise from 8
+    return a.sum(axis=0) if len(a) < 8 else np.ascontiguousarray(a.T).sum(1)
+
+
+def _gini(labels: np.ndarray, seglen: np.ndarray,
+          n_classes: int) -> np.ndarray:
+    """Weighted Gini of the cut after each entry of consecutive segments of
+    ``labels`` (inf after a segment's last entry).  A cut of a segment of m
+    rows leaves nl rows with class counts l on its left and nr rows with
+    counts r on its right, and scores (nl * (1 - sum (l / nl)^2) + nr *
+    (1 - sum (r / nr)^2)) / m.  The arithmetic is kept term for term: a
+    rewrite changes the rounding and can flip a near-tie."""
+    ends = np.cumsum(seglen)
+    starts = ends - seglen
+    cum = np.zeros((n_classes, len(labels) + 1))  # exact counts
+    np.cumsum(labels == np.arange(n_classes)[:, None], axis=1, out=cum[:, 1:])
+    left = cum[:, 1:] - np.repeat(cum[:, starts], seglen, axis=1)
+    right = np.repeat(cum[:, ends] - cum[:, starts], seglen, axis=1)
+    right -= left
+    del cum  # from here on in place, to hold fewer (C, N) arrays at once
+    m = np.repeat(seglen, seglen)
+    nl = np.arange(1.0, len(labels) + 1) - np.repeat(starts, seglen)
     nr = m - nl
-    gl = 1.0 - ((left / nl[:, None]) ** 2).sum(axis=2)
-    gr = 1.0 - ((right / nr[:, None]) ** 2).sum(axis=2)
-    g = (nl * gl + nr * gr) / m
-    g[V[:, 1:] == V[:, :-1]] = math.inf
-    j, i = divmod(int(g.argmin()), m - 1)
-    if g[j, i] == math.inf:
-        return None
-    return j, float((V[j, i] + V[j, i + 1]) / 2.0)
+    nr[ends - 1] = 1.0  # not a cut; spares a 0 / 0
+    np.square(np.divide(left, nl, out=left), out=left)
+    np.square(np.divide(right, nr, out=right), out=right)
+    g = (nl * (1.0 - _class_sum(left)) + nr * (1.0 - _class_sum(right))) / m
+    g[ends - 1] = math.inf
+    return g
+
+
+def _grow(X: np.ndarray, y: np.ndarray, n_classes: int,
+          rngs: list[np.random.Generator]) -> list[Tree]:
+    """One tree per generator (see ``grow_tree``), grown in lockstep: each
+    step splits the next pending node of every tree at once.
+
+    A pending node holds its bootstrap positions.  A step sorts each
+    popped node's values of its k candidate features with one integer
+    argsort on (node, candidate, dense rank, bootstrap position), scores
+    every cut in one segmented Gini pass and keeps each node's lowest
+    score, ties to the earliest candidate and then the lowest cut.  The
+    node splits at the midpoint of the values beside that cut; rows with
+    ``x[f] <= threshold`` go left.  A child holding at most one class is
+    a leaf at once; the others wait on their tree's stack."""
+    n, F = X.shape
+    k = math.ceil(math.sqrt(F))
+    C = n_classes
+    # sample s = t * n + p is bootstrap position p of tree t, row rows[s] of X
+    rows = np.concatenate([rng.integers(0, n, size=n) for rng in rngs])
+    ys = y[rows]
+    ranks = _dense_ranks(X)
+    n_ranks = int(ranks.max()) + 1
+    ranks, values = ranks.ravel(), X.ravel()
+    # node: [feature, threshold, left, right, counts]
+    nodes = [[[-1, 0.0, -1, -1, ()]] for _ in rngs]
+    stacks: list[list] = [[] for _ in rngs]
+
+    def settle(t: int, node: int, samples: np.ndarray, dist: list[int]):
+        if sum(c > 0 for c in dist) > 1:
+            stacks[t].append((node, samples, dist))
+        else:  # pure or empty: no draw, no split
+            nodes[t][node][4] = tuple(dist)
+
+    for t in range(len(rngs)):
+        root = np.arange(t * n, (t + 1) * n)
+        settle(t, 0, root, np.bincount(ys[root], minlength=C).tolist())
+    while any(stacks):
+        active = [t for t in range(len(rngs)) if stacks[t]]
+        popped = [stacks[t].pop() for t in active]
+        m = np.array([len(samples) for _, samples, _ in popped])
+        smp = np.concatenate([samples for _, samples, _ in popped])
+        subs = np.array([rngs[t].permutation(F)[:k] for t in active])
+        node_of = np.repeat(np.arange(len(active)), m)
+        cells = rows[smp] * F + subs[node_of].T  # (k, M) flat indices of X
+        order = np.argsort(((node_of * k + np.arange(k)[:, None]) * n_ranks
+                             + ranks[cells]) * n + smp % n, axis=None)
+        cells = cells.ravel()[order]
+        v = values[cells]
+        g = _gini(ys[smp[order % len(smp)]], np.repeat(m, k), C)
+        g[:-1][v[1:] == v[:-1]] = math.inf  # no cut between equal values
+        starts = np.cumsum(k * m) - k * m
+        best = np.minimum.reduceat(g, starts)
+        hits = np.flatnonzero(g == np.repeat(best, k * m))
+        cut = hits[np.searchsorted(hits, starts)]
+        f = cells[cut] % F
+        thr = (v[cut] + v[cut + 1]) / 2.0
+        go_left = values[rows[smp] * F + np.repeat(f, m)] <= np.repeat(thr, m)
+        side = 2 * node_of + ~go_left
+        sides = np.bincount(side * C + ys[smp], minlength=2 * len(active) * C)
+        smp = smp[np.argsort(side, kind="stable")]
+        at = 0
+        for t, (node, samples, dist), split, f_t, thr_t, (dl, dr) in zip(
+                active, popped, (best < math.inf).tolist(), f.tolist(),
+                thr.tolist(), sides.reshape(-1, 2, C).tolist()):
+            mid, end = at + sum(dl), at + len(samples)
+            if split:
+                tree = nodes[t]
+                cl = len(tree)
+                tree[node][:4] = f_t, thr_t, cl, cl + 1
+                tree += [-1, 0.0, -1, -1, ()], [-1, 0.0, -1, -1, ()]
+                settle(t, cl + 1, smp[mid:end], dr)
+                settle(t, cl, smp[at:mid], dl)
+            else:  # every candidate is constant on the node
+                nodes[t][node][4] = tuple(dist)
+            at = end
+    return [Tree(*map(tuple, zip(*tree))) for tree in nodes]
 
 
 def grow_tree(X: np.ndarray, y: np.ndarray, n_classes: int,
@@ -90,66 +195,21 @@ def grow_tree(X: np.ndarray, y: np.ndarray, n_classes: int,
     """One CART tree on a bootstrap resample of (X, y); no depth limit,
     leaf minimum 1, per-split feature subset of size ceil(sqrt(F)).
 
-    The sample is sorted once per feature: row f of a node's index matrix
-    lists the node's sample positions in ascending order of feature f, and
-    a split partitions every row stably, so no node sorts again."""
-    n, F = X.shape
-    k = math.ceil(math.sqrt(F))
-    boot = rng.integers(0, n, size=n)
-    XT = np.ascontiguousarray(X[boot].T)
-    yb = y[boot]
-    onehot = np.eye(n_classes, dtype=np.int64)[yb]
-
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    counts: list[tuple[int, ...]] = []
-
-    def new_node() -> int:
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        counts.append(())
-        return len(feature) - 1
-
-    root = new_node()
-    stack = [(root, np.argsort(XT, axis=1, kind="stable"))]
-    while stack:
-        node, S = stack.pop()
-        dist = np.bincount(yb[S[0]], minlength=n_classes)
-        split = None  # a node of fewer than two rows is pure
-        if np.count_nonzero(dist) > 1:
-            sub = rng.permutation(F)[:k]
-            Ss = S[sub]
-            split = _best_split(XT[sub[:, None], Ss], onehot.take(Ss, axis=0))
-        if split is None:
-            counts[node] = tuple(dist.tolist())
-            continue
-        j, thr = split
-        f = int(sub[j])
-        go_left = (XT[f] <= thr)[S]
-        feature[node] = f
-        threshold[node] = thr
-        cl = new_node()
-        cr = new_node()
-        left[node] = cl
-        right[node] = cr
-        # push right first so the left child is processed (and numbered) next
-        stack.append((cr, S[~go_left].reshape(F, -1)))
-        stack.append((cl, S[go_left].reshape(F, -1)))
-
-    return Tree(tuple(feature), tuple(threshold), tuple(left), tuple(right),
-                tuple(counts))
+    A forest of one: the tree draws its bootstrap, then one subset
+    ``rng.permutation(F)[:k]`` per node of two or more classes, in
+    depth-first order (left child first), the order that numbers its nodes.
+    """
+    return _grow(X, y, n_classes, [rng])[0]
 
 
 def grow_forest(X: np.ndarray, y: np.ndarray, n_classes: int,
                 train_seed: int, n_trees: int) -> tuple[Tree, ...]:
-    return tuple(
-        grow_tree(X, y, n_classes, rng_for(NS_FOREST, train_seed, t))
-        for t in range(n_trees)
-    )
+    """n_trees trees; tree t grows from stream ``rng_for(NS_FOREST,
+    train_seed, t)``, in groups of _GROUP_TREES trees."""
+    rngs = [rng_for(NS_FOREST, train_seed, t) for t in range(n_trees)]
+    return tuple(tree for at in range(0, n_trees, _GROUP_TREES)
+                 for tree in _grow(X, y, n_classes,
+                                   rngs[at:at + _GROUP_TREES]))
 
 
 def forest_votes(trees: tuple[Tree, ...], X: np.ndarray,

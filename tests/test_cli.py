@@ -1,9 +1,12 @@
+import ctypes
 import json
 import os
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from landscape_atlas import walks
+from landscape_atlas import cli, walks
 from landscape_atlas.cli import _design_groups, main
 from landscape_atlas.ela import sampling
 from landscape_atlas.problems import resolve
@@ -406,6 +409,32 @@ def test_features_jobs_output_matches_serial_on_shared_designs(capsys, tmp_path)
     assert sorted(p.name for p in parallel.iterdir()) == names
     for name in names:
         assert (parallel / name).read_bytes() == (serial / name).read_bytes()
+
+
+def _blas_threads() -> int | None:
+    """Threads of the OpenBLAS bundled with numpy's wheel, if it is one."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas64_*.so")):
+        get = ctypes.CDLL(str(lib)).scipy_openblas_get_num_threads64_
+        get.restype = ctypes.c_int
+        return get()
+    return None
+
+
+def test_features_jobs_workers_run_one_blas_thread(monkeypatch, tmp_path):
+    if _blas_threads() is None:
+        pytest.skip("numpy does not bundle OpenBLAS on this stack")
+    seen, real_pool = [], cli.Pool
+
+    def pool(*args, **kwargs):
+        opened = real_pool(*args, **kwargs)
+        seen.append(opened.apply(_blas_threads))  # runs in a worker
+        return opened
+
+    monkeypatch.setattr(cli, "Pool", pool)
+    assert main(["features", "--problem", "sphere,rastrigin", "--dim", "2",
+                 "--n", "20", "--out-dir", str(tmp_path), "--jobs", "2"]) == 0
+    assert seen == [1]
 
 
 def test_design_groups_share_a_decoder_and_keep_baselines_alone():

@@ -1,28 +1,41 @@
 """The forest's array passes against the per-feature, per-row code they
 replaced.
 
-``grow_tree`` scores all candidate features of a node in one array pass and
-partitions a once-per-tree presort down the tree; ``forest_votes`` descends
-all rows and trees together.  The references below are the earlier
-per-feature ``argsort`` split and per-row, per-tree leaf descent.  Trees
-must come out node for node the same, and votes share for share.
+``grow_forest`` grows its trees in lockstep groups, one node of every tree
+a step, and scores every candidate cut of a step in one segmented Gini
+pass; ``grow_tree`` is a group of one.  ``forest_votes`` descends all rows
+and trees together.  The references below grow one tree at a time, with a
+per-feature ``argsort`` split at each node, and descend per row and per
+tree.  Trees must come out node for node the same, whatever the group
+edges, the class count or the ties, and votes share for share.  The
+references run in the same process, so these checks hold on every numeric
+stack, including the summation order of the Gini class sums.
 """
 import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from landscape_atlas._seeds import NS_FOREST, rng_for
 from landscape_atlas.ela import FEATURE_NAMES
-from landscape_atlas.properties import PropertyModel, predict
-from landscape_atlas.properties.forest import Tree, forest_votes, grow_tree
+from landscape_atlas.properties import PropertyModel, forest, predict
+from landscape_atlas.properties.forest import (
+    Tree, forest_votes, grow_forest, grow_tree)
 
-# A value pool with heavy ties.
-POOL = (0.0, 1.0, 2.0, 3.0, -0.5)
+# A value pool with heavy ties; -0.0 and 0.0 are equal values.
+POOL = (0.0, -0.0, 1.0, 2.0, 3.0, -0.5)
+# Trees per lockstep group.
+CAP = forest._GROUP_TREES
 # Two neighbouring doubles whose midpoint rounds up to the larger one, so a
 # cut between them sends the whole node left and leaves the right child
 # empty.  The left child then repeats its parent, and only a feature draw
 # without that column ends the repeats, so random data leaves them out.
 LOW, HIGH = 1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51
+# Column 0 separates the labels perfectly, so whenever it is drawn it wins,
+# and its cut sends every row left.
+ROUNDS_UP_X = np.array([[LOW, 0.0, 2.0], [HIGH, 1.0, 2.0], [LOW, 1.0, 3.0],
+                        [HIGH, 0.0, 3.0]] * 2)
+ROUNDS_UP_Y = np.array([0, 1] * 4)
 
 
 def _ref_best_split(X, y, idx, features, n_classes):
@@ -104,10 +117,10 @@ def _ref_votes(trees, x, n_classes):
 
 
 @st.composite
-def _data(draw, max_rows=24, max_features=7):
+def _data(draw, max_rows=24, max_features=7, max_classes=5):
     n = draw(st.integers(2, max_rows))
     F = draw(st.integers(1, max_features))
-    n_classes = draw(st.integers(2, 5))
+    n_classes = draw(st.integers(2, max_classes))
     constant = draw(st.lists(st.booleans(), min_size=F, max_size=F))
     columns = []
     for c in range(F):
@@ -121,6 +134,8 @@ def _data(draw, max_rows=24, max_features=7):
                 st.floats(-4.0, 4.0, allow_nan=False, width=16),
                 min_size=n, max_size=n)))
     X = np.array(columns, dtype=float).T
+    if draw(st.booleans()):  # repeat rows, often under different labels
+        X = X[draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))]
     y = np.array(draw(st.lists(st.integers(0, n_classes - 1),
                                min_size=n, max_size=n)))
     return X, y, n_classes
@@ -135,19 +150,47 @@ def test_grow_tree_matches_the_per_feature_reference(data, seed):
     assert got == want
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=_data(max_rows=20, max_features=5, max_classes=9),
+       n_trees=st.sampled_from([1, CAP - 1, CAP, CAP + 1, 2 * CAP + 1]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_grow_forest_matches_the_per_tree_reference(data, n_trees, seed):
+    # the group edges, and 2..9 classes: numpy adds a class axis of 8 or
+    # more entries pairwise, not left to right
+    X, y, n_classes = data
+    want = tuple(_ref_grow_tree(X, y, n_classes, rng_for(NS_FOREST, seed, t))
+                 for t in range(n_trees))
+    assert grow_forest(X, y, n_classes, seed, n_trees) == want
+
+
+def test_eight_classes_are_summed_pairwise_as_before():
+    # numpy adds a contiguous class axis of 8 or more entries pairwise; a
+    # left-to-right sum of these rows' squared class shares rounds some
+    # cut scores differently, and tree 1 changes
+    X = np.array([[2, 3], [0, 2], [0, 3], [2, 3], [3, 2], [1, 2], [2, 0],
+                  [4, 2], [5, 2], [5, 2]], dtype=float)
+    y = np.array([4, 1, 5, 2, 6, 4, 6, 3, 6, 1])
+    assert grow_forest(X, y, 8, 0, 3) == tuple(
+        _ref_grow_tree(X, y, 8, rng_for(NS_FOREST, 0, t)) for t in range(3))
+
+
 def test_a_cut_that_rounds_up_leaves_an_empty_child_as_before():
     assert (LOW + HIGH) / 2.0 == HIGH
-    # column 0 separates the labels perfectly, so whenever it is drawn it
-    # wins, and its cut sends every row left
-    X = np.array([[LOW, 0.0, 2.0], [HIGH, 1.0, 2.0], [LOW, 1.0, 3.0],
-                  [HIGH, 0.0, 3.0]] * 2)
-    y = np.array([0, 1] * 4)
+    X, y = ROUNDS_UP_X, ROUNDS_UP_Y
     empty = 0
     for seed in range(10):
         got = grow_tree(X, y, 2, np.random.default_rng(seed))
         assert got == _ref_grow_tree(X, y, 2, np.random.default_rng(seed))
         empty += got.counts.count((0, 0))
     assert empty > 0
+
+
+def test_a_cut_that_rounds_up_leaves_an_empty_child_inside_a_forest():
+    X, y = ROUNDS_UP_X, ROUNDS_UP_Y
+    trees = grow_forest(X, y, 2, 0, 2 * CAP + 1)
+    assert trees == tuple(_ref_grow_tree(X, y, 2, rng_for(NS_FOREST, 0, t))
+                          for t in range(2 * CAP + 1))
+    assert sum(t.counts.count((0, 0)) for t in trees) > 0
 
 
 @settings(max_examples=150, deadline=None)

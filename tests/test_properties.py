@@ -182,8 +182,8 @@ def test_lofo_cv_requires_three_groups():
 def test_lofo_cv_checks_every_fold_before_the_first(monkeypatch, error, group,
                                                     rows):
     grown = []
-    monkeypatch.setattr(forest, "grow_tree",
-                        lambda *args: grown.append(args) or None)
+    monkeypatch.setattr(forest, "_grow",
+                        lambda *args: grown.append(args) or [])
     with pytest.raises(error, match=f"without group '{group}'"):
         lofo_cv(rows, "funnel", train_seed=0, n_trees=3)
     assert grown == []
@@ -194,8 +194,8 @@ def test_lofo_cv_checks_every_fold_before_the_first(monkeypatch, error, group,
 def test_fewer_than_one_tree_is_refused_before_growing(monkeypatch, fit,
                                                        n_trees):
     grown = []
-    monkeypatch.setattr(forest, "grow_tree",
-                        lambda *args: grown.append(args) or None)
+    monkeypatch.setattr(forest, "_grow",
+                        lambda *args: grown.append(args) or [])
     with pytest.raises(ValueError, match="n_trees"):
         fit(_separable_rows(), "funnel", 0, n_trees=n_trees)
     assert grown == []
