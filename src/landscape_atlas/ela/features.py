@@ -79,13 +79,24 @@ class FeatureVector:
         return np.array([self.values[n] for n in FEATURE_NAMES])
 
 
-def _squared_distances(X: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the rows of X; t-SNE uses it too."""
+def _squared_distances(X: np.ndarray, out: np.ndarray | None = None
+                       ) -> np.ndarray:
+    """Squared Euclidean distances between the rows of X, written into
+    ``out`` (an n x n float64 buffer) when given; t-SNE reuses one buffer
+    for every iteration of its descent."""
     sq = np.einsum("ij,ij->i", X, X)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-    np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, 0.0)
-    return d2
+    if out is None:
+        out = np.empty((len(X), len(X)))
+    # sq[j] + sq[i] in two passes: the same bits as the broadcast
+    # sq[:, None] + sq[None, :], which costs more than both together.
+    out[:] = sq
+    np.add(out, sq[:, None], out=out)
+    gram = X @ X.T
+    gram *= 2.0
+    np.subtract(out, gram, out=out)
+    np.maximum(out, 0.0, out=out)
+    np.fill_diagonal(out, 0.0)
+    return out
 
 
 @lru_cache(maxsize=8)

@@ -27,6 +27,7 @@ TRACE_EVERY = 50
 _P_FLOOR = 1e-12
 _BANDWIDTH_TOL = 1e-4
 _BANDWIDTH_MAX_ITER = 200
+_LN2 = np.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -63,16 +64,16 @@ def kl_trace(embedding: Embedding) -> tuple[tuple[int, float], ...]:
     return embedding.kl_checkpoints
 
 
-def _conditional_row(d2_row: np.ndarray, beta: float) -> np.ndarray:
-    """p_{j|i} for one point at bandwidth beta; d2_row excludes self."""
-    shifted = d2_row - d2_row.min()  # nearest neighbour contributes exp(0)
+def _conditional_row(shifted: np.ndarray, beta: float) -> np.ndarray:
+    """p_{j|i} for one point at bandwidth beta; shifted holds the squared
+    distances to the other points less the smallest of them."""
     e = np.exp(-beta * shifted)
     return e / e.sum()
 
 
 def _row_perplexity(p: np.ndarray) -> float:
     nz = p[p > 0.0]
-    h_bits = float(-(nz * (np.log(nz) / np.log(2.0))).sum())
+    h_bits = float(-(nz * (np.log(nz) / _LN2)).sum())
     return 2.0 ** h_bits
 
 
@@ -80,10 +81,16 @@ def bandwidth_bisection(d2_row: np.ndarray, perplexity: float
                         ) -> tuple[float, np.ndarray]:
     """Find beta so the conditional distribution's perplexity matches the
     target within _BANDWIDTH_TOL, in at most _BANDWIDTH_MAX_ITER steps;
-    returns (beta, conditional probabilities)."""
+    returns (beta, conditional probabilities).  A target below 1 or above
+    the neighbour count is refused: no distribution over len(d2_row)
+    points has that perplexity."""
+    if not 1.0 <= perplexity <= len(d2_row):
+        raise ValueError(f"perplexity {perplexity} is unreachable: need "
+                         f"1 <= perplexity <= {len(d2_row)} neighbours")
+    shifted = d2_row - d2_row.min()  # nearest neighbour contributes exp(0)
     beta = 1.0
     lo, hi = 0.0, np.inf
-    p = _conditional_row(d2_row, beta)
+    p = _conditional_row(shifted, beta)
     for _ in range(_BANDWIDTH_MAX_ITER):
         perp = _row_perplexity(p)
         if abs(perp - perplexity) <= _BANDWIDTH_TOL:
@@ -94,7 +101,7 @@ def bandwidth_bisection(d2_row: np.ndarray, perplexity: float
         else:
             hi = beta
             beta = beta / 2.0 if lo == 0.0 else (lo + hi) / 2.0
-        p = _conditional_row(d2_row, beta)
+        p = _conditional_row(shifted, beta)
     return beta, p
 
 
@@ -110,17 +117,21 @@ def _affinities(X: np.ndarray, perplexity: float) -> np.ndarray:
     return np.maximum(P, _P_FLOOR)
 
 
-def _kl_divergence(P: np.ndarray, Q: np.ndarray) -> float:
-    mask = ~np.eye(P.shape[0], dtype=bool)
-    p, q = P[mask], Q[mask]
+def _kl_divergence(p: np.ndarray, Q: np.ndarray, off: np.ndarray) -> float:
+    """KL(P || Q) over the off-diagonal pairs; p is P[off]."""
+    q = Q[off]
     return float(np.sum(p * np.log(p / q)))
 
 
-def _low_dim_q(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    num = 1.0 / (1.0 + _squared_distances(Y))
+def _low_dim_q(Y: np.ndarray, num: np.ndarray, Q: np.ndarray) -> None:
+    """Fill num with the Student-t kernel 1 / (1 + |y_i - y_j|^2) of the
+    layout Y, zero on the diagonal, and Q with its normalised form."""
+    _squared_distances(Y, out=num)
+    np.add(num, 1.0, out=num)
+    np.divide(1.0, num, out=num)
     np.fill_diagonal(num, 0.0)
-    Q = np.maximum(num / num.sum(), _P_FLOOR)
-    return Q, num
+    np.divide(num, num.sum(), out=Q)
+    np.maximum(Q, _P_FLOOR, out=Q)
 
 
 def _hash_init(X: np.ndarray, embed_seed: int) -> np.ndarray:
@@ -166,29 +177,45 @@ def tsne_embed(matrix: np.ndarray,
 
     P = _affinities(X, perplexity)
     P_run = P * EXAGGERATION
+    off = ~np.eye(n, dtype=bool)
+    p_off = P[off]
     Y = _hash_init(X, embed_seed)
     velocity = np.zeros_like(Y)
     gains = np.ones_like(Y)
     checkpoints: list[tuple[int, float]] = []
 
-    # One Q per layout, read by the next gradient, a checkpoint or the KL.
-    Q, num = _low_dim_q(Y)
+    # The descent's n x n buffers, filled in place at every iteration.  Q
+    # and num belong to the current layout and are read by the next
+    # gradient, a checkpoint or the final KL.
+    num, Q, W = np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
+    _low_dim_q(Y, num, Q)
     for it in range(1, iterations + 1):
         if it == EXAGGERATION_ITERS + 1:
             P_run = P
-        W = (P_run - Q) * num
-        grad = 4.0 * ((np.diag(W.sum(axis=1)) - W) @ Y)
+        np.subtract(P_run, Q, out=W)
+        np.multiply(W, num, out=W)
+        # W becomes diag(W.sum(1)) - W; 0.0 - w keeps the +0.0 that -w
+        # would turn into -0.0.
+        diagonal = W.sum(axis=1)
+        diagonal -= W.diagonal()
+        np.subtract(0.0, W, out=W)
+        np.fill_diagonal(W, diagonal)
+        grad = W @ Y
+        grad *= 4.0
 
         same_sign = np.sign(grad) == np.sign(velocity)
         gains = np.where(same_sign, gains * 0.8, gains + 0.2)
         np.maximum(gains, 0.01, out=gains)
         momentum = 0.5 if it <= MOMENTUM_SWITCH else 0.8
-        velocity = momentum * velocity - LEARNING_RATE * (gains * grad)
-        Y = Y + velocity
-        Y = Y - Y.mean(axis=0)
-        Q, num = _low_dim_q(Y)
+        velocity *= momentum
+        grad *= gains
+        grad *= LEARNING_RATE
+        velocity -= grad
+        Y += velocity
+        Y -= Y.mean(axis=0)
+        _low_dim_q(Y, num, Q)
         if trace and it % TRACE_EVERY == 0:
-            checkpoints.append((it, _kl_divergence(P, Q)))
+            checkpoints.append((it, _kl_divergence(p_off, Q, off)))
 
     rows = tuple(
         EmbeddingRow(suite=s, problem=p, instance=int(k),
@@ -197,7 +224,7 @@ def tsne_embed(matrix: np.ndarray,
     )
     return Embedding(
         rows=rows,
-        final_kl=_kl_divergence(P, Q),
+        final_kl=_kl_divergence(p_off, Q, off),
         iterations=iterations,
         perplexity=perplexity,
         embed_seed=embed_seed,

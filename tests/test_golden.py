@@ -8,6 +8,8 @@ concatenation variant, astar) and m15 (the scared agent), and of a small
 accuracy exercises the vote rule, and of the ``walk`` output for m13 and
 m17 (3 directions) and the ``sample`` output for m11 and m23 (n=60), which
 pin the batch evaluation path of ``diagonal_walk`` and ``lhs_sample``.
+The ``embed`` pins cover t-SNE: the CSV and ``.meta.json`` sidecar of a
+300-iteration map of the 44 feature files at perplexity 10.
 Two more pins cover the forest's deep-tree and CV paths: the ``cv`` output
 for ``separability`` at 25 trees, and a 25-tree model trained on a
 balanced, permuted 5-class labelling of the same rows, whose random labels
@@ -79,15 +81,36 @@ def _mismatches(got: dict, pinned: dict) -> list[str]:
     return [name for name in pinned if got[name] != pinned[name]]
 
 
-def test_features_files_match_their_digests(tmp_path):
+def _write_feature_files(out_dir: Path) -> list[str]:
+    """Write one feature file per problem (instance 1, d=4, n=60, sample
+    seed 1, feature seed 0) into out_dir; returns the problem ids."""
     problems = [row["problem"] for row in list_problems()]
     assert main(["features", "--problem", ",".join(problems),
                  "--instance", "1", "--dim", "4", "--n", "60",
                  "--sample-seed", "1", "--feature-seed", "0",
-                 "--out-dir", str(tmp_path)]) == 0
+                 "--out-dir", str(out_dir)]) == 0
+    return problems
+
+
+def test_features_files_match_their_digests(tmp_path):
+    problems = _write_feature_files(tmp_path)
     got = {p: _sha256((tmp_path / f"{p}-i1.json").read_bytes())
            for p in problems}
     assert _mismatches(got, GOLDEN["features"]) == []
+
+
+def test_embed_of_the_feature_files_matches_its_digests(tmp_path):
+    # 300 iterations cross the end of early exaggeration at iteration 250
+    features = tmp_path / "features"
+    features.mkdir()
+    _write_feature_files(features)
+    out = tmp_path / "map.csv"
+    assert main(["embed", "--features-dir", str(features),
+                 "--perplexity", "10", "--iterations", "300",
+                 "--embed-seed", "0", "--out", str(out)]) == 0
+    got = {"embed csv": _sha256(out.read_bytes()),
+           "embed meta": _sha256(Path(f"{out}.meta.json").read_bytes())}
+    assert _mismatches(got, GOLDEN["embed"]) == []
 
 
 def test_level_simulate_and_train_output_match_their_digests(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from landscape_atlas import similarity
 from landscape_atlas.errors import (
@@ -39,6 +40,31 @@ def test_equidistant_neighbours_force_the_uniform_distribution():
     assert np.allclose(p, 1.0 / n_neighbours, atol=1e-12)
     entropy = -np.sum(p * np.log2(p))
     assert entropy == pytest.approx(np.log2(n_neighbours), abs=1e-3)
+
+
+@pytest.mark.parametrize("d2, target", [
+    (np.full(5, 2.0), 6.0),
+    (np.array([0.5, 1.0, 2.0, 3.0]), 0.5),
+    (np.array([0.5, 1.0, 2.0, 3.0]), 4.0 + 1e-9),
+    (np.array([0.5, 1.0, 2.0, 3.0]), float("nan")),
+    (np.array([]), 1.0),
+], ids=["above-neighbour-count", "below-1", "just-above", "nan", "empty"])
+def test_bisection_refuses_an_unreachable_perplexity_before_its_first_step(
+        monkeypatch, d2, target):
+    def no_work(*args):
+        raise AssertionError("bisection started")
+
+    monkeypatch.setattr(similarity, "_conditional_row", no_work)
+    with pytest.raises(ValueError, match="unreachable"):
+        bandwidth_bisection(d2, target)
+
+
+def test_bisection_reaches_the_ends_of_its_range():
+    d2 = np.array([0.5, 1.0, 2.0, 3.0])
+    for target in (1.0, 4.0):
+        _, p = bandwidth_bisection(d2, target)
+        entropy = -np.sum(p[p > 0] * np.log2(p[p > 0]))
+        assert 2.0 ** entropy == pytest.approx(target, abs=1e-4)
 
 
 def test_bisection_probabilities_sum_to_one():
@@ -171,3 +197,174 @@ def test_fewer_than_one_iteration_is_refused_first(monkeypatch, iterations):
     monkeypatch.setattr(similarity, "_affinities", no_work)
     with pytest.raises(ValueError, match="iterations"):
         tsne_embed(_blobs(), perplexity=5.0, iterations=iterations)
+
+
+# --- identity with the allocating reference ----------------------------------
+#
+# The descent runs in place in reused n x n buffers.  The references below
+# are the allocating code it replaced: fresh arrays every iteration, an
+# np.diag gradient and a shift recomputed at every bisection step.  Maps
+# must agree bit for bit: coordinates, KL checkpoints and the final KL.
+# The references run in the same process, so these checks hold on every
+# numeric stack.
+
+def _ref_squared_distances(X):
+    sq = np.einsum("ij,ij->i", X, X)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+    np.maximum(d2, 0.0, out=d2)
+    np.fill_diagonal(d2, 0.0)
+    return d2
+
+
+def _ref_conditional_row(d2_row, beta):
+    shifted = d2_row - d2_row.min()
+    e = np.exp(-beta * shifted)
+    return e / e.sum()
+
+
+def _ref_row_perplexity(p):
+    nz = p[p > 0.0]
+    h_bits = float(-(nz * (np.log(nz) / np.log(2.0))).sum())
+    return 2.0 ** h_bits
+
+
+def _ref_bandwidth_bisection(d2_row, perplexity):
+    beta = 1.0
+    lo, hi = 0.0, np.inf
+    p = _ref_conditional_row(d2_row, beta)
+    for _ in range(200):
+        perp = _ref_row_perplexity(p)
+        if abs(perp - perplexity) <= 1e-4:
+            break
+        if perp > perplexity:
+            lo = beta
+            beta = beta * 2.0 if np.isinf(hi) else (lo + hi) / 2.0
+        else:
+            hi = beta
+            beta = beta / 2.0 if lo == 0.0 else (lo + hi) / 2.0
+        p = _ref_conditional_row(d2_row, beta)
+    return beta, p
+
+
+def _ref_affinities(X, perplexity):
+    n = X.shape[0]
+    d2 = _ref_squared_distances(X)
+    P = np.zeros((n, n))
+    mask = ~np.eye(n, dtype=bool)
+    for i in range(n):
+        _, p = _ref_bandwidth_bisection(d2[i][mask[i]], perplexity)
+        P[i][mask[i]] = p
+    P = (P + P.T) / (2.0 * n)
+    return np.maximum(P, 1e-12)
+
+
+def _ref_kl_divergence(P, Q):
+    mask = ~np.eye(P.shape[0], dtype=bool)
+    p, q = P[mask], Q[mask]
+    return float(np.sum(p * np.log(p / q)))
+
+
+def _ref_low_dim_q(Y):
+    num = 1.0 / (1.0 + _ref_squared_distances(Y))
+    np.fill_diagonal(num, 0.0)
+    Q = np.maximum(num / num.sum(), 1e-12)
+    return Q, num
+
+
+def _ref_tsne(X, perplexity, embed_seed, iterations, trace):
+    """(coordinates, KL checkpoints or None, final KL) of the allocating
+    descent."""
+    P = _ref_affinities(X, perplexity)
+    P_run = P * 12.0
+    Y = similarity._hash_init(X, embed_seed)
+    velocity = np.zeros_like(Y)
+    gains = np.ones_like(Y)
+    checkpoints = []
+    Q, num = _ref_low_dim_q(Y)
+    for it in range(1, iterations + 1):
+        if it == 251:
+            P_run = P
+        W = (P_run - Q) * num
+        grad = 4.0 * ((np.diag(W.sum(axis=1)) - W) @ Y)
+        same_sign = np.sign(grad) == np.sign(velocity)
+        gains = np.where(same_sign, gains * 0.8, gains + 0.2)
+        np.maximum(gains, 0.01, out=gains)
+        momentum = 0.5 if it <= 250 else 0.8
+        velocity = momentum * velocity - 200.0 * (gains * grad)
+        Y = Y + velocity
+        Y = Y - Y.mean(axis=0)
+        Q, num = _ref_low_dim_q(Y)
+        if trace and it % 50 == 0:
+            checkpoints.append((it, _ref_kl_divergence(P, Q)))
+    return Y, (tuple(checkpoints) if trace else None), _ref_kl_divergence(P, Q)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+@st.composite
+def _maps(draw, min_rows=13, max_rows=40):
+    n = draw(st.integers(min_rows, max_rows))
+    d = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    X = rng.normal(0.0, draw(st.sampled_from([0.1, 1.0, 30.0])), (n, d))
+    # duplicate rows: equal distances of 0 and equal starting points
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = rng.integers(0, n, 2)
+        X[i] = X[j]
+    perplexity = 1.0 + draw(st.floats(0.0, 0.999)) * ((n - 1) / 3.0 - 1.0)
+    return X, perplexity
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_maps(),
+       iterations=st.sampled_from([1, 49, 50, 250, 251, 300]),
+       trace=st.booleans(), embed_seed=st.integers(0, 3))
+@example(case=(_blobs(n_per=81, d=5, seed=11), 30.0), iterations=251,
+         trace=True, embed_seed=0)
+def test_tsne_embed_matches_the_allocating_reference(case, iterations, trace,
+                                                     embed_seed):
+    X, perplexity = case
+    emb = tsne_embed(X, perplexity=perplexity, embed_seed=embed_seed,
+                     iterations=iterations, trace=trace)
+    Y, checkpoints, final_kl = _ref_tsne(X, perplexity, embed_seed,
+                                         iterations, trace)
+    assert _bits(emb.coordinates) == _bits(Y)
+    assert _bits(emb.final_kl) == _bits(final_kl)
+    if trace:
+        assert [it for it, _ in emb.kl_checkpoints] == [
+            it for it, _ in checkpoints]
+        assert _bits([kl for _, kl in emb.kl_checkpoints]) == _bits(
+            [kl for _, kl in checkpoints])
+    else:
+        assert emb.kl_checkpoints is None
+
+
+@st.composite
+def _bisection_rows(draw):
+    m = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "equidistant", "underflow",
+                                 "ties"]))
+    if kind == "equidistant":
+        d2 = np.full(m, draw(st.sampled_from([0.0, 1e-300, 2.0, 1e6])))
+    elif kind == "underflow":
+        # exp(-beta * shifted) underflows to 0 for all but the nearest
+        d2 = np.concatenate([[0.5], rng.uniform(800.0, 5e4, m - 1)])
+    elif kind == "ties":
+        d2 = rng.integers(0, 3, m).astype(float)
+    else:
+        d2 = rng.uniform(0.0, 9.0, m)
+    target = 1.0 + draw(st.floats(0.0, 1.0)) * (m - 1.0)
+    return d2, target
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_bisection_rows())
+def test_bandwidth_bisection_matches_the_reference(case):
+    d2, target = case
+    beta, p = bandwidth_bisection(d2, target)
+    ref_beta, ref_p = _ref_bandwidth_bisection(d2, target)
+    assert _bits(beta) == _bits(ref_beta)
+    assert _bits(p) == _bits(ref_p)
