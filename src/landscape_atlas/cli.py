@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import tempfile
+from contextlib import nullcontext
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from .ela.features import FEATURE_NAMES, FeatureVector, compute_features, normal
 from .ela.sampling import lhs_sample
 from .errors import LandscapeError, ManifestMismatch
 from .mario.sim import (
-    ASTAR, SCARED, air_time, basic_fitness, simulate, time_taken,
+    AGENT_KINDS, air_time, basic_fitness, simulate, time_taken,
 )
 from .mario.tiles import render_ascii
 from .problems.core import (
@@ -37,9 +38,10 @@ from .problems.core import (
 )
 from .properties.corpus import build_labelled_rows
 from .properties.models import (
-    PROPERTY_NAMES, PropertyModel, _feature_array, _vote, lofo_cv, train,
+    DEFAULT_TREES, PROPERTY_NAMES, PropertyModel, _feature_array, _vote,
+    lofo_cv, train,
 )
-from .similarity import kl_trace, tsne_embed
+from .similarity import DEFAULT_ITERATIONS, DEFAULT_PERPLEXITY, kl_trace, tsne_embed
 from .walks import walk_bundle
 
 _TOOL = f"landscape-atlas {__version__}"
@@ -152,21 +154,26 @@ def _int_list_type(text: str) -> list[int]:
             tok = tok.strip()
             dash = tok.find("-", 1)  # position 0 would be a minus sign
             if dash > 0:
-                out.extend(range(int(tok[:dash]), int(tok[dash + 1:]) + 1))
+                lo, hi = int(tok[:dash]), int(tok[dash + 1:])
+                if hi < lo:
+                    raise argparse.ArgumentTypeError(
+                        f"range {tok} ends below its start")
+                out.extend(range(lo, hi + 1))
             else:
                 out.append(int(tok))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             "expected integers, comma lists, or ranges like 1-7") from exc
-    if not out:
-        raise argparse.ArgumentTypeError("empty integer list")
     return out
 
 
 def _problem_list_type(text: str) -> list[str]:
     if text.strip() == "mario":
         return [f"m{i}" for i in range(1, 29)]
-    return [tok.strip() for tok in text.split(",") if tok.strip()]
+    problems = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not problems:
+        raise argparse.ArgumentTypeError("names no problem")
+    return problems
 
 
 def _x_header(d: int) -> list[str]:
@@ -341,32 +348,25 @@ def _cmd_features(args) -> int:
             instances.append(inst)
             tasks.append((problem, seed, args.dim, args.n, args.sample_seed,
                           args.feature_seed))
+    if args.out and args.out_dir:
+        raise UsageError("need at most one of --out / --out-dir")
     if len(tasks) > 1 and not args.out_dir:
         raise UsageError("multiple problem/instance combinations need --out-dir")
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
 
-    if args.jobs > 1 and len(tasks) > 1:
-        groups = _design_groups(instances)
-        with Pool(min(args.jobs, len(groups)),
-                  initializer=_one_blas_thread) as pool:
-            grouped = pool.map(_feature_docs,
-                               [[tasks[i] for i in g] for g in groups],
-                               chunksize=1)
-        docs = [None] * len(tasks)
-        for group, group_docs in zip(groups, grouped):
-            for i, doc in zip(group, group_docs):
-                docs[i] = doc
-    else:
-        docs = _feature_docs(tasks)
-
-    for doc in docs:
-        text = _json_doc("features", [], doc)
-        if args.out_dir:
-            name = f"{doc['problem']}-i{doc['instance']}.json"
-            _atomic_write(os.path.join(args.out_dir, name), text)
-        else:
-            _emit(text, args.out)
+    groups = [[tasks[i] for i in g] for g in _design_groups(instances)]
+    parallel = args.jobs > 1 and len(groups) > 1
+    with (Pool(min(args.jobs, len(groups)), initializer=_one_blas_thread)
+          if parallel else nullcontext()) as pool:
+        for docs in (pool.imap if parallel else map)(_feature_docs, groups):
+            for doc in docs:
+                text = _json_doc("features", [], doc)
+                if args.out_dir:
+                    name = f"{doc['problem']}-i{doc['instance']}.json"
+                    _atomic_write(os.path.join(args.out_dir, name), text)
+                else:
+                    _emit(text, args.out)
     return 0
 
 
@@ -515,7 +515,7 @@ def _add_corpus_flags(p):
     p.add_argument("--sample-seed", type=int, default=None)
     p.add_argument("--feature-seed", type=int, default=None)
     p.add_argument("--train-seed", type=int, default=None)
-    p.add_argument("--trees", type=int, default=200)
+    p.add_argument("--trees", type=int, default=DEFAULT_TREES)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -541,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run an agent on a decoded level")
     _add_common(p, point=True)
-    p.add_argument("--agent", choices=(ASTAR, SCARED), default=None)
+    p.add_argument("--agent", choices=AGENT_KINDS, default=None)
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("walk", help="bundle of diagonal walks")
@@ -596,9 +596,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("embed", help="2-D t-SNE similarity map")
     p.add_argument("--features-dir", required=True)
-    p.add_argument("--perplexity", type=float, default=30.0)
+    p.add_argument("--perplexity", type=float, default=DEFAULT_PERPLEXITY)
     p.add_argument("--embed-seed", type=int, default=None)
-    p.add_argument("--iterations", type=int, default=1000)
+    p.add_argument("--iterations", type=int, default=DEFAULT_ITERATIONS)
     p.add_argument("--out", required=True, help="embedding CSV path")
     p.set_defaults(fn=_cmd_embed)
 

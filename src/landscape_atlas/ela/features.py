@@ -174,7 +174,8 @@ class _Design:
     def __init__(self, X: np.ndarray):
         n = len(X)
         self.constant = _constant(X)
-        D = np.sqrt(_squared_distances(X))
+        D = _squared_distances(X)
+        np.sqrt(D, out=D)
         rows, inverse = np.unique(X, axis=0, return_inverse=True)
         if len(rows) < n:
             inverse = inverse.reshape(-1)

@@ -203,13 +203,13 @@ def _run_astar(lv: _Level, track: list | None = None) -> SimulationResult:
     dist, parent, goal_state = _astar_search(lv, start, start_cost)
     if goal_state >= 0:
         return _replay(lv, dist, parent, goal_state, won=True, track=track)
-    best_c, best_d, best_state = -1, lv.t_max + 1, -1
+    far_c, far_d, far_state = -1, lv.t_max + 1, -1
     for state, d in enumerate(dist):
         if d <= lv.t_max:
             c = (state // 3) % w
-            if c > best_c or (c == best_c and d < best_d):
-                best_c, best_d, best_state = c, d, state
-    return _replay(lv, dist, parent, best_state, won=False, track=track)
+            if c > far_c or (c == far_c and d < far_d):
+                far_c, far_d, far_state = c, d, state
+    return _replay(lv, dist, parent, far_state, won=False, track=track)
 
 
 # Successor-table entry of a state in the last column: the search stops
@@ -332,19 +332,16 @@ def _replay(lv: _Level, dist, parent, state: int, won: bool,
     chain.reverse()
     coins = set()
     t_g = 0
-    best_c = 0
     for i, s in enumerate(chain):
         cell, p = divmod(s, 3)
-        c = cell % w
         if track is not None:
-            track.append((cell // w, c))
-        if c > best_c:
-            best_c = c
+            track.append(divmod(cell, w))
         if lv.coin[cell]:
             coins.add(cell)
         if i > 0 and p == 0 and lv.supported[cell]:
             t_g += 1
     t_tot = int(dist[state])
-    d_level = w if won else best_c + 1
-    return SimulationResult(d_level, t_tot, len(coins), t_g, t_tot,
+    # no move steps left, so the path ends in its farthest column (the
+    # last one when won)
+    return SimulationResult(state // 3 % w + 1, t_tot, len(coins), t_g, t_tot,
                             lv.t_max, won)

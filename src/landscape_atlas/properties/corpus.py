@@ -3,7 +3,6 @@ per-function property labels."""
 from __future__ import annotations
 
 import csv
-from functools import lru_cache
 from importlib import resources
 
 from ..ela.features import compute_features
@@ -15,9 +14,9 @@ from .models import PROPERTY_NAMES, LabelledRow
 CORPUS_INSTANCE_SEEDS: tuple[int, ...] = (1, 2, 3, 4, 5)
 
 
-@lru_cache(maxsize=1)
 def load_labels() -> dict[str, dict[str, str]]:
-    """function name -> property name -> label, from the shipped table."""
+    """function name -> property name -> label, from the shipped table;
+    a fresh table on each call, so a caller may change its copy."""
     text = (resources.files("landscape_atlas.properties") / "labels.csv") \
         .read_text(encoding="utf-8")
     table: dict[str, dict[str, str]] = {}

@@ -7,7 +7,7 @@ descend left.
 
 ``_grow`` grows a group of trees in lockstep, one node of every tree a
 step, and each tree keeps its own stream and depth-first order: a tree is
-the same alone (``grow_tree``) or in a group (``grow_forest``).
+the same alone or in a group (``grow_forest``).
 """
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ class Tree:
 
     @staticmethod
     def from_dict(d: dict, n_features: int, n_classes: int) -> "Tree":
-        """The tree d describes; ValueError unless grow_tree could have
+        """The tree d describes; ValueError unless ``_grow`` could have
         written it: equal-length node arrays, internal nodes that split one
         of n_features features into two later nodes (so every descent ends),
         and leaves that count each of n_classes classes."""
@@ -115,8 +115,13 @@ def _gini(labels: np.ndarray, seglen: np.ndarray,
 
 def _grow(X: np.ndarray, y: np.ndarray, n_classes: int,
           rngs: list[np.random.Generator]) -> list[Tree]:
-    """One tree per generator (see ``grow_tree``), grown in lockstep: each
-    step splits the next pending node of every tree at once.
+    """One CART tree per generator, each on a bootstrap resample of (X, y):
+    no depth limit, leaf minimum 1, per-split feature subset of size
+    k = ceil(sqrt(F)).  A tree draws its bootstrap, then one subset
+    ``rng.permutation(F)[:k]`` per node of two or more classes, in
+    depth-first order (left child first), the order that numbers its nodes.
+    The trees grow in lockstep: each step splits the next pending node of
+    every tree at once.
 
     A pending node holds its bootstrap positions.  A step sorts each
     popped node's values of its k candidate features with one integer
@@ -188,18 +193,6 @@ def _grow(X: np.ndarray, y: np.ndarray, n_classes: int,
                 nodes[t][node][4] = tuple(dist)
             at = end
     return [Tree(*map(tuple, zip(*tree))) for tree in nodes]
-
-
-def grow_tree(X: np.ndarray, y: np.ndarray, n_classes: int,
-              rng: np.random.Generator) -> Tree:
-    """One CART tree on a bootstrap resample of (X, y); no depth limit,
-    leaf minimum 1, per-split feature subset of size ceil(sqrt(F)).
-
-    A forest of one: the tree draws its bootstrap, then one subset
-    ``rng.permutation(F)[:k]`` per node of two or more classes, in
-    depth-first order (left child first), the order that numbers its nodes.
-    """
-    return _grow(X, y, n_classes, [rng])[0]
 
 
 def grow_forest(X: np.ndarray, y: np.ndarray, n_classes: int,

@@ -462,12 +462,19 @@ def test_design_groups_share_a_decoder_and_keep_baselines_alone():
     ["features", "--problem", "sphere,sphere", "--dim", "4", "--n", "20"],
     ["features", "--problem", "m1", "--instance", "1-3,2", "--dim", "4",
      "--n", "20"],
+    ["features", "--problem", "", "--dim", "4", "--n", "20"],
+    ["features", "--problem", ",,", "--dim", "4", "--n", "20"],
+    ["features", "--problem", "m1", "--instance", "1,5-3", "--dim", "4",
+     "--n", "20"],
+    ["features", "--problem", "m1", "--dim", "4", "--n", "20", "--out", "out"],
 ], ids=["sample-n-below-2d", "features-n-below-2d+2", "walk-step-0",
         "features-jobs-0", "walk-directions-0", "train-trees-0", "cv-trees-0",
         "train-n-below-2d+2", "cv-n-below-2d+2", "embed-perplexity-0",
         "embed-perplexity-neg", "embed-perplexity-nan", "embed-iterations-0",
         "embed-iterations-neg", "features-repeated-problem",
-        "features-repeated-instance"])
+        "features-repeated-instance", "features-no-problem",
+        "features-only-commas", "features-descending-range",
+        "features-out-and-out-dir"])
 def test_usage_errors_exit_2_before_any_output(capsys, tmp_path, argv,
                                                monkeypatch):
     def no_work(*args):
@@ -475,17 +482,31 @@ def test_usage_errors_exit_2_before_any_output(capsys, tmp_path, argv,
 
     for module in (sampling, walks):
         monkeypatch.setattr(module, "evaluate_batch", no_work)
+    monkeypatch.chdir(tmp_path)  # a relative --out lands on out_file
     out_file = tmp_path / "out"
     out_dir = tmp_path / "dir"
     target = ["--out-dir", str(out_dir)] if argv[0] == "features" \
         else ["--out", str(out_file)]
     if argv[0] == "embed":  # exit 2 then shows that nothing was read
         target += ["--features-dir", str(tmp_path / "missing")]
-    code, out, err = _run(capsys, argv + target)
+    try:
+        code, out, err = _run(capsys, argv + target)
+    except SystemExit as exc:  # argparse refused a flag's value
+        code, (out, err) = exc.code, capsys.readouterr()
     assert code == 2
     assert "error" in err
     assert out == ""
     assert not out_file.exists() and not out_dir.exists()
+
+
+@pytest.mark.parametrize("instances,named", [("3-1", "3-1"),
+                                             ("1,5-3", "5-3")])
+def test_a_descending_instance_range_is_named(capsys, instances, named):
+    with pytest.raises(SystemExit) as exc:
+        main(["features", "--problem", "m1", "--instance", instances,
+              "--dim", "4"])
+    assert exc.value.code == 2
+    assert f"range {named} ends below its start" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

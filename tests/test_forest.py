@@ -3,7 +3,7 @@ replaced.
 
 ``grow_forest`` grows its trees in lockstep groups, one node of every tree
 a step, and scores every candidate cut of a step in one segmented Gini
-pass; ``grow_tree`` is a group of one.  ``forest_votes`` descends all rows
+pass; a lone tree is a group of one.  ``forest_votes`` descends all rows
 and trees together.  The references below grow one tree at a time, with a
 per-feature ``argsort`` split at each node, and descend per row and per
 tree.  Trees must come out node for node the same, whatever the group
@@ -20,7 +20,7 @@ from landscape_atlas._seeds import NS_FOREST, rng_for
 from landscape_atlas.ela import FEATURE_NAMES
 from landscape_atlas.properties import PropertyModel, forest, predict
 from landscape_atlas.properties.forest import (
-    Tree, forest_votes, grow_forest, grow_tree)
+    Tree, forest_votes, grow_forest)
 
 # A value pool with heavy ties; -0.0 and 0.0 are equal values.
 POOL = (0.0, -0.0, 1.0, 2.0, 3.0, -0.5)
@@ -145,7 +145,7 @@ def _data(draw, max_rows=24, max_features=7, max_classes=5):
 @given(data=_data(), seed=st.integers(0, 2 ** 32 - 1))
 def test_grow_tree_matches_the_per_feature_reference(data, seed):
     X, y, n_classes = data
-    got = grow_tree(X, y, n_classes, np.random.default_rng(seed))
+    got = forest._grow(X, y, n_classes, [np.random.default_rng(seed)])[0]
     want = _ref_grow_tree(X, y, n_classes, np.random.default_rng(seed))
     assert got == want
 
@@ -179,7 +179,7 @@ def test_a_cut_that_rounds_up_leaves_an_empty_child_as_before():
     X, y = ROUNDS_UP_X, ROUNDS_UP_Y
     empty = 0
     for seed in range(10):
-        got = grow_tree(X, y, 2, np.random.default_rng(seed))
+        got = forest._grow(X, y, 2, [np.random.default_rng(seed)])[0]
         assert got == _ref_grow_tree(X, y, 2, np.random.default_rng(seed))
         empty += got.counts.count((0, 0))
     assert empty > 0
@@ -205,7 +205,7 @@ def test_forest_votes_match_per_row_per_tree_voting(data, n_trees, leaf_counts,
     rng = np.random.default_rng(seed)
     trees = []
     for t in range(n_trees):
-        tree = grow_tree(X, y, n_classes, rng)
+        tree = forest._grow(X, y, n_classes, [rng])[0]
         # overwrite the leaves' counts with small integers, so count ties
         # at the leaves (all-zero included) are common
         counts = tuple(

@@ -111,7 +111,7 @@ def test_model_json_round_trip():
 
 
 # Node 0 splits feature 3 into leaf 1 and node 2; node 2 splits feature 5
-# into leaves 3 and 4: the depth-first numbering grow_tree writes.
+# into leaves 3 and 4: the depth-first numbering _grow writes.
 _TREE = {"feature": [3, -1, 5, -1, -1], "threshold": [0.5, 0, -1.0, 0, 0],
          "left": [1, -1, 3, -1, -1], "right": [2, -1, 4, -1, -1],
          "counts": [[], [4, 0], [], [1, 0], [0, 3]]}
@@ -222,6 +222,18 @@ def test_shipped_labels_cover_the_baseline_suite():
         assert set(props.keys()) >= set(PROPERTY_VOCABULARIES.keys())
         for prop, vocab in PROPERTY_VOCABULARIES.items():
             assert props[prop] in vocab, (fn, prop, props[prop])
+
+
+def test_a_caller_changing_its_label_table_changes_no_other_callers():
+    table = load_labels()
+    assert table["sphere"]["funnel"] == "yes"
+    table["sphere"]["funnel"] = "no"
+    try:
+        assert load_labels()["sphere"]["funnel"] == "yes"
+        rows = build_labelled_rows("funnel", dimension=2, n=20)
+        assert {r.label for r in rows if r.group == "sphere"} == {"yes"}
+    finally:  # a shared table would stay changed for later tests
+        table["sphere"]["funnel"] = "yes"
 
 
 def test_labelled_corpus_rows_carry_function_groups():
