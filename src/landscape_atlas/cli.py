@@ -19,6 +19,7 @@ import os
 import sys
 import tempfile
 from contextlib import nullcontext
+from functools import partial
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -33,8 +34,8 @@ from .mario.sim import (
 )
 from .mario.tiles import render_ascii
 from .problems.core import (
-    ProblemId, ProblemInstance, _decoder_key, decode_instance_level, evaluate,
-    instance_agent, list_problems, resolve,
+    ProblemId, ProblemInstance, _design_groups, decode_instance_level,
+    evaluate, instance_agent, list_problems, resolve,
 )
 from .properties.corpus import build_labelled_rows
 from .properties.models import (
@@ -282,25 +283,22 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _feature_doc(task: tuple[str, int, int, int, int, int]) -> dict:
-    problem, instance_seed, dim, n, sample_seed, feature_seed = task
-    inst = resolve(problem, instance_seed, dim)
-    fv = compute_features(lhs_sample(inst, n, sample_seed), feature_seed)
-    return {
-        "problem": problem,
-        "instance": instance_seed,
-        "n": n,
-        "d": dim,
-        "sample_seed": sample_seed,
-        "feature_seed": feature_seed,
-        "features": fv.values,
-        "degenerate": list(fv.degenerate),
-    }
-
-
-def _feature_docs(tasks: list[tuple[str, int, int, int, int, int]]
-                  ) -> list[dict]:
-    return [_feature_doc(t) for t in tasks]
+def _feature_docs(instances: list[ProblemInstance], n: int, sample_seed: int,
+                  feature_seed: int) -> list[dict]:
+    docs = []
+    for inst in instances:
+        fv = compute_features(lhs_sample(inst, n, sample_seed), feature_seed)
+        docs.append({
+            "problem": inst.id.text,
+            "instance": inst.instance_seed,
+            "n": n,
+            "d": inst.dimension,
+            "sample_seed": sample_seed,
+            "feature_seed": feature_seed,
+            "features": fv.values,
+            "degenerate": list(fv.degenerate),
+        })
+    return docs
 
 
 def _one_blas_thread() -> None:
@@ -317,17 +315,6 @@ def _one_blas_thread() -> None:
             set_threads(1)
 
 
-def _design_groups(instances: list[ProblemInstance]) -> list[list[int]]:
-    """Indices of the instances grouped so that m-problems sharing a decoder
-    (and so, with one n and sample seed, a design) run in one worker and
-    reuse its decoded grids and agent runs; every baseline is a group alone."""
-    groups: dict[object, list[int]] = {}
-    for i, inst in enumerate(instances):
-        key = _decoder_key(inst) if inst.id.suite == "mario" else i
-        groups.setdefault(key, []).append(i)
-    return list(groups.values())
-
-
 def _check_feature_n(args) -> None:
     if args.n < 2 * args.dim + 2:
         raise UsageError(f"--n must be at least 2*dim + 2 = "
@@ -338,7 +325,7 @@ def _cmd_features(args) -> int:
     _check_feature_n(args)
     # a list from the flag; one seed when main filled it
     seeds = args.instance if isinstance(args.instance, list) else [args.instance]
-    tasks, instances = [], []
+    instances = []
     for problem in args.problem:
         for seed in seeds:
             inst = resolve(problem, seed, args.dim)  # validate first
@@ -346,20 +333,20 @@ def _cmd_features(args) -> int:
                 raise UsageError(f"--problem/--instance repeat the pair "
                                  f"{inst.id.text} instance {seed}")
             instances.append(inst)
-            tasks.append((problem, seed, args.dim, args.n, args.sample_seed,
-                          args.feature_seed))
     if args.out and args.out_dir:
         raise UsageError("need at most one of --out / --out-dir")
-    if len(tasks) > 1 and not args.out_dir:
+    if len(instances) > 1 and not args.out_dir:
         raise UsageError("multiple problem/instance combinations need --out-dir")
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
 
-    groups = [[tasks[i] for i in g] for g in _design_groups(instances)]
+    groups = [[instances[i] for i in g] for g in _design_groups(instances)]
+    docs_of = partial(_feature_docs, n=args.n, sample_seed=args.sample_seed,
+                      feature_seed=args.feature_seed)
     parallel = args.jobs > 1 and len(groups) > 1
     with (Pool(min(args.jobs, len(groups)), initializer=_one_blas_thread)
           if parallel else nullcontext()) as pool:
-        for docs in (pool.imap if parallel else map)(_feature_docs, groups):
+        for docs in (pool.imap if parallel else map)(docs_of, groups):
             for doc in docs:
                 text = _json_doc("features", [], doc)
                 if args.out_dir:

@@ -447,7 +447,7 @@ def normalize_features(rows: list[FeatureVector]) -> tuple[np.ndarray, list[str]
     if len(rows) < 2:
         raise TooFewRows("need at least 2 feature vectors")
     M = np.stack([r.as_array() for r in rows])
-    keep = [j for j in range(M.shape[1]) if M[:, j].min() != M[:, j].max()]
+    keep = [j for j in range(M.shape[1]) if not _constant(M[:, j])]
     Z = M[:, keep]
     Z = (Z - Z.mean(axis=0)) / Z.std(axis=0)
     return Z, [FEATURE_NAMES[j] for j in keep]

@@ -151,7 +151,8 @@ def _run_scared(lv: _Level, track: list | None = None) -> SimulationResult:
     column right, so a run that neither falls out nor meets a hazard reaches
     the last column after w - 1 ticks, inside the 4 x w budget."""
     h, w = lv.height, lv.width
-    table, standing_table = _successor_table(h, w)
+    table = _successor_table(h, w)
+    n_states = h * w * 3
     supported, hazard, coin, col_open = lv.supported, lv.hazard, lv.coin, lv.col_open
     cell, p = lv.spawn, 0
     coins = {cell} if coin[cell] else set()
@@ -159,10 +160,14 @@ def _run_scared(lv: _Level, track: list | None = None) -> SimulationResult:
     if track is not None:
         track.append(divmod(cell, w))
     for t_tot in range(1, w):
-        if p == 0 and supported[cell]:
-            edges = standing_table[cell]
-            if edges is None:
-                edges = standing_table[cell] = _successors(h, w, cell * 3, True)
+        state = cell * 3 + p
+        standing = p == 0 and supported[cell]
+        i = n_states + cell if standing else state
+        edges = table[i]
+        if edges is None:
+            edges = table[i] = _successors(h, w, state, standing)
+        move = _STEP_RIGHT
+        if standing:
             r, c = divmod(cell, w)
             end = min(c + 3, w)  # the lookahead: up to two columns ahead
             jump = True in col_open[c + 1:end]
@@ -171,13 +176,8 @@ def _run_scared(lv: _Level, track: list | None = None) -> SimulationResult:
                     if True in hazard[rr * w + c + 1:rr * w + end]:
                         jump = True
                         break
-            move = _JUMP_RIGHT if jump else _STEP_RIGHT
-        else:
-            state = cell * 3 + p
-            edges = table[state]
-            if edges is None:
-                edges = table[state] = _successors(h, w, state, False)
-            move = _STEP_RIGHT
+            if jump:
+                move = _JUMP_RIGHT
         if not edges:
             break  # fell out of the level
         cell, p = divmod(edges[move][0], 3)
@@ -218,20 +218,20 @@ _GOAL = object()
 
 
 @lru_cache(maxsize=8)
-def _successor_table(h: int, w: int) -> tuple[list, list]:
+def _successor_table(h: int, w: int) -> list:
     """The planner's successors on every h x w grid, filled in lazily.
 
-    Entry ``s`` of the first list holds the successors of state s when the
-    agent is not standing; entry ``cell`` of the second, those of the
-    jump-phase-0 state of cell when it is; None until first needed.  Each
-    successor is a tuple ``(s2, k, key)``: the next state; the index into
-    the grid's hazard list that prices the step (the new cell, or the
+    One list of h*w*4 entries: entry ``s`` < h*w*3 holds the successors of
+    state s when the agent is not standing, and entry ``h*w*3 + cell`` those
+    of the jump-phase-0 state of cell when it is; None until first needed.
+    Each successor is a tuple ``(s2, k, key)``: the next state; the index
+    into the grid's hazard list that prices the step (the new cell, or the
     hazard-free last entry when the move stays in its cell); and the heap
     key of s2 at zero cost (see _astar_search).  Successors come in the
     order the moves are tried: stay or fall, then jump, then drop, each
     without and then with a step right.  Only the step prices depend on the
     grid, so one table serves every grid of its shape."""
-    return [None] * (h * w * 3), [None] * (h * w)
+    return [None] * (h * w * 4)
 
 
 # Entries of a successor tuple that step one column right: walking on
@@ -282,30 +282,25 @@ def _astar_search(lv: _Level, start: int, start_cost: int):
     heuristic is consistent, so every within-budget state settles in the
     order, and with the parent, of an unbounded search."""
     h, w = lv.height, lv.width
-    table, standing_table = _successor_table(h, w)
+    table = _successor_table(h, w)
     supported, hazard = lv.supported, lv.hazard
     hit = 1 + HAZARD_PENALTY
     n_states = h * w * 3
     dist = [lv.t_max + 1] * n_states
-    done = [False] * n_states
     parent = [-1] * n_states
     dist[start] = start_cost
     heap = [(start_cost + w - 1) * n_states + start]
     goal_state = -1
     while heap:
+        # No closed set: the first pop settles a state at its final g, so a
+        # stale entry re-expands from that g and relaxes nothing.
         state = heappop(heap) % n_states
-        if done[state]:
-            continue
-        done[state] = True
         cell, p = divmod(state, 3)
-        if p == 0 and supported[cell]:
-            edges = standing_table[cell]
-            if edges is None:
-                edges = standing_table[cell] = _successors(h, w, state, True)
-        else:
-            edges = table[state]
-            if edges is None:
-                edges = table[state] = _successors(h, w, state, False)
+        standing = p == 0 and supported[cell]
+        i = n_states + cell if standing else state
+        edges = table[i]
+        if edges is None:
+            edges = table[i] = _successors(h, w, state, standing)
         if edges is _GOAL:
             goal_state = state
             break

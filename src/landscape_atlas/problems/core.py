@@ -233,6 +233,17 @@ def _decoder_key(instance: ProblemInstance) -> tuple[str, int, int, bool]:
     return variant, instance.instance_seed, instance.dimension, concat
 
 
+def _design_groups(instances: list[ProblemInstance]) -> list[list[int]]:
+    """Indices of the instances grouped so that m-problems sharing a decoder
+    (and so, with one n and sample seed, a design) run in one worker and
+    reuse its decoded grids and agent runs; every baseline is a group alone."""
+    groups: dict[object, list[int]] = {}
+    for i, inst in enumerate(instances):
+        key = _decoder_key(inst) if inst.id.suite == "mario" else i
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
 def _design_record(instance: ProblemInstance, X: np.ndarray, agent: str | None
                    ) -> tuple:
     """The memo record of design X under instance's decoder, with the runs
@@ -294,19 +305,13 @@ def evaluate_batch(instance: ProblemInstance, X: np.ndarray) -> np.ndarray:
 def list_problems() -> list[dict]:
     """Registry listing for the CLI."""
     rows = []
-    for index in range(1, 29):
-        inst = ProblemInstance(ProblemId("mario", index), 1, 10)
+    for name in [f"m{i}" for i in range(1, 29)] + list(_BASELINE_ORDER):
+        inst = resolve(name, 1, 10)
+        box = inst.domain
         rows.append({
-            "problem": f"m{index}", "suite": "mario",
+            "problem": name, "suite": inst.id.suite,
             "description": inst.description,
-            "box": "[-1,1]", "seeds": f"1..{MARIO_SEEDS}",
-        })
-    for name in _BASELINE_ORDER:
-        lo, hi = baseline_box(name)
-        inst = ProblemInstance(ProblemId.parse(name), 1, 10)
-        rows.append({
-            "problem": name, "suite": "baseline",
-            "description": inst.description,
-            "box": f"[{lo:g},{hi:g}]", "seeds": "1..",
+            "box": f"[{box.lower[0]:g},{box.upper[0]:g}]",
+            "seeds": f"1..{MARIO_SEEDS}" if inst.id.suite == "mario" else "1..",
         })
     return rows

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ela.features import _squared_distances
+from .ela.features import _constant, _squared_distances
 from .errors import DegenerateInput, PerplexityTooLarge, TraceDisabled
 
 DEFAULT_PERPLEXITY = 30.0
@@ -168,7 +168,7 @@ def tsne_embed(matrix: np.ndarray,
     if not perplexity < (n - 1) / 3.0:
         raise PerplexityTooLarge(
             f"perplexity {perplexity} must be < (rows - 1)/3 = {(n - 1) / 3:.2f}")
-    if np.all(X == X[0]):
+    if _constant(X):
         raise DegenerateInput("all feature rows are identical")
     if ids is None:
         ids = [("", str(i), 0) for i in range(n)]

@@ -77,6 +77,9 @@ def _walks(instance: ProblemInstance, specs: list[WalkSpec]) -> list[WalkTrace]:
         # to the exact test.
         move = spec.step * direction
         moving = np.abs(move) > 1e-12 * scale
+        if not moving.any():
+            raise ValueError(f"step {spec.step:g} moves no coordinate by "
+                             f"more than 1e-12 of the box's scale")
         a = (box.lower - anchor)[moving] / move[moving]
         b = (box.upper - anchor)[moving] / move[moving]
         k = np.arange(math.floor(np.minimum(a, b).max()) - 1,

@@ -1,4 +1,5 @@
 import ctypes
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -7,9 +8,10 @@ import numpy as np
 import pytest
 
 from landscape_atlas import cli, walks
-from landscape_atlas.cli import _design_groups, main
+from landscape_atlas.cli import main
 from landscape_atlas.ela import sampling
 from landscape_atlas.problems import resolve
+from landscape_atlas.problems.core import _design_groups
 from landscape_atlas.properties import PropertyModel, predict
 
 
@@ -26,6 +28,18 @@ def _strip_env_line(text):
 @pytest.fixture(autouse=True)
 def _no_ambient_seed(monkeypatch):
     monkeypatch.delenv("LANDSCAPE_ATLAS_SEED", raising=False)
+
+
+def test_list_matches_its_digests_on_every_stack(tmp_path):
+    # The listing reads no BLAS and no random stream, so unlike the pins of
+    # test_golden.py these hold on any numpy and OpenBLAS.
+    pinned = json.loads((Path(__file__).parent / "golden.json").read_text())
+    got = {}
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"list.{fmt}"
+        assert main(["list", "--format", fmt, "--out", str(out)]) == 0
+        got[f"list {fmt}"] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == pinned["listing"]
 
 
 def test_list_names_all_44_problems(capsys):
@@ -143,6 +157,16 @@ def test_walk_reruns_byte_identical(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_a_walk_step_that_moves_no_coordinate_exits_1_and_names_it(
+        capsys, tmp_path):
+    out_file = tmp_path / "walk.csv"
+    code, out, err = _run(capsys, ["walk", "--problem", "sphere", "--dim", "2",
+                                   "--step", "1e-300", "--out", str(out_file)])
+    assert code == 1
+    assert "ValueError: step 1e-300 moves no coordinate" in err
+    assert out == "" and not out_file.exists()
+
+
 def test_sample_writes_n_rows(capsys, tmp_path):
     out_file = tmp_path / "s.csv"
     code, _, _ = _run(capsys, ["sample", "--problem", "rastrigin", "--dim", "2",
@@ -215,6 +239,17 @@ def test_features_out_dir_and_jobs(capsys, tmp_path):
     assert code == 0
     for name in names:
         assert (out_dir / name).read_bytes() == (serial_dir / name).read_bytes()
+
+
+def test_features_name_a_problem_by_its_registry_id(capsys, tmp_path):
+    # m01 is parsed as m1, and the file and row say so, as for m1 itself
+    dirs = [tmp_path / "a", tmp_path / "b"]
+    for problem, out_dir in zip(("m01", "m1"), dirs):
+        assert _run(capsys, ["features", "--problem", problem, "--dim", "4",
+                             "--n", "20", "--out-dir", str(out_dir)])[0] == 0
+    assert [p.name for p in dirs[0].iterdir()] == ["m1-i1.json"]
+    assert (dirs[0] / "m1-i1.json").read_bytes() == \
+        (dirs[1] / "m1-i1.json").read_bytes()
 
 
 def test_environment_seed_fills_unset_seeds(capsys, tmp_path, monkeypatch):

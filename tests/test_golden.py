@@ -25,7 +25,9 @@ survey rows (m1..m28 x 7 instances, d=10, n=500) from 200-tree models
 trained on the 80 labelled baseline rows.
 Byte identity is promised only on the numeric stack the pins were taken
 with, so on another numpy version or OpenBLAS core the tests skip and say
-which part of the stack differs.
+which part of the stack differs.  The ``listing`` pins, of ``list`` in both
+formats, read neither BLAS nor a random stream; ``test_cli.py`` checks
+them on every stack.
 """
 import ctypes
 import dataclasses

@@ -11,7 +11,7 @@ from landscape_atlas.mario.sim import (
     ASTAR, HAZARD_PENALTY, SCARED, SimulationResult, air_time,
     basic_fitness, simulate, time_taken,
 )
-from landscape_atlas.mario.tiles import TileGrid
+from landscape_atlas.mario.tiles import TileGrid, parse_ascii
 from landscape_atlas.problems import core
 
 
@@ -242,7 +242,9 @@ def _edges(lv, r: int, c: int, p: int):
 
 
 def _reference_astar_search(lv, start: int, start_cost: int,
-                            early_exit: bool):
+                            early_exit: bool, stale: list | None = None):
+    """The reference search; stale, if given, collects the states of the
+    heap entries that it pops after the state was settled."""
     w = lv.width
     n_states = lv.height * w * 3
     dist = [_INF] * n_states
@@ -255,6 +257,8 @@ def _reference_astar_search(lv, start: int, start_cost: int,
     while heap:
         f, state = heappop(heap)
         if done[state]:
+            if stale is not None:
+                stale.append(state)
             continue
         done[state] = True
         cell, p = divmod(state, 3)
@@ -359,6 +363,31 @@ def test_over_budget_and_no_goal_levels_take_one_search_and_match_reference():
         runs = _runs(grid, ASTAR)
         assert not runs[0].won
         assert runs == _reference_runs(grid)
+
+
+# Grids of air, ground and enemies on which the reference search pops an
+# entry of a state it has already settled (two won, two lost).  The planner
+# keeps no closed set: such an entry re-expands its state from the settled g
+# and relaxes nothing, so every run and track still matches.
+_STALE_ENTRY_GRIDS = (
+    ("E-X--", "-EXEE", "EXXEX", "-XEEE", "XE--E", "XXEX-"),
+    ("-XX--EE---", "--E--EXX-E", "X--EXXEE-E", "XEXEEEEEX-"),
+    ("XXE-E-", "---XX-", "EXXE-E", "XXXX-E", "XX--EE"),
+    ("XEE-EE-E", "E-X-E-EE", "EE-XE-X-", "X-XXXXEE"),
+)
+
+
+@pytest.mark.parametrize("rows", _STALE_ENTRY_GRIDS)
+def test_planner_matches_the_reference_search_where_it_pops_stale_entries(
+        rows):
+    grid = parse_ascii("\n".join(rows))
+    lv = sim._Level(grid)
+    start_cost = HAZARD_PENALTY if lv.hazard[lv.spawn] else 0
+    stale = []
+    _reference_astar_search(lv, lv.spawn * 3, start_cost, early_exit=True,
+                            stale=stale)
+    assert stale
+    assert _runs(grid, ASTAR) == _reference_runs(grid)
 
 
 def test_planner_matches_the_reference_search_on_decoded_levels():

@@ -63,6 +63,14 @@ def test_non_finite_step_anchor_or_direction_rejected(bad):
         WalkSpec(np.zeros(2), np.full(2, 1e308), 0.5)  # the norm overflows
 
 
+def test_a_step_that_moves_no_coordinate_is_refused_by_name():
+    # 1e-300 moves no coordinate of [-5, 5] by more than 1e-12 of its scale
+    inst = resolve("sphere", 1, 2)
+    spec = WalkSpec(np.zeros(2), np.array([1.0, 0.0]), 1e-300)
+    with pytest.raises(ValueError, match="step 1e-300 moves no coordinate"):
+        diagonal_walk(inst, spec)
+
+
 def test_anchor_outside_box_rejected():
     inst = _unit_box_instance()
     with pytest.raises(AnchorOutOfBounds):
