@@ -206,7 +206,7 @@ def _instance(args) -> tuple[ProblemInstance, list[tuple[str, object]]]:
     if point is not None and point.shape != (args.dim,):
         raise UsageError(f"--point needs exactly {args.dim} comma-separated "
                          f"reals, got {point.size}")
-    return inst, [("problem", args.problem), ("instance", args.instance),
+    return inst, [("problem", inst.id.text), ("instance", args.instance),
                   ("dim", args.dim)]
 
 
@@ -340,7 +340,7 @@ def _cmd_features(args) -> int:
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
 
-    groups = [[instances[i] for i in g] for g in _design_groups(instances)]
+    groups = _design_groups(instances)
     docs_of = partial(_feature_docs, n=args.n, sample_seed=args.sample_seed,
                       feature_seed=args.feature_seed)
     parallel = args.jobs > 1 and len(groups) > 1

@@ -233,14 +233,15 @@ def _decoder_key(instance: ProblemInstance) -> tuple[str, int, int, bool]:
     return variant, instance.instance_seed, instance.dimension, concat
 
 
-def _design_groups(instances: list[ProblemInstance]) -> list[list[int]]:
-    """Indices of the instances grouped so that m-problems sharing a decoder
-    (and so, with one n and sample seed, a design) run in one worker and
-    reuse its decoded grids and agent runs; every baseline is a group alone."""
-    groups: dict[object, list[int]] = {}
+def _design_groups(instances: list[ProblemInstance]
+                   ) -> list[list[ProblemInstance]]:
+    """The instances grouped so that m-problems sharing a decoder (and so,
+    with one n and sample seed, a design) run in one worker and reuse its
+    decoded grids and agent runs; every baseline is a group alone."""
+    groups: dict[object, list[ProblemInstance]] = {}
     for i, inst in enumerate(instances):
         key = _decoder_key(inst) if inst.id.suite == "mario" else i
-        groups.setdefault(key, []).append(i)
+        groups.setdefault(key, []).append(inst)
     return list(groups.values())
 
 

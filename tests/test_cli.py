@@ -241,8 +241,8 @@ def test_features_out_dir_and_jobs(capsys, tmp_path):
         assert (out_dir / name).read_bytes() == (serial_dir / name).read_bytes()
 
 
-def test_features_name_a_problem_by_its_registry_id(capsys, tmp_path):
-    # m01 is parsed as m1, and the file and row say so, as for m1 itself
+def test_outputs_name_a_problem_by_its_registry_id(capsys, tmp_path):
+    # m01 is parsed as m1, and every output says so, as for m1 itself
     dirs = [tmp_path / "a", tmp_path / "b"]
     for problem, out_dir in zip(("m01", "m1"), dirs):
         assert _run(capsys, ["features", "--problem", problem, "--dim", "4",
@@ -250,6 +250,10 @@ def test_features_name_a_problem_by_its_registry_id(capsys, tmp_path):
     assert [p.name for p in dirs[0].iterdir()] == ["m1-i1.json"]
     assert (dirs[0] / "m1-i1.json").read_bytes() == \
         (dirs[1] / "m1-i1.json").read_bytes()
+    samples = [_run(capsys, ["sample", "--problem", problem, "--dim", "2",
+                             "--n", "4"]) for problem in ("m01", "m1")]
+    assert samples[0] == samples[1]
+    assert "# problem: m1\n" in samples[0][1]
 
 
 def test_environment_seed_fills_unset_seeds(capsys, tmp_path, monkeypatch):
@@ -475,8 +479,10 @@ def test_features_jobs_workers_run_one_blas_thread(monkeypatch, tmp_path):
 def test_design_groups_share_a_decoder_and_keep_baselines_alone():
     order = [("m1", 1), ("m11", 1), ("sphere", 1), ("m13", 1), ("m1", 2),
              ("m15", 1), ("sphere", 2), ("m3", 1)]
-    groups = _design_groups([resolve(p, k, 4) for p, k in order])
-    assert groups == [[0, 1, 5, 7], [2], [3], [4], [6]]
+    instances = [resolve(p, k, 4) for p, k in order]
+    groups = _design_groups(instances)
+    assert groups == [[instances[i] for i in g]
+                      for g in ([0, 1, 5, 7], [2], [3], [4], [6])]
 
 
 @pytest.mark.parametrize("argv", [
