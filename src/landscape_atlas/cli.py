@@ -1,8 +1,9 @@
 """Command-line front door.
 
-``main`` rejects count flags below 1 and resolves every unset seed flag
-(flag > LANDSCAPE_ATLAS_SEED environment variable > built-in default) once,
-before any subcommand runs.  Every subcommand records the full seed set in
+``main`` rejects count flags below 1, checks that every seed is an integer
+in [0, 2^63) and resolves every unset seed flag (flag >
+LANDSCAPE_ATLAS_SEED environment variable > built-in default) once, before
+any subcommand runs.  Every subcommand records the full seed set in
 the output metadata and writes files atomically, so identical invocations
 produce byte-identical files.
 
@@ -37,10 +38,10 @@ from .problems.core import (
     ProblemId, ProblemInstance, _design_groups, decode_instance_level,
     evaluate, instance_agent, list_problems, resolve,
 )
-from .properties.corpus import build_labelled_rows
+from .properties.corpus import CORPUS_INSTANCE_SEEDS, load_labels
 from .properties.models import (
-    DEFAULT_TREES, PROPERTY_NAMES, PropertyModel, _feature_array, _vote,
-    lofo_cv, train,
+    DEFAULT_TREES, PROPERTY_NAMES, LabelledRow, PropertyModel, _feature_array,
+    _vote, lofo_cv, train,
 )
 from .similarity import DEFAULT_ITERATIONS, DEFAULT_PERPLEXITY, kl_trace, tsne_embed
 from .walks import walk_bundle
@@ -48,7 +49,7 @@ from .walks import walk_bundle
 _TOOL = f"landscape-atlas {__version__}"
 
 _SEED_ENV = "LANDSCAPE_ATLAS_SEED"
-_COUNT_FLAGS = ("directions", "jobs", "trees", "iterations")
+_COUNT_FLAGS = ("dim", "directions", "jobs", "trees", "iterations")
 _DEFAULT_SEEDS = {
     "instance": 1,
     "anchor_seed": 1,
@@ -101,18 +102,34 @@ def _env_record() -> str:
     return os.environ.get(_SEED_ENV, "unset")
 
 
-def _resolve_seeds(args) -> None:
-    """Fill every unset seed flag the subcommand takes, in place, from the
-    environment override or else the default; the override is parsed only
-    when some seed is unset."""
-    unset = [name for name in _DEFAULT_SEEDS if getattr(args, name, 0) is None]
-    raw = os.environ.get(_SEED_ENV) if unset else None
+def _seed(value, name: str) -> int:
+    """value as a seed: an integer in [0, 2^63), or a usage error naming
+    the flag or variable it came from."""
     try:
-        env = None if raw is None else int(raw)
-    except ValueError as exc:
-        raise UsageError(f"{_SEED_ENV} must be an integer, got {raw!r}") from exc
-    for name in unset:
-        setattr(args, name, _DEFAULT_SEEDS[name] if env is None else env)
+        seed = int(value)
+    except ValueError:
+        seed = -1
+    if not 0 <= seed < 2 ** 63:
+        raise UsageError(f"{name} must be an integer in [0, 2^63), "
+                         f"got {value!r}")
+    return seed
+
+
+def _resolve_seeds(args) -> None:
+    """Check every seed flag the subcommand takes (each value of a list)
+    and fill each unset one, in place, from the environment override or
+    else the default; the override is read only when some seed is unset."""
+    names = [name for name in _DEFAULT_SEEDS if hasattr(args, name)]
+    unset = [name for name in names if getattr(args, name) is None]
+    raw = os.environ.get(_SEED_ENV) if unset else None
+    env = None if raw is None else _seed(raw, _SEED_ENV)
+    for name in names:
+        value = getattr(args, name)
+        if value is None:
+            setattr(args, name, _DEFAULT_SEEDS[name] if env is None else env)
+        else:
+            for seed in value if isinstance(value, list) else [value]:
+                _seed(seed, "--" + name.replace("_", "-"))
 
 
 def _meta_block(command: str, pairs: list[tuple[str, object]]) -> str:
@@ -169,9 +186,16 @@ def _int_list_type(text: str) -> list[int]:
 
 
 def _problem_list_type(text: str) -> list[str]:
-    if text.strip() == "mario":
-        return [f"m{i}" for i in range(1, 29)]
-    problems = [tok.strip() for tok in text.split(",") if tok.strip()]
+    """Comma list of problem ids, in which 'mario' stands for m1..m28 and
+    'baselines' for the 16 baselines."""
+    suites = {"mario": "mario", "baselines": "baseline"}
+    problems = []
+    for tok in (tok.strip() for tok in text.split(",")):
+        if tok in suites:
+            problems += [row["problem"] for row in list_problems()
+                         if row["suite"] == suites[tok]]
+        elif tok:
+            problems.append(tok)
     if not problems:
         raise argparse.ArgumentTypeError("names no problem")
     return problems
@@ -315,14 +339,10 @@ def _one_blas_thread() -> None:
             set_threads(1)
 
 
-def _check_feature_n(args) -> None:
+def _cmd_features(args) -> int:
     if args.n < 2 * args.dim + 2:
         raise UsageError(f"--n must be at least 2*dim + 2 = "
                          f"{2 * args.dim + 2}, got {args.n}")
-
-
-def _cmd_features(args) -> int:
-    _check_feature_n(args)
     # a list from the flag; one seed when main filled it
     seeds = args.instance if isinstance(args.instance, list) else [args.instance]
     instances = []
@@ -357,18 +377,30 @@ def _cmd_features(args) -> int:
     return 0
 
 
-def _corpus(args) -> tuple[list, list[tuple[str, object]]]:
-    """The labelled rows that train and cv fit, after their flag checks,
-    and the corpus set-up as metadata pairs."""
+def _corpus(args) -> tuple[list[LabelledRow], list[tuple[str, object]]]:
+    """The labelled rows that train and cv fit, and the corpus set-up as
+    metadata pairs.  A row is a feature file of --features-dir whose problem
+    is a labelled baseline at a corpus instance seed, labelled for
+    --property and grouped by function; other files are skipped.  The
+    corpus files must share one set-up (d, n, sample and feature seed)."""
     if args.property not in PROPERTY_NAMES:
         raise UsageError(f"--property must be one of {', '.join(PROPERTY_NAMES)}")
-    _check_feature_n(args)
-    rows = build_labelled_rows(args.property, dimension=args.dim, n=args.n,
-                               sample_seed=args.sample_seed,
-                               feature_seed=args.feature_seed)
-    return rows, [("dim", args.dim), ("n", args.n),
-                  ("sample_seed", args.sample_seed),
-                  ("feature_seed", args.feature_seed)]
+    labels = load_labels()
+    rows, setups = [], set()
+    for path in _feature_paths(args.features_dir):
+        fv, (_, problem, instance), doc = _load_feature_doc(path)
+        if problem not in labels or instance not in CORPUS_INSTANCE_SEEDS:
+            continue
+        setups.add((("dim", doc["d"]), ("n", doc["n"]),
+                    ("sample_seed", doc["sample_seed"]),
+                    ("feature_seed", doc["feature_seed"])))
+        rows.append(LabelledRow(fv, labels[problem][args.property], problem))
+    if len(setups) != 1:
+        raise LandscapeError(
+            f"{args.features_dir} needs labelled baseline feature files at "
+            f"instance seeds {CORPUS_INSTANCE_SEEDS} of one set-up; found "
+            f"{[dict(setup) for setup in sorted(setups)]}")
+    return rows, list(setups.pop())
 
 
 def _cmd_train(args) -> int:
@@ -383,13 +415,16 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _load_feature_doc(path: str) -> tuple[FeatureVector, tuple[str, str, int]]:
+def _load_feature_doc(path: str
+                      ) -> tuple[FeatureVector, tuple[str, str, int], dict]:
+    """A features file's vector, (suite, problem, instance) and document."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     values = {name: float(doc["features"][name]) for name in FEATURE_NAMES}
     fv = FeatureVector(values=values, degenerate=tuple(doc.get("degenerate", ())))
     problem = str(doc["problem"])
-    return fv, (ProblemId.parse(problem).suite, problem, int(doc["instance"]))
+    ident = (ProblemId.parse(problem).suite, problem, int(doc["instance"]))
+    return fv, ident, doc
 
 
 def _feature_paths(directory: str) -> list[str]:
@@ -410,7 +445,7 @@ def _cmd_classify(args) -> int:
     paths = [args.features] if args.features else _feature_paths(args.features_dir)
     X, rows = [], []
     for path in paths:
-        fv, (_, problem, instance) = _load_feature_doc(path)
+        fv, (_, problem, instance), _ = _load_feature_doc(path)
         for key, feature in (("dim", "basic.dim"), ("n", "basic.n_obs")):
             if key in trained and fv.values[feature] != trained[key]:
                 raise ManifestMismatch(
@@ -457,8 +492,8 @@ def _cmd_embed(args) -> int:
             f"--perplexity must be a real >= 1, got {args.perplexity}")
     paths = _feature_paths(args.features_dir)
     loaded = [_load_feature_doc(p) for p in paths]
-    fvs = [fv for fv, _ in loaded]
-    ids = [ident for _, ident in loaded]
+    fvs = [fv for fv, _, _ in loaded]
+    ids = [ident for _, ident, _ in loaded]
     matrix, kept = normalize_features(fvs)
     emb = tsne_embed(matrix, ids=ids, perplexity=args.perplexity,
                      embed_seed=args.embed_seed, iterations=args.iterations,
@@ -497,10 +532,10 @@ def _add_common(p, *, point=False, n=False):
 
 
 def _add_corpus_flags(p):
-    p.add_argument("--dim", type=int, default=10)
-    p.add_argument("--n", type=int, default=None, help="default 50*d")
-    p.add_argument("--sample-seed", type=int, default=None)
-    p.add_argument("--feature-seed", type=int, default=None)
+    p.add_argument("--property", required=True)
+    p.add_argument("--features-dir", required=True,
+                   help="directory of feature JSON files; the labelled "
+                        "baselines at instances 1-5 are the corpus")
     p.add_argument("--train-seed", type=int, default=None)
     p.add_argument("--trees", type=int, default=DEFAULT_TREES)
 
@@ -545,7 +580,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("features", help="landscape feature vectors")
     p.add_argument("--problem", type=_problem_list_type, required=True,
-                   help="id, comma list, or 'mario' for m1..m28")
+                   help="id or comma list; 'mario' stands for m1..m28 and "
+                        "'baselines' for the 16 baselines")
     p.add_argument("--instance", type=_int_list_type, default=None,
                    help="seed, comma list, or range like 1-7")
     p.add_argument("--dim", type=int, required=True)
@@ -561,7 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_features)
 
     p = sub.add_parser("train", help="fit a property classifier")
-    p.add_argument("--property", required=True)
     _add_corpus_flags(p)
     p.add_argument("--out", required=True, help="model JSON path")
     p.set_defaults(fn=_cmd_train)
@@ -575,7 +610,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("cv", help="leave-one-function-out cross-validation")
-    p.add_argument("--property", required=True)
     _add_corpus_flags(p)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)

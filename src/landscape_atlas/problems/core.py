@@ -84,7 +84,7 @@ class ProblemId:
     @classmethod
     def parse(cls, text: str) -> "ProblemId":
         text = text.strip()
-        if text.startswith("m") and text[1:].isdigit():
+        if text.startswith("m") and text[1:].isascii() and text[1:].isdigit():
             return cls("mario", int(text[1:]))
         if text in _BASELINE_INDEX:
             return cls("baseline", _BASELINE_INDEX[text])

@@ -125,9 +125,11 @@ def _grow(X: np.ndarray, y: np.ndarray, n_classes: int,
 
     A pending node holds its bootstrap positions.  A step sorts each
     popped node's values of its k candidate features with one integer
-    argsort on (node, candidate, dense rank, bootstrap position), scores
-    every cut in one segmented Gini pass and keeps each node's lowest
-    score, ties to the earliest candidate and then the lowest cut.  The
+    argsort on (node, candidate, dense rank), scores every cut in one
+    segmented Gini pass and keeps each node's lowest score, ties to the
+    earliest candidate and then the lowest cut.  The order within a run of
+    equal values changes nothing: no cut falls inside the run, and a cut's
+    class counts take in every row before it.  The
     node splits at the midpoint of the values beside that cut; rows with
     ``x[f] <= threshold`` go left.  A child holding at most one class is
     a leaf at once; the others wait on their tree's stack."""
@@ -161,8 +163,8 @@ def _grow(X: np.ndarray, y: np.ndarray, n_classes: int,
         subs = np.array([rngs[t].permutation(F)[:k] for t in active])
         node_of = np.repeat(np.arange(len(active)), m)
         cells = rows[smp] * F + subs[node_of].T  # (k, M) flat indices of X
-        order = np.argsort(((node_of * k + np.arange(k)[:, None]) * n_ranks
-                             + ranks[cells]) * n + smp % n, axis=None)
+        order = np.argsort((node_of * k + np.arange(k)[:, None]) * n_ranks
+                           + ranks[cells], axis=None)
         cells = cells.ravel()[order]
         v = values[cells]
         g = _gini(ys[smp[order % len(smp)]], np.repeat(m, k), C)

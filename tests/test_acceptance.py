@@ -492,13 +492,12 @@ def test_criterion_11_cli_determinism(tmp_path, monkeypatch, capsys):
          "--sample-seed", "9"],
         ["features", "--problem", "m1", "--instance", "4", "--dim", "6",
          "--n", "60", "--sample-seed", "2", "--feature-seed", "1"],
-        ["features", "--problem", "sphere,rastrigin,ackley,griewank",
-         "--instance", "1-2", "--dim", "2", "--n", "20",
-         "--out-dir", str(feature_dir)],
-        ["train", "--property", "funnel", "--dim", "2", "--n", "20",
+        ["features", "--problem", "m7,baselines", "--instance", "1-5",
+         "--dim", "2", "--n", "20", "--out-dir", str(feature_dir)],
+        ["train", "--property", "funnel", "--features-dir", str(feature_dir),
          "--trees", "15", "--out", str(model_path)],
-        ["cv", "--property", "global_structure", "--dim", "2", "--n", "20",
-         "--trees", "9"],
+        ["cv", "--property", "global_structure",
+         "--features-dir", str(feature_dir), "--trees", "9"],
         ["classify", "--model", str(model_path),
          "--features-dir", str(feature_dir)],
         ["embed", "--features-dir", str(feature_dir), "--perplexity", "2",

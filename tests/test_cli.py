@@ -10,9 +10,11 @@ import pytest
 from landscape_atlas import cli, walks
 from landscape_atlas.cli import main
 from landscape_atlas.ela import sampling
-from landscape_atlas.problems import resolve
+from landscape_atlas.problems import list_problems, resolve
 from landscape_atlas.problems.core import _design_groups
-from landscape_atlas.properties import PropertyModel, predict
+from landscape_atlas.properties import (
+    PropertyModel, build_labelled_rows, predict, train,
+)
 
 
 def _run(capsys, argv):
@@ -280,6 +282,17 @@ def test_flags_beat_the_environment_seed(capsys, tmp_path, monkeypatch):
     assert "# anchor_seed: 3" in text
 
 
+@pytest.fixture(scope="module")
+def corpus_dir(tmp_path_factory):
+    """The 80 corpus files (the 16 baselines at instances 1-5) at d=2,
+    n=20, sample seed 1 and feature seed 0."""
+    out_dir = tmp_path_factory.mktemp("corpus")
+    assert main(["features", "--problem", "baselines", "--instance", "1-5",
+                 "--dim", "2", "--n", "20", "--sample-seed", "1",
+                 "--feature-seed", "0", "--out-dir", str(out_dir)]) == 0
+    return out_dir
+
+
 def _make_feature_dir(tmp_path, capsys):
     out_dir = tmp_path / "corpus"
     code, _, _ = _run(capsys, [
@@ -290,11 +303,11 @@ def _make_feature_dir(tmp_path, capsys):
     return out_dir
 
 
-def test_train_classify_round_trip(capsys, tmp_path):
+def test_train_classify_round_trip(capsys, tmp_path, corpus_dir):
     model_path = tmp_path / "model.json"
     code, out, _ = _run(capsys, ["train", "--property", "funnel",
-                                 "--dim", "2", "--n", "20", "--trees", "9",
-                                 "--out", str(model_path)])
+                                 "--features-dir", str(corpus_dir),
+                                 "--trees", "9", "--out", str(model_path)])
     assert code == 0
     assert "training accuracy" in out
     doc = json.loads(model_path.read_text())
@@ -314,10 +327,11 @@ def test_train_classify_round_trip(capsys, tmp_path):
     assert labels <= {"yes", "no"}
 
 
-def test_classify_features_dir_equals_per_file_predict(capsys, tmp_path):
+def test_classify_features_dir_equals_per_file_predict(capsys, tmp_path,
+                                                     corpus_dir):
     model_path = tmp_path / "model.json"
-    assert _run(capsys, ["train", "--property", "funnel", "--dim", "2",
-                         "--n", "20", "--trees", "25",
+    assert _run(capsys, ["train", "--property", "funnel",
+                         "--features-dir", str(corpus_dir), "--trees", "25",
                          "--out", str(model_path)])[0] == 0
     feature_dir = _make_feature_dir(tmp_path, capsys)
     code, out, _ = _run(capsys, ["classify", "--model", str(model_path),
@@ -335,10 +349,11 @@ def test_classify_features_dir_equals_per_file_predict(capsys, tmp_path):
     assert len({line.split(",")[4] for line in expected}) > 1
 
 
-def test_classify_refuses_features_of_another_set_up(capsys, tmp_path):
+def test_classify_refuses_features_of_another_set_up(capsys, tmp_path,
+                                                    corpus_dir):
     model_path = tmp_path / "model.json"
-    assert _run(capsys, ["train", "--property", "funnel", "--dim", "2",
-                         "--n", "20", "--trees", "3",
+    assert _run(capsys, ["train", "--property", "funnel",
+                         "--features-dir", str(corpus_dir), "--trees", "3",
                          "--out", str(model_path)])[0] == 0
     bare_path = tmp_path / "bare.json"
     doc = json.loads(model_path.read_text())
@@ -367,19 +382,101 @@ def test_classify_needs_exactly_one_source(capsys, tmp_path):
 
 def test_train_rejects_unknown_property(capsys, tmp_path):
     code, _, err = _run(capsys, ["train", "--property", "sparkliness",
+                                 "--features-dir", str(tmp_path / "missing"),
                                  "--out", str(tmp_path / "m.json")])
     assert code == 2
     assert "sparkliness" not in err or "--property" in err
 
 
-def test_cv_emits_one_fold_per_function(capsys):
-    code, out, _ = _run(capsys, ["cv", "--property", "funnel", "--dim", "2",
-                                 "--n", "20", "--trees", "9"])
+def test_cv_emits_one_fold_per_function(capsys, corpus_dir):
+    code, out, _ = _run(capsys, ["cv", "--property", "funnel",
+                                 "--features-dir", str(corpus_dir),
+                                 "--trees", "9"])
     assert code == 0
     lines = [l for l in out.splitlines() if l and not l.startswith("#")]
     assert lines[0] == "group,n_test,accuracy"
     assert len(lines) == 1 + 16
     assert "# mean_accuracy: " in out
+
+
+def _train_and_cv(capsys, tmp_path, features_dir) -> tuple[bytes, bytes]:
+    """The bytes of a train model and a cv table fitted on features_dir."""
+    model, table = tmp_path / "model.json", tmp_path / "cv.csv"
+    assert main(["train", "--property", "multimodality", "--trees", "5",
+                 "--features-dir", str(features_dir),
+                 "--out", str(model)]) == 0
+    assert main(["cv", "--property", "multimodality", "--trees", "5",
+                 "--features-dir", str(features_dir),
+                 "--out", str(table)]) == 0
+    capsys.readouterr()
+    return model.read_bytes(), table.read_bytes()
+
+
+def test_train_and_cv_fit_only_the_corpus_files_of_a_mixed_directory(
+        capsys, tmp_path, corpus_dir):
+    mixed = tmp_path / "mixed"
+    assert main(["features", "--problem", "m7,baselines", "--instance", "1-6",
+                 "--dim", "2", "--n", "20", "--sample-seed", "1",
+                 "--feature-seed", "0", "--out-dir", str(mixed)]) == 0
+    assert len(os.listdir(mixed)) == 6 + 16 * 6
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    assert _train_and_cv(capsys, tmp_path / "a", mixed) == \
+        _train_and_cv(capsys, tmp_path / "b", corpus_dir)
+    # the set-up comes from the files, and the rows are the library's corpus
+    doc = json.loads((tmp_path / "a" / "model.json").read_text())
+    assert {k: doc["metadata"][k] for k in ("dim", "n", "sample_seed",
+                                            "feature_seed")} == \
+        {"dim": 2, "n": 20, "sample_seed": 1, "feature_seed": 0}
+    rows = build_labelled_rows("multimodality", dimension=2, n=20)
+    assert PropertyModel.from_json(json.dumps(doc)).trees == \
+        train(rows, "multimodality", 0, n_trees=5).trees
+    assert "# n: 20\n" in (tmp_path / "a" / "cv.csv").read_text()
+
+
+@pytest.mark.parametrize("flag,value", [("--n", "24"),
+                                        ("--sample-seed", "2")])
+def test_corpus_files_of_two_set_ups_exit_1_naming_the_directory(
+        capsys, tmp_path, corpus_dir, flag, value):
+    features_dir = tmp_path / "corpus"
+    features_dir.mkdir()
+    for path in corpus_dir.iterdir():
+        (features_dir / path.name).write_bytes(path.read_bytes())
+    # sphere instance 1 again, at another n or sample seed
+    set_up = {"--n": "20", "--sample-seed": "1", flag: value}
+    assert main(["features", "--problem", "sphere", "--dim", "2",
+                 "--out", str(features_dir / "sphere-i1.json")]
+                + [tok for pair in set_up.items() for tok in pair]) == 0
+    for command in ("train", "cv"):
+        out_file = tmp_path / f"{command}.out"
+        code, out, err = _run(capsys, [command, "--property", "funnel",
+                                       "--features-dir", str(features_dir),
+                                       "--out", str(out_file)])
+        assert (code, out) == (1, "")
+        assert str(features_dir) in err and "one set-up" in err
+        assert not out_file.exists()
+
+
+def test_a_directory_without_corpus_files_exits_1_naming_it(capsys, tmp_path):
+    # mario files and baseline seeds beyond 5 are not corpus files
+    features_dir = tmp_path / "survey"
+    assert main(["features", "--problem", "m7,sphere", "--instance", "6-7",
+                 "--dim", "2", "--n", "20", "--out-dir", str(features_dir)]) == 0
+    for command in ("train", "cv"):
+        code, out, err = _run(capsys, [command, "--property", "funnel",
+                                       "--features-dir", str(features_dir),
+                                       "--out", str(tmp_path / "out")])
+        assert (code, out) == (1, "")
+        assert str(features_dir) in err
+        assert not (tmp_path / "out").exists()
+
+
+def test_the_mario_and_baselines_aliases_expand_in_a_comma_list():
+    names = [row["problem"] for row in list_problems()]
+    assert cli._problem_list_type("mario,baselines") == names
+    assert cli._problem_list_type("baselines") == names[28:]
+    assert len(names[28:]) == 16
+    assert cli._problem_list_type(" sphere , mario") == ["sphere"] + names[:28]
 
 
 def test_embed_writes_csv_and_sidecar(capsys, tmp_path):
@@ -491,10 +588,8 @@ def test_design_groups_share_a_decoder_and_keep_baselines_alone():
     ["walk", "--problem", "m1", "--dim", "4", "--step", "0"],
     ["features", "--problem", "m1", "--dim", "4", "--n", "20", "--jobs", "0"],
     ["walk", "--problem", "m1", "--dim", "4", "--directions", "0"],
-    ["train", "--property", "funnel", "--dim", "2", "--n", "20", "--trees", "0"],
-    ["cv", "--property", "funnel", "--dim", "2", "--n", "20", "--trees", "0"],
-    ["train", "--property", "funnel", "--dim", "2", "--n", "5"],
-    ["cv", "--property", "funnel", "--dim", "2", "--n", "5"],
+    ["train", "--property", "funnel", "--trees", "0"],
+    ["cv", "--property", "funnel", "--trees", "0"],
     ["embed", "--perplexity", "0"],
     ["embed", "--perplexity", "-3"],
     ["embed", "--perplexity", "nan"],
@@ -510,7 +605,7 @@ def test_design_groups_share_a_decoder_and_keep_baselines_alone():
     ["features", "--problem", "m1", "--dim", "4", "--n", "20", "--out", "out"],
 ], ids=["sample-n-below-2d", "features-n-below-2d+2", "walk-step-0",
         "features-jobs-0", "walk-directions-0", "train-trees-0", "cv-trees-0",
-        "train-n-below-2d+2", "cv-n-below-2d+2", "embed-perplexity-0",
+        "embed-perplexity-0",
         "embed-perplexity-neg", "embed-perplexity-nan", "embed-iterations-0",
         "embed-iterations-neg", "features-repeated-problem",
         "features-repeated-instance", "features-no-problem",
@@ -518,7 +613,13 @@ def test_design_groups_share_a_decoder_and_keep_baselines_alone():
         "features-out-and-out-dir"])
 def test_usage_errors_exit_2_before_any_output(capsys, tmp_path, argv,
                                                monkeypatch):
-    def no_work(*args):
+    _assert_usage_error(capsys, tmp_path, monkeypatch, argv)
+
+
+def _assert_usage_error(capsys, tmp_path, monkeypatch, argv) -> str:
+    """Run argv with an output flag under tmp_path, assert that it exits 2
+    before any work or output, and return its stderr."""
+    def no_work(*args, **kwargs):
         raise AssertionError("library work started")
 
     for module in (sampling, walks):
@@ -528,7 +629,7 @@ def test_usage_errors_exit_2_before_any_output(capsys, tmp_path, argv,
     out_dir = tmp_path / "dir"
     target = ["--out-dir", str(out_dir)] if argv[0] == "features" \
         else ["--out", str(out_file)]
-    if argv[0] == "embed":  # exit 2 then shows that nothing was read
+    if argv[0] in ("embed", "train", "cv"):  # exit 2 shows nothing was read
         target += ["--features-dir", str(tmp_path / "missing")]
     try:
         code, out, err = _run(capsys, argv + target)
@@ -538,6 +639,52 @@ def test_usage_errors_exit_2_before_any_output(capsys, tmp_path, argv,
     assert "error" in err
     assert out == ""
     assert not out_file.exists() and not out_dir.exists()
+    return err
+
+
+_TOO_BIG = str(2 ** 63)
+
+
+@pytest.mark.parametrize("argv,env,named", [
+    (["sample", "--problem", "sphere", "--dim", "2", "--sample-seed", "-1"],
+     None, "--sample-seed"),
+    (["walk", "--problem", "sphere", "--dim", "2", "--anchor-seed", "-1"],
+     None, "--anchor-seed"),
+    (["features", "--problem", "sphere", "--dim", "2", "--feature-seed", "-1"],
+     None, "--feature-seed"),
+    (["features", "--problem", "sphere", "--dim", "2", "--instance", "1,-2"],
+     None, "--instance"),
+    (["eval", "--problem", "sphere", "--dim", "2", "--instance", _TOO_BIG,
+      "--point=0,0"], None, "--instance"),
+    (["cv", "--property", "funnel", "--train-seed", "-1"], None,
+     "--train-seed"),
+    (["train", "--property", "funnel", "--train-seed", _TOO_BIG], None,
+     "--train-seed"),
+    (["embed", "--embed-seed", _TOO_BIG], None, "--embed-seed"),
+    (["embed", "--embed-seed", "-1"], None, "--embed-seed"),
+    (["embed"], _TOO_BIG, "LANDSCAPE_ATLAS_SEED"),
+    (["sample", "--problem", "sphere", "--dim", "2"], "-1",
+     "LANDSCAPE_ATLAS_SEED"),
+    (["sample", "--problem", "sphere", "--dim", "-1"], None,
+     "--dim must be at least 1"),
+    (["sample", "--problem", "sphere", "--dim", "0"], None,
+     "--dim must be at least 1"),
+    (["walk", "--problem", "sphere", "--dim", "0"], None,
+     "--dim must be at least 1"),
+    (["features", "--problem", "sphere", "--dim", "-2"], None,
+     "--dim must be at least 1"),
+], ids=["sample-seed-neg", "anchor-seed-neg", "feature-seed-neg",
+        "instance-list-neg", "instance-2^63", "train-seed-neg",
+        "train-seed-2^63", "embed-seed-2^63", "embed-seed-neg",
+        "env-seed-2^63", "env-seed-neg", "sample-dim-neg", "sample-dim-0",
+        "walk-dim-0", "features-dim-neg"])
+def test_seeds_outside_0_to_2_63_and_dims_below_1_exit_2_naming_the_flag(
+        capsys, tmp_path, monkeypatch, argv, env, named):
+    if env is not None:
+        monkeypatch.setenv("LANDSCAPE_ATLAS_SEED", env)
+    err = _assert_usage_error(capsys, tmp_path, monkeypatch, argv)
+    assert named in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("instances,named", [("3-1", "3-1"),
@@ -554,37 +701,22 @@ def test_a_descending_instance_range_is_named(capsys, instances, named):
     ["walk", "--problem", "m1", "--dim", "4"],
     ["sample", "--problem", "m1", "--dim", "4", "--n", "20"],
     ["features", "--problem", "m1", "--dim", "4", "--n", "20"],
-    ["train", "--property", "funnel", "--dim", "2", "--n", "20"],
-    ["cv", "--property", "funnel", "--dim", "2", "--n", "20"],
+    ["train", "--property", "funnel"],
+    ["cv", "--property", "funnel"],
     ["embed"],
 ], ids=["walk", "sample", "features", "train", "cv", "embed"])
 def test_malformed_environment_seed_exits_2_before_any_output(
         capsys, tmp_path, argv, monkeypatch):
-    def no_work(*args, **kwargs):
-        raise AssertionError("library work started")
-
-    for module in (sampling, walks):
-        monkeypatch.setattr(module, "evaluate_batch", no_work)
-    monkeypatch.setattr("landscape_atlas.cli.build_labelled_rows", no_work)
     monkeypatch.setenv("LANDSCAPE_ATLAS_SEED", "abc")
-    out_file = tmp_path / "out"
-    out_dir = tmp_path / "dir"
-    target = ["--out-dir", str(out_dir)] if argv[0] == "features" \
-        else ["--out", str(out_file)]
-    if argv[0] == "embed":  # exit 2 then shows that nothing was read
-        target += ["--features-dir", str(tmp_path / "missing")]
-    code, out, err = _run(capsys, argv + target)
-    assert code == 2
+    err = _assert_usage_error(capsys, tmp_path, monkeypatch, argv)
     assert "LANDSCAPE_ATLAS_SEED" in err
-    assert out == ""
-    assert not out_file.exists() and not out_dir.exists()
 
 
 def test_subcommands_without_seeds_ignore_a_malformed_environment_seed(
-        capsys, tmp_path, monkeypatch):
+        capsys, tmp_path, monkeypatch, corpus_dir):
     model_path = tmp_path / "model.json"
-    assert _run(capsys, ["train", "--property", "funnel", "--dim", "2",
-                         "--n", "20", "--trees", "3",
+    assert _run(capsys, ["train", "--property", "funnel",
+                         "--features-dir", str(corpus_dir), "--trees", "3",
                          "--out", str(model_path)])[0] == 0
     feature_dir = _make_feature_dir(tmp_path, capsys)
     monkeypatch.setenv("LANDSCAPE_ATLAS_SEED", "abc")
@@ -609,10 +741,11 @@ def test_environment_seed_fills_and_names_feature_instances(
             doc["env_seed"]) == (5, 5, 5, "5")
 
 
-def test_classify_refuses_a_malformed_model_with_exit_1(capsys, tmp_path):
+def test_classify_refuses_a_malformed_model_with_exit_1(capsys, tmp_path,
+                                                      corpus_dir):
     model_path = tmp_path / "model.json"
-    assert _run(capsys, ["train", "--property", "funnel", "--dim", "2",
-                         "--n", "20", "--trees", "3",
+    assert _run(capsys, ["train", "--property", "funnel",
+                         "--features-dir", str(corpus_dir), "--trees", "3",
                          "--out", str(model_path)])[0] == 0
     features = tmp_path / "sphere.json"
     assert _run(capsys, ["features", "--problem", "sphere", "--dim", "2",

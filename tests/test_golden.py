@@ -5,13 +5,15 @@
 feature seed 0), of the ``level`` and ``simulate`` output for m13 (a
 concatenation variant, astar) and m15 (the scared agent), and of a small
 ``train`` model whose forest misses some training rows, so its training
-accuracy exercises the vote rule, and of the ``walk`` output for m13 and
+accuracy exercises the vote rule, fitted on the 80 corpus files that
+``features --problem baselines --instance 1-5`` writes at the same set-up,
+and of the ``walk`` output for m13 and
 m17 (3 directions) and the ``sample`` output for m11 and m23 (n=60), which
 pin the batch evaluation path of ``diagonal_walk`` and ``lhs_sample``.
 The ``embed`` pins cover t-SNE: the CSV and ``.meta.json`` sidecar of a
 300-iteration map of the 44 feature files at perplexity 10.
 Two more pins cover the forest's deep-tree and CV paths: the ``cv`` output
-for ``separability`` at 25 trees, and a 25-tree model trained on a
+for ``separability`` at 25 trees on those corpus files, and a 25-tree model trained on a
 balanced, permuted 5-class labelling of the same rows, whose random labels
 grow deep trees down to pure leaves.
 The ``runs`` pins cover the agents at scale: the astar and scared
@@ -94,6 +96,15 @@ def _write_feature_files(out_dir: Path) -> list[str]:
     return problems
 
 
+def _write_corpus_files(out_dir: Path) -> Path:
+    """Write the 80 corpus feature files (the 16 baselines at instances
+    1-5; d=4, n=60, sample seed 1, feature seed 0) into out_dir."""
+    assert main(["features", "--problem", "baselines", "--instance", "1-5",
+                 "--dim", "4", "--n", "60", "--sample-seed", "1",
+                 "--feature-seed", "0", "--out-dir", str(out_dir)]) == 0
+    return out_dir
+
+
 def test_features_files_match_their_digests(tmp_path):
     problems = _write_feature_files(tmp_path)
     got = {p: _sha256((tmp_path / f"{p}-i1.json").read_bytes())
@@ -124,10 +135,10 @@ def test_level_simulate_and_train_output_match_their_digests(tmp_path):
                          "--dim", "4", POINT, "--out", str(out)]) == 0
             got[f"{command} {problem}"] = _sha256(out.read_bytes())
     model = tmp_path / "model.json"
-    assert main(["train", "--property", "multimodality", "--dim", "4",
-                 "--n", "60", "--trees", "5", "--sample-seed", "1",
-                 "--feature-seed", "0", "--train-seed", "0",
-                 "--out", str(model)]) == 0
+    corpus = _write_corpus_files(tmp_path / "corpus")
+    assert main(["train", "--property", "multimodality",
+                 "--features-dir", str(corpus), "--trees", "5",
+                 "--train-seed", "0", "--out", str(model)]) == 0
     got["train multimodality"] = _sha256(model.read_bytes())
     assert _mismatches(got, GOLDEN["cli"]) == []
 
@@ -151,10 +162,11 @@ def test_walk_and_sample_output_match_their_digests(tmp_path):
 
 def test_cv_and_deep_tree_model_match_their_digests(tmp_path):
     out = tmp_path / "cv.json"
-    assert main(["cv", "--property", "separability", "--dim", "4",
-                 "--n", "60", "--trees", "25", "--sample-seed", "1",
-                 "--feature-seed", "0", "--train-seed", "0",
-                 "--format", "json", "--out", str(out)]) == 0
+    corpus = _write_corpus_files(tmp_path / "corpus")
+    assert main(["cv", "--property", "separability",
+                 "--features-dir", str(corpus), "--trees", "25",
+                 "--train-seed", "0", "--format", "json",
+                 "--out", str(out)]) == 0
     got = {"cv separability": _sha256(out.read_bytes())}
     rows = build_labelled_rows("separability", dimension=4, n=60,
                                sample_seed=1, feature_seed=0)

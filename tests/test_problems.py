@@ -30,6 +30,14 @@ def test_problem_id_parsing():
             ProblemId.parse(bad)
 
 
+@pytest.mark.parametrize("text", ["m\u00b2", "m\u0663", "m\uff11", "m1\u0663"])
+def test_problem_ids_take_only_ascii_digits(text):
+    # superscript two, Arabic-Indic three, fullwidth one
+    with pytest.raises(UnknownProblem):
+        ProblemId.parse(text)
+    assert ProblemId.parse("m01") == ProblemId("mario", 1)
+
+
 @pytest.mark.parametrize("index", [0, -3, 17])
 def test_baseline_ids_outside_1_to_16_are_unknown(index):
     with pytest.raises(UnknownProblem):
