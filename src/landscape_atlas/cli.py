@@ -382,15 +382,20 @@ def _corpus(args) -> tuple[list[LabelledRow], list[tuple[str, object]]]:
     metadata pairs.  A row is a feature file of --features-dir whose problem
     is a labelled baseline at a corpus instance seed, labelled for
     --property and grouped by function; other files are skipped.  The
-    corpus files must share one set-up (d, n, sample and feature seed)."""
+    corpus files must share one set-up (d, n, sample and feature seed), and
+    no two may hold one (problem, instance) pair."""
     if args.property not in PROPERTY_NAMES:
         raise UsageError(f"--property must be one of {', '.join(PROPERTY_NAMES)}")
     labels = load_labels()
-    rows, setups = [], set()
+    rows, setups, path_of = [], set(), {}
     for path in _feature_paths(args.features_dir):
         fv, (_, problem, instance), doc = _load_feature_doc(path)
         if problem not in labels or instance not in CORPUS_INSTANCE_SEEDS:
             continue
+        first = path_of.setdefault((problem, instance), path)
+        if first != path:
+            raise LandscapeError(
+                f"{first} and {path} both hold {problem} instance {instance}")
         setups.add((("dim", doc["d"]), ("n", doc["n"]),
                     ("sample_seed", doc["sample_seed"]),
                     ("feature_seed", doc["feature_seed"])))
@@ -420,6 +425,10 @@ def _load_feature_doc(path: str
     """A features file's vector, (suite, problem, instance) and document."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    command = doc.get("command") if isinstance(doc, dict) else None
+    if command != "features":
+        raise LandscapeError(
+            f"{path} is not a features file (its command is {command!r})")
     values = {name: float(doc["features"][name]) for name in FEATURE_NAMES}
     fv = FeatureVector(values=values, degenerate=tuple(doc.get("degenerate", ())))
     problem = str(doc["problem"])
@@ -428,7 +437,10 @@ def _load_feature_doc(path: str
 
 
 def _feature_paths(directory: str) -> list[str]:
-    names = sorted(n for n in os.listdir(directory) if n.endswith(".json"))
+    """The .json files of directory, but for the .meta.json sidecars that
+    embed writes beside its map."""
+    names = sorted(n for n in os.listdir(directory)
+                   if n.endswith(".json") and not n.endswith(".meta.json"))
     if not names:
         raise LandscapeError(f"no .json feature files in {directory}")
     return [os.path.join(directory, n) for n in names]

@@ -129,4 +129,6 @@ def decode_levels(params: DecoderParams, Z: np.ndarray) -> list[TileGrid]:
     else:
         floored = STANDABLE_MASK[raw[:, 12:14, :]].any(axis=1)
         raw[:, 13, :][floored] = GROUND
-    return [TileGrid(cells) for cells in raw]
+    # The argmax gives codes 0..12, so each row is a valid grid as it is.
+    raw.flags.writeable = False
+    return [TileGrid._trusted(cells) for cells in raw]

@@ -76,10 +76,11 @@ def time_taken(r: SimulationResult) -> float:
 
 
 class _Level:
-    """Flattened lookup tables for one grid."""
+    """Flattened lookup tables for one grid, as bytes: one 0/1 (or, for
+    step, tick-count) byte per entry."""
 
     __slots__ = ("height", "width", "t_max", "supported", "hazard", "coin",
-                 "col_open", "spawn")
+                 "col_open", "step", "stand", "spawn")
 
     def __init__(self, grid: TileGrid):
         cells = grid.cells
@@ -90,16 +91,26 @@ class _Level:
         std = STANDABLE_MASK[cells]
         sup = np.zeros((h, w), dtype=bool)
         sup[:-1, :] = std[1:, :]
-        self.supported = sup.ravel().tolist()
-        # One entry per cell, then a hazard-free one that the planner's
-        # moves that stay in their cell look up.
-        self.hazard = HAZARD_MASK[cells].ravel().tolist()
-        self.hazard.append(False)
-        self.coin = (cells == COIN).ravel().tolist()
-        self.col_open = (~std.any(axis=0)).tolist()
+        self.supported = sup.tobytes()
+        hazard = HAZARD_MASK[cells]
+        # One entry per cell, then a hazard-free one, so that hazard is
+        # indexed like step.
+        self.hazard = hazard.tobytes() + b"\0"
+        self.coin = (cells == COIN).tobytes()
+        self.col_open = (~std.any(axis=0)).tobytes()
+        # The ticks a planner move costs, by the cell it enters: one, plus
+        # the penalty for a hazard; the last entry, one, prices a move that
+        # stays in its cell.
+        self.step = (hazard * np.uint8(HAZARD_PENALTY) + np.uint8(1)
+                     ).tobytes() + b"\1"
+        # Per state (cell * 3 + jump phase): 1 where the agent stands.
+        stand = np.zeros((h * w, 3), dtype=bool)
+        stand[:, 0] = sup.ravel()
+        self.stand = stand.tobytes()
         self.spawn = -1
+        col = std[:, 0].tobytes()
         for r in range(h - 1, 0, -1):
-            if std[r, 0] and not std[r - 1, 0]:
+            if col[r] and not col[r - 1]:
                 self.spawn = (r - 1) * w
                 break
 
@@ -153,41 +164,41 @@ def _run_scared(lv: _Level, track: list | None = None) -> SimulationResult:
     h, w = lv.height, lv.width
     table = _successor_table(h, w)
     n_states = h * w * 3
-    supported, hazard, coin, col_open = lv.supported, lv.hazard, lv.coin, lv.col_open
-    cell, p = lv.spawn, 0
+    hazard, coin, col_open, stand = lv.hazard, lv.coin, lv.col_open, lv.stand
+    cell = lv.spawn
+    state = cell * 3
     coins = {cell} if coin[cell] else set()
     t_g = 0
     if track is not None:
         track.append(divmod(cell, w))
     for t_tot in range(1, w):
-        state = cell * 3 + p
-        standing = p == 0 and supported[cell]
-        i = n_states + cell if standing else state
+        i = state + n_states * stand[state]
         edges = table[i]
         if edges is None:
-            edges = table[i] = _successors(h, w, state, standing)
+            edges = table[i] = _successors(h, w, state, i >= n_states)
         move = _STEP_RIGHT
-        if standing:
+        if i >= n_states:
             r, c = divmod(cell, w)
             end = min(c + 3, w)  # the lookahead: up to two columns ahead
-            jump = True in col_open[c + 1:end]
+            jump = 1 in col_open[c + 1:end]
             if not jump:
                 for rr in range(max(0, r - 1), min(h, r + 2)):
-                    if True in hazard[rr * w + c + 1:rr * w + end]:
+                    if 1 in hazard[rr * w + c + 1:rr * w + end]:
                         jump = True
                         break
             if jump:
                 move = _JUMP_RIGHT
         if not edges:
             break  # fell out of the level
-        cell, p = divmod(edges[move][0], 3)
+        state = edges[move][0]
+        cell = state // 3
         if track is not None:
             track.append(divmod(cell, w))
         if coin[cell]:
             coins.add(cell)
         if hazard[cell]:
             break  # contact with a hazard in a new cell: run over
-        if p == 0 and supported[cell]:
+        if stand[state]:
             t_g += 1
     else:  # in the last column
         return SimulationResult(w, w - 1, len(coins), t_g, w - 1, lv.t_max,
@@ -221,17 +232,18 @@ _GOAL = object()
 def _successor_table(h: int, w: int) -> list:
     """The planner's successors on every h x w grid, filled in lazily.
 
-    One list of h*w*4 entries: entry ``s`` < h*w*3 holds the successors of
-    state s when the agent is not standing, and entry ``h*w*3 + cell`` those
-    of the jump-phase-0 state of cell when it is; None until first needed.
+    One list of 2*h*w*3 entries: entry ``s`` holds the successors of state
+    s when the agent is not standing, and entry ``h*w*3 + s`` those of s when
+    it is (only jump-phase-0 states stand), so a grid's stand table gives
+    the entry of s as ``s + h*w*3 * stand[s]``; None until first needed.
     Each successor is a tuple ``(s2, k, key)``: the next state; the index
-    into the grid's hazard list that prices the step (the new cell, or the
-    hazard-free last entry when the move stays in its cell); and the heap
+    into the grid's step table that prices the move (the new cell, or the
+    last entry, one tick, when the move stays in its cell); and the heap
     key of s2 at zero cost (see _astar_search).  Successors come in the
     order the moves are tried: stay or fall, then jump, then drop, each
     without and then with a step right.  Only the step prices depend on the
     grid, so one table serves every grid of its shape."""
-    return [None] * (h * w * 4)
+    return [None] * (2 * h * w * 3)
 
 
 # Entries of a successor tuple that step one column right: walking on
@@ -283,8 +295,7 @@ def _astar_search(lv: _Level, start: int, start_cost: int):
     order, and with the parent, of an unbounded search."""
     h, w = lv.height, lv.width
     table = _successor_table(h, w)
-    supported, hazard = lv.supported, lv.hazard
-    hit = 1 + HAZARD_PENALTY
+    step, stand = lv.step, lv.stand
     n_states = h * w * 3
     dist = [lv.t_max + 1] * n_states
     parent = [-1] * n_states
@@ -295,18 +306,16 @@ def _astar_search(lv: _Level, start: int, start_cost: int):
         # No closed set: the first pop settles a state at its final g, so a
         # stale entry re-expands from that g and relaxes nothing.
         state = heappop(heap) % n_states
-        cell, p = divmod(state, 3)
-        standing = p == 0 and supported[cell]
-        i = n_states + cell if standing else state
+        i = state + n_states * stand[state]
         edges = table[i]
         if edges is None:
-            edges = table[i] = _successors(h, w, state, standing)
+            edges = table[i] = _successors(h, w, state, i >= n_states)
         if edges is _GOAL:
             goal_state = state
             break
         g = dist[state]
         for s2, k, key in edges:
-            g2 = g + hit if hazard[k] else g + 1
+            g2 = g + step[k]
             if g2 < dist[s2]:
                 dist[s2] = g2
                 parent[s2] = state
@@ -319,22 +328,20 @@ def _replay(lv: _Level, dist, parent, state: int, won: bool,
     w = lv.width
     if state < 0:  # budget excludes even the spawn (hazard spawn, tiny t_max)
         return SimulationResult(1, 0, 0, 0, 0, lv.t_max, False)
+    coin, stand = lv.coin, lv.stand
     chain = []
+    coins = set()
+    t_g = 0
     s = state
     while s >= 0:
         chain.append(s)
+        if coin[s // 3]:
+            coins.add(s // 3)
+        t_g += stand[s]
         s = parent[s]
-    chain.reverse()
-    coins = set()
-    t_g = 0
-    for i, s in enumerate(chain):
-        cell, p = divmod(s, 3)
-        if track is not None:
-            track.append(divmod(cell, w))
-        if lv.coin[cell]:
-            coins.add(cell)
-        if i > 0 and p == 0 and lv.supported[cell]:
-            t_g += 1
+    t_g -= stand[chain[-1]]  # standing at the start takes no tick
+    if track is not None:
+        track.extend(divmod(s // 3, w) for s in reversed(chain))
     t_tot = int(dist[state])
     # no move steps left, so the path ends in its farthest column (the
     # last one when won)

@@ -86,6 +86,14 @@ class TileGrid:
         cells.flags.writeable = False
         object.__setattr__(self, "cells", cells)
 
+    @classmethod
+    def _trusted(cls, cells: np.ndarray) -> TileGrid:
+        """A grid over cells without the checks and the copy: the caller
+        guarantees a read-only 2-D int8 array of codes 0..12."""
+        grid = object.__new__(cls)
+        object.__setattr__(grid, "cells", cells)
+        return grid
+
     @property
     def height(self) -> int:
         return self.cells.shape[0]
@@ -121,7 +129,9 @@ def concatenate(segments: list[TileGrid]) -> TileGrid:
     for seg in segments[1:]:
         if seg.height != height:
             raise HeightMismatch(f"segment heights differ: {height} vs {seg.height}")
-    return TileGrid(np.hstack([seg.cells for seg in segments]))
+    cells = np.hstack([seg.cells for seg in segments])
+    cells.flags.writeable = False
+    return TileGrid._trusted(cells)
 
 
 def render_ascii(grid: TileGrid) -> str:

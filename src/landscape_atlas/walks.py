@@ -17,6 +17,11 @@ from ._seeds import NS_WALK, rng_for
 from .errors import AnchorOutOfBounds, DegenerateDirection
 from .problems.core import ProblemInstance, evaluate_batch
 
+# The most offsets a walk may bracket.  The offsets and points are built as
+# arrays of the bracket's length, so a step far below the box's size would
+# otherwise ask for memory in proportion to box size / step.
+MAX_WALK_POINTS = 10 ** 6
+
 
 @dataclass(frozen=True)
 class WalkSpec:
@@ -82,8 +87,13 @@ def _walks(instance: ProblemInstance, specs: list[WalkSpec]) -> list[WalkTrace]:
                              f"more than 1e-12 of the box's scale")
         a = (box.lower - anchor)[moving] / move[moving]
         b = (box.upper - anchor)[moving] / move[moving]
-        k = np.arange(math.floor(np.minimum(a, b).max()) - 1,
-                      math.ceil(np.maximum(a, b).min()) + 2)
+        first = math.floor(np.minimum(a, b).max()) - 1
+        stop = math.ceil(np.maximum(a, b).min()) + 2
+        if stop - first > MAX_WALK_POINTS:
+            raise ValueError(
+                f"step {spec.step:g} brackets {stop - first} walk points, "
+                f"more than the {MAX_WALK_POINTS} a walk may take")
+        k = np.arange(first, stop)
         points = anchor + (k[:, None] * spec.step) * direction
         inside = np.all((points >= box.lower) & (points <= box.upper), axis=1)
         walked.append((tuple(k[inside].tolist()), points[inside]))

@@ -457,6 +457,57 @@ def test_corpus_files_of_two_set_ups_exit_1_naming_the_directory(
         assert not out_file.exists()
 
 
+def _copy_dir(src, dst):
+    dst.mkdir()
+    for path in src.iterdir():
+        (dst / path.name).write_bytes(path.read_bytes())
+    return dst
+
+
+def test_a_second_file_for_one_corpus_pair_exits_1_naming_both(
+        capsys, tmp_path, corpus_dir):
+    features_dir = _copy_dir(corpus_dir, tmp_path / "corpus")
+    first = features_dir / "sphere-i1.json"
+    copy = features_dir / "sphere-i1 (copy).json"
+    copy.write_bytes(first.read_bytes())
+    for command in ("train", "cv"):
+        out_file = tmp_path / f"{command}.out"
+        code, out, err = _run(capsys, [command, "--property", "funnel",
+                                       "--features-dir", str(features_dir),
+                                       "--out", str(out_file)])
+        assert (code, out) == (1, "")
+        assert str(first) in err and str(copy) in err
+        assert not out_file.exists()
+
+
+def test_embed_sidecars_are_skipped_and_other_documents_refused_by_path(
+        capsys, tmp_path, corpus_dir):
+    features_dir = _copy_dir(corpus_dir, tmp_path / "corpus")
+    embed = ["embed", "--features-dir", str(features_dir), "--perplexity",
+             "5", "--iterations", "60"]
+    assert main(embed + ["--out", str(features_dir / "map.csv")]) == 0
+    assert (features_dir / "map.csv.meta.json").exists()
+    model = tmp_path / "model.json"
+    commands = (
+        ["train", "--property", "funnel", "--features-dir", str(features_dir),
+         "--trees", "3", "--out", str(model)],
+        ["cv", "--property", "funnel", "--features-dir", str(features_dir),
+         "--trees", "3"],
+        ["classify", "--model", str(model), "--features-dir",
+         str(features_dir)],
+        embed + ["--out", str(tmp_path / "map.csv")],
+    )
+    for argv in commands:
+        assert _run(capsys, argv)[0] == 0
+    # a JSON document of another command is refused, naming its path
+    stray = features_dir / "model.json"
+    stray.write_bytes(model.read_bytes())
+    for argv in commands[1:]:
+        code, _, err = _run(capsys, argv)
+        assert code == 1
+        assert "LandscapeError" in err and str(stray) in err
+
+
 def test_a_directory_without_corpus_files_exits_1_naming_it(capsys, tmp_path):
     # mario files and baseline seeds beyond 5 are not corpus files
     features_dir = tmp_path / "survey"

@@ -7,7 +7,9 @@ from landscape_atlas.mario.decoder import (
     _OFFSETS, CHUNK_ROWS, HEIGHT, WIDTH, OVERWORLD, UNDERGROUND,
     _channel_argmax, decode_levels, decoder_params,
 )
-from landscape_atlas.mario.tiles import GROUND, N_TILE_TYPES, STANDABLE_MASK
+from landscape_atlas.mario.tiles import (
+    GROUND, N_TILE_TYPES, STANDABLE_MASK, TileGrid,
+)
 
 
 def _latent(dim, seed=0):
@@ -118,6 +120,19 @@ def test_decode_levels_match_decode_level_cell_by_cell(variant):
     assert np.array_equal(np.array([g.cells for g in grids])[:, 1:13],
                           raw[:, 1:13])
     assert decode_levels(params, np.empty((0, 7))) == []
+
+
+@pytest.mark.parametrize("variant", (OVERWORLD, UNDERGROUND))
+def test_decoded_grids_are_read_only_int8_and_pass_the_checked_path(variant):
+    params = decoder_params(variant, 2, 6)
+    Z = np.random.default_rng(5).uniform(-1.0, 1.0, (CHUNK_ROWS + 3, 6))
+    for grid in decode_levels(params, Z):
+        assert grid.cells.dtype == np.int8
+        assert not grid.cells.flags.writeable
+        checked = TileGrid(grid.cells)
+        assert checked == grid and hash(checked) == hash(grid)
+        with pytest.raises(ValueError):
+            grid.cells[0, 0] = GROUND
 
 
 @pytest.mark.parametrize("variant", (OVERWORLD, UNDERGROUND))

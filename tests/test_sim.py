@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from landscape_atlas.ela.sampling import lhs_points
 from landscape_atlas.mario import sim, tiles
@@ -496,3 +496,50 @@ def test_scared_agent_matches_the_reference_run_on_decoded_levels():
     runs = [_runs(grid, SCARED) for grid in grids]
     assert runs == [_reference_scared_runs(grid) for grid in grids]
     assert {r[0].won for r in runs} == {False, True}
+
+
+# --- the byte tables against the list-based tables they replaced -----------
+#
+# _ReferenceLevel is _Level as it was when it built Python lists, with the
+# step and stand tables derived from those lists.  Every table must hold the
+# same values, entry for entry.
+
+class _ReferenceLevel:
+    def __init__(self, grid: TileGrid):
+        cells = grid.cells
+        h, w = cells.shape
+        std = tiles.STANDABLE_MASK[cells]
+        sup = np.zeros((h, w), dtype=bool)
+        sup[:-1, :] = std[1:, :]
+        self.supported = sup.ravel().tolist()
+        self.hazard = tiles.HAZARD_MASK[cells].ravel().tolist()
+        self.hazard.append(False)
+        self.coin = (cells == tiles.COIN).ravel().tolist()
+        self.col_open = (~std.any(axis=0)).tolist()
+        self.step = [1 + HAZARD_PENALTY if hit else 1 for hit in self.hazard]
+        self.stand = [s and p == 0 for s in self.supported for p in range(3)]
+        self.spawn = -1
+        for r in range(h - 1, 0, -1):
+            if std[r, 0] and not std[r - 1, 0]:
+                self.spawn = (r - 1) * w
+                break
+
+
+_TABLES = ("supported", "hazard", "coin", "col_open", "step", "stand")
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid=_grids())
+@example(grid=TileGrid(np.array([[tiles.ENEMY]])))
+@example(grid=parse_ascii("E\n-\nX"))
+@example(grid=parse_ascii("-XE-O"))
+@example(grid=parse_ascii("-E\n-X\nXX"))
+def test_level_byte_tables_equal_the_list_tables(grid):
+    lv, ref = sim._Level(grid), _ReferenceLevel(grid)
+    for name in _TABLES:
+        assert isinstance(getattr(lv, name), bytes), name
+        assert list(getattr(lv, name)) == [int(v) for v in getattr(ref, name)], name
+    assert len(lv.step) == len(lv.hazard) == grid.cells.size + 1
+    assert len(lv.stand) == 3 * grid.cells.size
+    assert (lv.height, lv.width, lv.t_max, lv.spawn) == \
+        (grid.height, grid.width, 4 * grid.width, ref.spawn)

@@ -95,6 +95,19 @@ def test_concatenate_joins_left_to_right():
     assert render_ascii(joined) == "--EE\nXXXX"
 
 
+def test_concatenated_grids_are_read_only_int8_and_pass_the_checked_path():
+    rng = np.random.default_rng(3)
+    segments = [TileGrid(rng.integers(0, tiles.N_TILE_TYPES, (4, w)))
+                for w in (1, 3, 5)]
+    for parts in (segments, segments[:1]):
+        joined = concatenate(parts)
+        assert joined.cells.dtype == np.int8
+        assert not joined.cells.flags.writeable
+        assert joined == TileGrid(np.hstack([seg.cells for seg in parts]))
+        assert not any(np.shares_memory(joined.cells, seg.cells)
+                       for seg in parts)
+
+
 def test_concatenate_errors():
     with pytest.raises(EmptyInput):
         concatenate([])

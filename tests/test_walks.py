@@ -8,7 +8,9 @@ from landscape_atlas.errors import AnchorOutOfBounds, DegenerateDirection
 from landscape_atlas.problems import (
     BASELINE_NAMES, SHEKEL_PEAK_COUNTS, decode_instance_level, evaluate, resolve,
 )
-from landscape_atlas.walks import WalkSpec, default_step, diagonal_walk, walk_bundle
+from landscape_atlas.walks import (
+    MAX_WALK_POINTS, WalkSpec, default_step, diagonal_walk, walk_bundle,
+)
 
 
 def _unit_box_instance(d=2):
@@ -68,6 +70,17 @@ def test_a_step_that_moves_no_coordinate_is_refused_by_name():
     inst = resolve("sphere", 1, 2)
     spec = WalkSpec(np.zeros(2), np.array([1.0, 0.0]), 1e-300)
     with pytest.raises(ValueError, match="step 1e-300 moves no coordinate"):
+        diagonal_walk(inst, spec)
+
+
+def test_a_step_that_brackets_more_than_the_ceiling_is_refused_by_name():
+    # From the lower face of [-5, 5], a step just over 1e-12 of the box's
+    # scale, the least that moves a coordinate, brackets about 2e12 offsets:
+    # as int64 that is 16 TB, which no allocation here can take, so a walk
+    # that allocated before testing the ceiling would raise MemoryError.
+    inst = resolve("sphere", 1, 1)
+    spec = WalkSpec(np.array([-5.0]), np.array([1.0]), 5.000001e-12)
+    with pytest.raises(ValueError, match=f"more than the {MAX_WALK_POINTS}"):
         diagonal_walk(inst, spec)
 
 
