@@ -1,15 +1,23 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from landscape_atlas._seeds import NS_DECODER, rng_for
 from landscape_atlas.ela.sampling import lhs_points
 from landscape_atlas.errors import OutOfBounds
+from landscape_atlas.mario import decoder
 from landscape_atlas.mario.decoder import (
-    _OFFSETS, CHUNK_ROWS, HEIGHT, WIDTH, OVERWORLD, UNDERGROUND,
-    _channel_argmax, decode_levels, decoder_params,
+    _OFFSETS, _VARIANT_CODES, CHUNK_ROWS, HEIGHT, HIDDEN, SCREEN_TOL, WIDTH,
+    OVERWORLD, UNDERGROUND, _screen, _screen_scores, decode_levels,
+    decoder_params,
 )
 from landscape_atlas.mario.tiles import (
-    GROUND, N_TILE_TYPES, STANDABLE_MASK, TileGrid,
+    GROUND, N_TILE_TYPES, QUESTION_COIN, STANDABLE_MASK, TUBE_TOP_RIGHT,
+    TileGrid,
 )
+
+OUTPUTS = N_TILE_TYPES * HEIGHT * WIDTH
 
 
 def _latent(dim, seed=0):
@@ -101,16 +109,30 @@ def test_different_latents_give_different_levels():
     assert a != b
 
 
+def _float64_weights(variant, instance_seed, dim):
+    """(w1, b1, w2, b2) drawn whole in float64 from the decoder's stream."""
+    rng = rng_for(NS_DECODER, _VARIANT_CODES[variant], instance_seed, dim)
+    s1 = 1.0 / np.sqrt(dim)
+    s2 = 1.0 / np.sqrt(HIDDEN)
+    w1 = rng.uniform(-s1, s1, size=(HIDDEN, dim))
+    b1 = rng.uniform(-s1, s1, size=HIDDEN)
+    w2 = rng.uniform(-s2, s2, size=(OUTPUTS, HIDDEN))
+    b2 = rng.uniform(-s2, s2, size=OUTPUTS)
+    return w1, b1, w2, b2
+
+
 def _reference_scores(params, Z):
-    """Channel scores after offsets, one matrix-vector product per row."""
-    rows = [np.tanh(params.w2 @ np.tanh(params.w1 @ z + params.b1) + params.b2)
-            for z in Z]
+    """Float64 channel scores after offsets, one matrix-vector product per
+    row."""
+    w1, b1, w2, b2 = _float64_weights(params.variant, params.instance_seed,
+                                      params.dim)
+    rows = [np.tanh(w2 @ np.tanh(w1 @ z + b1) + b2) for z in Z]
     scores = np.array(rows).reshape(-1, N_TILE_TYPES, HEIGHT, WIDTH)
     return scores + _OFFSETS[params.variant]
 
 
 @pytest.mark.parametrize("variant", (OVERWORLD, UNDERGROUND))
-def test_decode_levels_match_decode_level_cell_by_cell(variant):
+def test_batches_match_single_rows_and_the_float64_argmax(variant):
     params = decoder_params(variant, 3, 7)  # m1 or m2 at an odd d
     Z = np.random.default_rng(4).uniform(-1.0, 1.0, (2 * CHUNK_ROWS + 1, 7))
     grids = decode_levels(params, Z)
@@ -147,17 +169,97 @@ def test_argmax_margins_dwarf_batch_rounding(variant):
             assert (top2[:, 1] - top2[:, 0]).min() >= 1e-12, (seed, dim)
 
 
-def test_channel_argmax_sends_exact_ties_to_the_lowest_channel():
+def test_exact_ties_go_to_the_lowest_channel():
     rng = np.random.default_rng(6)
     # Three score levels over 13 channels: most cells tie at the top across
-    # several channels.
-    scores = rng.integers(-1, 2, size=(6, N_TILE_TYPES, 3, 5)).astype(float)
-    scores[0, :, 0, 0] = 0.25                 # all thirteen tie
-    scores[0, :, 0, 1] = -1.0
-    scores[0, 11:, 0, 1] = 2.0                # the last two tie
-    scores[0, 3, 0, 2] = np.nextafter(scores[0, :, 0, 2].max(), np.inf)
-    top = _channel_argmax(scores)
-    assert np.array_equal(top, scores.argmax(axis=1))
-    assert (top[0, 0, 0], top[0, 0, 1], top[0, 0, 2]) == (0, 11, 3)
-    ties = (scores == scores.max(axis=1, keepdims=True)).sum(axis=1)
-    assert (ties >= 3).any()
+    # several channels.  The screen settles only the cells with one top
+    # channel, and settles them on it.
+    scores = rng.integers(-1, 2, size=(N_TILE_TYPES, 15, 6)).astype(np.float32)
+    scores[:, 0, 0] = 0.25                    # all thirteen tie
+    scores[:, 1, 0] = -1.0
+    scores[11:, 1, 0] = 2.0                   # the last two tie
+    scores[3, 2, 0] = np.nextafter(scores[:, 2, 0].max(), np.float32(np.inf))
+    top, unsettled = _screen(scores)
+    ties = (scores == scores.max(axis=0)).sum(axis=0)
+    assert (ties >= 3).any() and (ties == 1).any()
+    open_cells = ties > 1
+    open_cells[2, 0] = True                   # one float32 ulp apart
+    assert np.array_equal(unsettled, open_cells)
+    assert np.array_equal(top[~unsettled], scores.argmax(axis=0)[~unsettled])
+    # Decoding leaves those cells to float64, where the lowest tied channel
+    # wins.  With no output weights every score is tanh(b2) plus its
+    # offset; below, two channels without offsets tie at tanh(0.3)
+    # everywhere and beat the rest except where an underground offset lifts
+    # ground.
+    params = decoder_params(UNDERGROUND, 1, 4)
+    b2 = np.zeros((N_TILE_TYPES, HEIGHT * WIDTH))
+    b2[[QUESTION_COIN, TUBE_TOP_RIGHT]] = 0.3
+    b2 = b2.ravel()
+    tied = dataclasses.replace(
+        params, w2_hi=np.zeros_like(params.w2_hi),
+        w2_lo=np.zeros_like(params.w2_lo), b2=b2, b2_hi=b2.astype(np.float32))
+    grid = decode_levels(tied, np.zeros((1, 4)))[0]
+    assert QUESTION_COIN < TUBE_TOP_RIGHT
+    assert (grid.cells[1:13] == QUESTION_COIN).all()
+    assert (grid.cells[[0, 13]] == GROUND).all()
+
+
+def test_the_screen_leaves_channels_within_its_tolerance_open():
+    scores = np.zeros((N_TILE_TYPES, 3, 1), dtype=np.float32)
+    scores[3] = 1.0
+    scores[9, 0] = 1.0 - SCREEN_TOL / 2       # within: float64 decides
+    scores[9, 1] = 1.0 - 2 * SCREEN_TOL       # outside: channel 3 stands
+    scores[9, 2] = 1.0 + SCREEN_TOL / 2       # within, and on top
+    top, unsettled = _screen(scores)
+    assert unsettled[:, 0].tolist() == [True, False, True]
+    assert top[1, 0] == 3
+
+
+@pytest.mark.parametrize("variant", (OVERWORLD, UNDERGROUND))
+@pytest.mark.parametrize("dim", (10, 5))
+def test_resolving_every_cell_in_float64_changes_no_grid(variant, dim,
+                                                        monkeypatch):
+    params = decoder_params(variant, 5, dim)
+    for n in (1, 33, 500):
+        Z = np.random.default_rng(n).uniform(-1.0, 1.0, (n, dim))
+        screened = decode_levels(params, Z)
+        with monkeypatch.context() as m:
+            m.setattr(decoder, "SCREEN_TOL", np.inf)
+            resolved = decode_levels(params, Z)
+        assert resolved == screened
+        raw = _reference_scores(params, Z).argmax(axis=1)
+        cells = np.array([g.cells for g in resolved])
+        assert np.array_equal(cells[:, 1:13], raw[:, 1:13]), n
+
+
+@pytest.mark.parametrize("variant", (OVERWORLD, UNDERGROUND))
+def test_screen_errors_stay_within_half_the_tolerance(variant):
+    worst = 0.0
+    for seed in range(1, 8):
+        for dim in (10, 5):  # the 14 survey decoders of this variant
+            params = decoder_params(variant, seed, dim)
+            Z = lhs_points(500, dim, -np.ones(dim), np.ones(dim), seed)
+            hidden = np.tanh(Z @ params.w1.T + params.b1)
+            screened = _screen_scores(params, hidden)
+            reference = _reference_scores(params, Z).reshape(
+                len(Z), N_TILE_TYPES, HEIGHT * WIDTH).transpose(1, 2, 0)
+            worst = max(worst, np.abs(screened - reference).max())
+    assert worst <= SCREEN_TOL / 2
+
+
+@pytest.mark.parametrize("variant", (OVERWORLD, UNDERGROUND))
+def test_weight_pair_rebuilds_the_float64_draw(variant):
+    for seed, dim in ((1, 10), (4, 5), (7, 3)):
+        params = decoder_params(variant, seed, dim)
+        w1, b1, w2, b2 = _float64_weights(variant, seed, dim)
+        for got, want in ((params.w1, w1), (params.b1, b1), (params.b2, b2)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(params.b2_hi, b2.astype(np.float32))
+        assert np.array_equal(params.w2_hi, w2.astype(np.float32))
+        pair = params.w2_hi.astype(float) + params.w2_lo
+        assert np.abs(pair - w2).max() <= 2.0 ** -50 * 0.125
+        for arr, shape in ((params.w2_hi, (OUTPUTS, HIDDEN)),
+                           (params.w2_lo, (OUTPUTS, HIDDEN)),
+                           (params.b2_hi, (OUTPUTS,))):
+            assert arr.dtype == np.float32 and arr.shape == shape
+            assert not arr.flags.writeable
