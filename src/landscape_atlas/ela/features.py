@@ -58,6 +58,7 @@ _LEVEL_QUANTILES = (0.10, 0.25, 0.50)
 _IC_EPSILONS = (0.0,) + tuple(10.0 ** k for k in range(-5, 3))
 _IC_SETTLE = 0.05
 _IC_SETTLE_FALLBACK = 100.0
+_CANDIDATES = 16
 
 
 @dataclass(frozen=True)
@@ -120,12 +121,6 @@ def _sstot(y: np.ndarray) -> float:
     return float(np.sum((y - y.mean()) ** 2))
 
 
-def _quadratic_design(X: np.ndarray) -> np.ndarray:
-    """Intercept, linear and squared columns, no interactions; the linear
-    model's design is its first 1 + d columns."""
-    return np.hstack([np.ones((len(X), 1)), X, X ** 2])
-
-
 def _lstsq_r2(A: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray] | None:
     """R^2 of the least-squares fit y ~ A, plus the coefficient vector,
     for a response y whose sstot is above 0; None when A has linearly
@@ -154,11 +149,23 @@ def meta_model_r2(sample: SampleSet) -> float:
         warnings.warn("constant response; reporting R^2 = 1.0",
                       ConstantResponse)
         return 1.0
-    A = _quadratic_design(sample.X)
-    fit = None if _constant(sample.X) else _lstsq_r2(A, sample.y)
+    design = _design(sample.X)
+    fit = None if design.constant else _lstsq_r2(design.quad, sample.y)
     if fit is None:
         raise RankDeficient(f"quadratic design of rank < {1 + 2 * d} columns")
     return fit[0]
+
+
+def _pca_counts(M: np.ndarray) -> tuple[float, float]:
+    """(fraction of components covering 90% variance, first-component
+    variance share) of a matrix whose rows are not all equal."""
+    C = M - M.mean(axis=0)
+    s = np.linalg.svd(C, compute_uv=False)
+    var = s ** 2
+    total = float(var.sum())
+    cum = np.cumsum(var) / total
+    k = int(np.searchsorted(cum, 0.9 - 1e-15) + 1)
+    return k / M.shape[1], float(var[0] / total)
 
 
 class _Design:
@@ -167,9 +174,16 @@ class _Design:
     ``D`` holds the Euclidean distances with an ``inf`` diagonal; rows that
     are exactly equal lie at distance 0 (the Gram form leaves rounding
     noise there), so a constant design has every distance 0.  ``nn`` is
-    each point's nearest-neighbour distance and ``mean_all`` the mean
-    distance over all pairs.  Tours are kept per start, so at most n of
-    them.  Every array is read-only."""
+    each point's nearest-neighbour distance, with its mean ``nn_mean`` and
+    population standard deviation ``nn_sd``, and ``mean_all`` the mean
+    distance over all pairs.  ``quad`` is the quadratic model's design:
+    intercept, linear and squared columns, no interactions; the linear
+    model's design is its first 1 + d columns.  ``pca_x`` is the X-only
+    principal-component pair of _pca_counts, (1.0, 1.0) for a constant
+    design.  ``cand`` holds each row's k = min(16, n) nearest columns, in
+    no order, and ``cand_d`` their distances: every column outside a row's
+    table lies at least as far as the table's farthest entry.  Tours are
+    kept per start, so at most n of them.  Every array is read-only."""
 
     def __init__(self, X: np.ndarray):
         n = len(X)
@@ -183,8 +197,16 @@ class _Design:
         np.fill_diagonal(D, np.inf)
         self.mean_all = float(D.take(_upper_pairs(n)).mean())
         self.nn = D.min(axis=1)
+        self.nn_mean, self.nn_sd = float(self.nn.mean()), float(self.nn.std())
         self.D = D
-        for a in (D, self.nn):
+        self.quad = np.hstack([np.ones((n, 1)), X, X ** 2])
+        self.pca_x = (1.0, 1.0) if self.constant else _pca_counts(X)
+        k = min(_CANDIDATES, n)
+        # A copy: a view of the slice would keep the whole n x n index
+        # array of argpartition alive in the memo.
+        self.cand = np.argpartition(D, k - 1, axis=1)[:, :k].copy()
+        self.cand_d = np.take_along_axis(D, self.cand, axis=1)
+        for a in (D, self.nn, self.quad, self.cand, self.cand_d):
             a.flags.writeable = False
         self._tours: dict[int, np.ndarray] = {}
 
@@ -223,10 +245,17 @@ def _design(X: np.ndarray) -> _Design:
 def _nearest_distances(design: _Design, y: np.ndarray):
     """Nearest-neighbour distance per point and nearest-strictly-better
     distance for every point that has a strictly better neighbour (none
-    for a constant response)."""
-    # Entry (i, j) stays only where point j is strictly better than point
-    # i; a masked np.min (where=) takes three times as long here.
-    nb_all = np.where(y[None, :] < y[:, None], design.D, np.inf).min(axis=1)
+    for a constant response).
+
+    A row with a strictly better point among its candidates takes the
+    nearest of those: no column outside the table lies nearer.  Only a row
+    with better points and none among its candidates reads its full row."""
+    better = y[design.cand] < y[:, None]
+    nb_all = np.where(better, design.cand_d, np.inf).min(axis=1)
+    rest = np.flatnonzero(~better.any(axis=1) & (y > y.min()))
+    if len(rest):
+        nb_all[rest] = np.where(y[None, :] < y[rest, None], design.D[rest],
+                                np.inf).min(axis=1)
     return design.nn, nb_all[np.isfinite(nb_all)]
 
 
@@ -245,10 +274,10 @@ def nearest_better_ratio(sample: SampleSet) -> float:
     design = _design(sample.X)
     if design.constant:
         raise ValueError("constant design: every distance is 0")
-    nn, nb = _nearest_distances(design, sample.y)
+    _, nb = _nearest_distances(design, sample.y)
     if not nb.any():
         raise ValueError("every nearest-better distance is 0")
-    return float(nn.mean() / nb.mean())
+    return float(design.nn_mean / nb.mean())
 
 
 def _entropy_nat(y: np.ndarray) -> float:
@@ -266,11 +295,11 @@ def _information_content(D: np.ndarray, y: np.ndarray, order: np.ndarray):
     dd = D[order[:-1], order[1:]]
     slopes = np.divide(dy, dd, out=np.zeros_like(dy), where=dd > 0)
 
+    # One row of slope symbols (-1, 0, 1) per epsilon.
+    eps = np.array(_IC_EPSILONS)[:, None]
+    symbols = (slopes > eps).astype(int) - (slopes < -eps)
     h_by_eps = []
-    for eps in _IC_EPSILONS:
-        s = np.zeros(len(slopes), dtype=int)
-        s[slopes > eps] = 1
-        s[slopes < -eps] = -1
+    for s in symbols:
         a, b = s[:-1], s[1:]
         neq = a != b
         if not neq.any():
@@ -286,7 +315,7 @@ def _information_content(D: np.ndarray, y: np.ndarray, order: np.ndarray):
     h_max = h_by_eps[i_max]
     eps_max = _IC_EPSILONS[i_max]
 
-    s0 = np.sign(slopes).astype(int)
+    s0 = symbols[0]  # epsilon 0: the signs of the slopes
     nz = s0[s0 != 0]
     changes = 1 + int(np.count_nonzero(nz[1:] != nz[:-1]))
     m0 = changes / len(slopes) if len(nz) else 0.0
@@ -294,18 +323,6 @@ def _information_content(D: np.ndarray, y: np.ndarray, order: np.ndarray):
     settle = [eps for eps, h in zip(_IC_EPSILONS, h_by_eps) if h < _IC_SETTLE]
     eps_settle = settle[0] if settle else _IC_SETTLE_FALLBACK
     return h_max, eps_max, m0, eps_settle, bool(settle)
-
-
-def _pca_counts(M: np.ndarray) -> tuple[float, float]:
-    """(fraction of components covering 90% variance, first-component
-    variance share) of a matrix whose rows are not all equal."""
-    C = M - M.mean(axis=0)
-    s = np.linalg.svd(C, compute_uv=False)
-    var = s ** 2
-    total = float(var.sum())
-    cum = np.cumsum(var) / total
-    k = int(np.searchsorted(cum, 0.9 - 1e-15) + 1)
-    return k / M.shape[1], float(var[0] / total)
 
 
 def compute_features(sample: SampleSet, feature_seed: int = 0) -> FeatureVector:
@@ -327,8 +344,13 @@ def compute_features(sample: SampleSet, feature_seed: int = 0) -> FeatureVector:
     nearest-better distance is above 0: either fact, or better points only
     at duplicates.  README.md tabulates the fallbacks and the local rules.
 
-    The terms that read X alone come from the one-design memo of _design,
-    so a run of calls on one design computes them once."""
+    The terms that read X alone (distances, nearest-neighbour statistics,
+    the candidate table, the quadratic design, the X-only principal
+    components and the tours) come from the one-design memo of _design,
+    so a run of calls on one design computes them once.  Per call, the
+    nearest-better distances read the candidate table and fall back to a
+    full distance row only where a row's better points all lie outside
+    it."""
     n, d = sample.n, sample.dim
     if n < 2 * d + 2:
         raise ValueError("need n >= 2d + 2 points to compute features")
@@ -366,7 +388,7 @@ def compute_features(sample: SampleSet, feature_seed: int = 0) -> FeatureVector:
 
     # --- meta-model ------------------------------------------------------
     flat_y = const_y or _sstot(y) == 0.0
-    quad = _quadratic_design(X)
+    quad = design.quad
     lin_fit = quad_fit = None
     if not (flat_y or const_x):
         lin_fit, quad_fit = _lstsq_r2(quad[:, :1 + d], y), _lstsq_r2(quad, y)
@@ -394,25 +416,25 @@ def compute_features(sample: SampleSet, feature_seed: int = 0) -> FeatureVector:
         put(name, float(sub.take(_upper_pairs(k)).mean()) / mean_all)
 
     # --- level sets ------------------------------------------------------
-    for q in _LEVEL_QUANTILES:
+    for q, thr in zip(_LEVEL_QUANTILES, np.quantile(y, _LEVEL_QUANTILES)):
         name = f"level.mmce_{int(round(q * 100)):02d}"
-        thr = float(np.quantile(y, q))
         low = y <= thr
         if low.all() or not low.any():
             put(name, 0.0, flag=True)
             continue
-        c_low = X[low].mean(axis=0)
-        c_high = X[~low].mean(axis=0)
-        d_low = np.einsum("ij,ij->i", X - c_low, X - c_low)
-        d_high = np.einsum("ij,ij->i", X - c_high, X - c_high)
+        dev_low = X - X[low].mean(axis=0)
+        dev_high = X - X[~low].mean(axis=0)
+        d_low = np.einsum("ij,ij->i", dev_low, dev_low)
+        d_high = np.einsum("ij,ij->i", dev_high, dev_high)
         pred_low = d_low <= d_high  # ties go to the low-fitness class
         put(name, float(np.mean(pred_low != low)))
 
     # --- nearest-better --------------------------------------------------
     nn, nb = _nearest_distances(design, y)
-    nn_sd = float(nn.std())
+    nn_sd = design.nn_sd
     no_nb = not nb.any()
-    put("nbc.ratio", 1.0 if no_nb else float(nn.mean() / nb.mean()), flag=no_nb)
+    put("nbc.ratio", 1.0 if no_nb else float(design.nn_mean / nb.mean()),
+        flag=no_nb)
     if no_nb or nn_sd == 0.0:
         put("nbc.sd_ratio", 1.0, flag=True)
         put("nbc.cor_nn_y", 0.0, flag=True)
@@ -431,7 +453,7 @@ def compute_features(sample: SampleSet, feature_seed: int = 0) -> FeatureVector:
     put("ic.eps_settle", eps_settle, flag=not settled)
 
     # --- principal components ---------------------------------------------
-    expl_x, first_share = (1.0, 1.0) if const_x else _pca_counts(X)
+    expl_x, first_share = design.pca_x
     expl_xy = 1.0 if const_x and const_y else \
         _pca_counts(np.hstack([X, y[:, None]]))[0]
     put("pca.expl_x_90", expl_x, flag=const_x)

@@ -12,6 +12,9 @@ from ..problems.core import ProblemInstance, evaluate_batch
 
 @dataclass(frozen=True)
 class SampleSet:
+    """A design X of shape (n, d) and its responses y of shape (n,), read-only.
+    Non-finite entries are refused with a ValueError that names X or y."""
+
     X: np.ndarray
     y: np.ndarray
 
@@ -22,6 +25,9 @@ class SampleSet:
             raise ValueError("need X of shape (n, d) and y of shape (n,)")
         if X.shape[0] < 2 * X.shape[1]:
             raise ValueError("need n >= 2d sample points")
+        for name, a in (("X", X), ("y", y)):
+            if not np.isfinite(a).all():
+                raise ValueError(f"non-finite entries in {name}")
         X.flags.writeable = False
         y.flags.writeable = False
         object.__setattr__(self, "X", X)

@@ -157,16 +157,33 @@ def test_decoded_grids_are_read_only_int8_and_pass_the_checked_path(variant):
             grid.cells[0, 0] = GROUND
 
 
-@pytest.mark.parametrize("variant", (OVERWORLD, UNDERGROUND))
-def test_argmax_margins_dwarf_batch_rounding(variant):
+@pytest.fixture(scope="module", params=(OVERWORLD, UNDERGROUND))
+def survey_references(request):
+    """For each of the 14 survey decoders of a variant (seeds 1..7 at the
+    survey's latent and concatenation-half sizes, 500 LHS rows each):
+    (seed, dim, the smallest top-2 margin of the float64 reference scores,
+    the largest deviation of the float32 screen from them).  Built once per variant;
+    the full reference is 20 MB a decoder, so only these are kept."""
+    out = []
+    for seed in range(1, 8):
+        for dim in (10, 5):
+            params = decoder_params(request.param, seed, dim)
+            Z = lhs_points(500, dim, -np.ones(dim), np.ones(dim), seed)
+            reference = _reference_scores(params, Z)
+            top2 = np.sort(reference, axis=1)[:, -2:]
+            hidden = np.tanh(Z @ params.w1.T + params.b1)
+            screened = _screen_scores(params, hidden)
+            error = np.abs(screened - reference.reshape(
+                len(Z), N_TILE_TYPES, HEIGHT * WIDTH).transpose(1, 2, 0)).max()
+            out.append((seed, dim, (top2[:, 1] - top2[:, 0]).min(), error))
+    return out
+
+
+def test_argmax_margins_dwarf_batch_rounding(survey_references):
     # A chunked matrix product rounds scores differently from a per-row one;
     # a tile could flip only where its two best channels are this close.
-    for seed in range(1, 8):
-        for dim in (10, 5):  # the survey's latent and concatenation-half sizes
-            params = decoder_params(variant, seed, dim)
-            Z = lhs_points(500, dim, -np.ones(dim), np.ones(dim), seed)
-            top2 = np.sort(_reference_scores(params, Z), axis=1)[:, -2:]
-            assert (top2[:, 1] - top2[:, 0]).min() >= 1e-12, (seed, dim)
+    for seed, dim, margin, _ in survey_references:
+        assert margin >= 1e-12, (seed, dim)
 
 
 def test_exact_ties_go_to_the_lowest_channel():
@@ -232,18 +249,8 @@ def test_resolving_every_cell_in_float64_changes_no_grid(variant, dim,
         assert np.array_equal(cells[:, 1:13], raw[:, 1:13]), n
 
 
-@pytest.mark.parametrize("variant", (OVERWORLD, UNDERGROUND))
-def test_screen_errors_stay_within_half_the_tolerance(variant):
-    worst = 0.0
-    for seed in range(1, 8):
-        for dim in (10, 5):  # the 14 survey decoders of this variant
-            params = decoder_params(variant, seed, dim)
-            Z = lhs_points(500, dim, -np.ones(dim), np.ones(dim), seed)
-            hidden = np.tanh(Z @ params.w1.T + params.b1)
-            screened = _screen_scores(params, hidden)
-            reference = _reference_scores(params, Z).reshape(
-                len(Z), N_TILE_TYPES, HEIGHT * WIDTH).transpose(1, 2, 0)
-            worst = max(worst, np.abs(screened - reference).max())
+def test_screen_errors_stay_within_half_the_tolerance(survey_references):
+    worst = max(error for _, _, _, error in survey_references)
     assert worst <= SCREEN_TOL / 2
 
 

@@ -9,7 +9,11 @@ from landscape_atlas.ela import (
     lhs_sample, meta_model_r2, nearest_better_ratio, normalize_features,
 )
 from landscape_atlas.ela import features
-from landscape_atlas.ela.features import _design, _nearest_distances
+from landscape_atlas.ela.features import (
+    _DISP_QUANTILES, _IC_EPSILONS, _IC_SETTLE, _IC_SETTLE_FALLBACK,
+    _LEVEL_QUANTILES, _constant, _design, _entropy_nat, _lstsq_r2,
+    _nearest_distances, _pca_counts, _sstot, _upper_pairs,
+)
 from landscape_atlas._seeds import NS_FEATURES, rng_for
 from landscape_atlas.errors import (
     AllEqualFitness, BadSampleSize, ConstantResponse, RankDeficient,
@@ -63,6 +67,21 @@ def test_sample_set_validation():
         SampleSet(np.zeros((3, 2)), np.zeros(2))
     with pytest.raises(ValueError):
         SampleSet(np.zeros((3, 2)), np.zeros(3))  # n < 2d
+
+
+@pytest.mark.parametrize("entry", [compute_features, nearest_better_ratio,
+                                   meta_model_r2])
+@pytest.mark.parametrize("which", ["X", "y"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_samples_are_refused_before_any_entry_point(entry, which,
+                                                                bad):
+    # Accepted, this sample with its NaN response gave a nearest-better
+    # ratio of 0.51 and a quadratic R^2 of 0.0, with no error.
+    rng = np.random.default_rng(2)
+    X, y = rng.uniform(-1.0, 1.0, (30, 2)), rng.normal(size=30)
+    (X if which == "X" else y)[7] = bad
+    with pytest.raises(ValueError, match=f"non-finite entries in {which}"):
+        entry(SampleSet(X, y))
 
 
 # --- meta-model R^2 --------------------------------------------------------------
@@ -185,7 +204,7 @@ def test_nearest_distances_equal_brute_force_on_duplicates_and_tied_y():
     rng = np.random.default_rng(3)
     zero_nn = zero_nb = 0
     for _ in range(60):
-        n = int(rng.integers(2, 40))
+        n = int(rng.integers(2, 121))  # above and below the 16 candidates
         X = rng.integers(0, 3, (n, 2)).astype(float)  # duplicate points
         y = rng.integers(0, 4, n).astype(float)       # tied fitness
         nn, nb = _nearest_distances(_design(X), y)
@@ -544,10 +563,172 @@ def test_designs_differing_in_the_sign_of_zero_do_not_share_an_entry():
 def test_memo_arrays_are_read_only():
     X = lhs_points(12, 2, np.zeros(2), np.ones(2), sample_seed=4)
     design = _design(X)
-    for a in (design.D, design.nn, design.tour(3)):
+    for a in (design.D, design.nn, design.quad, design.cand, design.cand_d,
+              design.tour(3)):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0
+
+
+# --- byte identity with the per-call battery ---------------------------------------
+
+def _per_call_features(sample, feature_seed):
+    """(vector bytes, degenerate) of compute_features as written when the
+    memo held only the distances, the nearest-neighbour distances and the
+    tours: a full-row nearest-better search, one symbol loop per epsilon,
+    one quantile call per level, and the quadratic design and the X-only
+    principal components built per call."""
+    n, d = sample.n, sample.dim
+    X, y = sample.X, sample.y
+    design = _design(X)
+    const_y, const_x = _constant(y), _constant(X)
+    values, degenerate = [], []
+
+    def put(name, value, flag=False):
+        values.append(float(value))
+        if flag:
+            degenerate.append(name)
+
+    for name, v in zip(FEATURE_NAMES[:6], (d, n, y.min(), y.max(), y.mean(),
+                                          y.std())):
+        put(name, v)
+    c = y - y.mean()
+    m2 = float(np.mean(c ** 2))
+    with np.errstate(over="ignore"):
+        m4 = float(np.mean(c ** 4))
+    if const_y or not 0.0 < m2 * m2 < np.inf or m4 == np.inf:
+        for name in ("ydist.skewness", "ydist.kurtosis", "ydist.entropy"):
+            put(name, 0.0, True)
+    else:
+        put("ydist.skewness", float(np.mean(c ** 3)) / m2 ** 1.5)
+        put("ydist.kurtosis", m4 / m2 ** 2 - 3.0)
+        put("ydist.entropy", _entropy_nat(y))
+
+    flat_y = const_y or _sstot(y) == 0.0
+    quad = np.hstack([np.ones((n, 1)), X, X ** 2])
+    lin_fit = quad_fit = None
+    if not (flat_y or const_x):
+        lin_fit, quad_fit = _lstsq_r2(quad[:, :1 + d], y), _lstsq_r2(quad, y)
+    beta = np.abs(lin_fit[1][1:]) if lin_fit else np.zeros(1)
+    gamma = np.abs(quad_fit[1][1 + d:]) if quad_fit else np.zeros(1)
+    put("meta.lin_r2", lin_fit[0] if lin_fit else 1.0, not lin_fit)
+    put("meta.quad_r2", quad_fit[0] if quad_fit else 1.0, not quad_fit)
+    put("meta.lin_coef_min", beta.min(), not lin_fit)
+    put("meta.lin_coef_max", beta.max(), not lin_fit)
+    no_cond = gamma.min() == 0.0
+    put("meta.quad_cond", 1.0 if no_cond else gamma.max() / gamma.min(),
+        no_cond)
+
+    D, mean_all = design.D, design.mean_all
+    rank_order = np.argsort(y, kind="stable")
+    for p in _DISP_QUANTILES:
+        name = f"disp.ratio_{int(round(p * 100)):02d}"
+        if mean_all == 0.0:
+            put(name, 1.0, True)
+            continue
+        k = max(2, int(np.ceil(p * n)))
+        best = rank_order[:k]
+        sub = D[np.ix_(best, best)]
+        put(name, float(sub.take(_upper_pairs(k)).mean()) / mean_all)
+
+    for q in _LEVEL_QUANTILES:
+        name = f"level.mmce_{int(round(q * 100)):02d}"
+        low = y <= float(np.quantile(y, q))
+        if low.all() or not low.any():
+            put(name, 0.0, True)
+            continue
+        c_low, c_high = X[low].mean(axis=0), X[~low].mean(axis=0)
+        d_low = np.einsum("ij,ij->i", X - c_low, X - c_low)
+        d_high = np.einsum("ij,ij->i", X - c_high, X - c_high)
+        put(name, float(np.mean((d_low <= d_high) != low)))
+
+    nn = design.nn
+    nb = np.where(y[None, :] < y[:, None], D, np.inf).min(axis=1)
+    nb = nb[np.isfinite(nb)]
+    nn_sd = float(nn.std())
+    no_nb = not nb.any()
+    put("nbc.ratio", 1.0 if no_nb else float(nn.mean() / nb.mean()), no_nb)
+    if no_nb or nn_sd == 0.0:
+        put("nbc.sd_ratio", 1.0, True)
+        put("nbc.cor_nn_y", 0.0, True)
+    else:
+        put("nbc.sd_ratio", float(nb.std()) / nn_sd)
+        put("nbc.cor_nn_y", 0.0 if flat_y else np.corrcoef(nn, y)[0, 1],
+            flat_y)
+
+    order = design.tour(int(rng_for(NS_FEATURES, feature_seed).integers(n)))
+    dy = np.diff(y[order])
+    dd = D[order[:-1], order[1:]]
+    slopes = np.divide(dy, dd, out=np.zeros_like(dy), where=dd > 0)
+    h_by_eps = []
+    for eps in _IC_EPSILONS:
+        s = np.zeros(len(slopes), dtype=int)
+        s[slopes > eps] = 1
+        s[slopes < -eps] = -1
+        a, b = s[:-1], s[1:]
+        neq = a != b
+        if not neq.any():
+            h_by_eps.append(0.0)
+            continue
+        counts = np.bincount(((a + 1) * 3 + (b + 1))[neq], minlength=9)
+        p = counts[counts > 0] / len(a)
+        h_by_eps.append(float(-(p * (np.log(p) / np.log(6.0))).sum()))
+    i_max = int(np.argmax(h_by_eps))
+    s0 = np.sign(slopes).astype(int)
+    nz = s0[s0 != 0]
+    changes = 1 + int(np.count_nonzero(nz[1:] != nz[:-1]))
+    settle = [e for e, h in zip(_IC_EPSILONS, h_by_eps) if h < _IC_SETTLE]
+    put("ic.h_max", h_by_eps[i_max])
+    put("ic.eps_max", _IC_EPSILONS[i_max])
+    put("ic.m0", changes / len(slopes) if len(nz) else 0.0)
+    put("ic.eps_settle", settle[0] if settle else _IC_SETTLE_FALLBACK,
+        not settle)
+
+    expl_x, first_share = (1.0, 1.0) if const_x else _pca_counts(X)
+    expl_xy = 1.0 if const_x and const_y else \
+        _pca_counts(np.hstack([X, y[:, None]]))[0]
+    put("pca.expl_x_90", expl_x, const_x)
+    put("pca.expl_xy_90", expl_xy, const_x and const_y)
+    put("pca.first_pc_share", first_share, const_x)
+    return np.array(values).tobytes(), tuple(degenerate)
+
+
+def _identity_cases():
+    """(X, y) over n from 2d + 2 to 200: LHS designs under smooth and
+    rounded responses, lattice designs with duplicate rows and tied
+    responses, a duplicated row, a constant response and a constant
+    design."""
+    rng = np.random.default_rng(31)
+    for n in (6, 9, 16, 17, 24, 40, 77, 120, 200):
+        d = int(rng.integers(1, min(5, (n - 2) // 2) + 1))
+        X = lhs_points(n, d, np.full(d, -2.0), np.full(d, 2.0), n)
+        yield X, np.sum(X ** 2, axis=1) + 0.3 * np.sin(5.0 * X[:, 0])
+        yield X, -np.sum(X ** 2, axis=1)        # better points lie far off
+        yield X, np.round(rng.normal(size=n))   # tied responses
+        yield X, np.full(n, 0.1)                # constant response
+        lattice = rng.integers(0, 3, (n, d)).astype(float)
+        yield lattice, rng.integers(0, 4, n).astype(float)
+        dup = X.copy()
+        dup[1::3] = dup[0]
+        yield dup, rng.normal(size=n)
+        yield np.tile(rng.uniform(size=d), (n, 1)), rng.normal(size=n)
+
+
+def test_battery_is_byte_identical_to_the_per_call_code():
+    table_rows = full_rows = 0
+    for X, y in _identity_cases():
+        s = _sample(X, y)
+        features._design_terms.cache_clear()
+        for feature_seed in (0, 1):
+            fv = compute_features(s, feature_seed)
+            ref = _per_call_features(s, feature_seed)
+            assert (fv.as_array().tobytes(), fv.degenerate) == ref, \
+                (s.n, s.dim)
+        design = _design(s.X)
+        better = s.y[design.cand] < s.y[:, None]
+        table_rows += int(better.any(axis=1).sum())
+        full_rows += int((~better.any(axis=1) & (s.y > s.y.min())).sum())
+    assert table_rows > 0 and full_rows > 0
 
 
 def test_feature_vector_rejects_nonfinite_values():
