@@ -133,6 +133,13 @@ def _lstsq_r2(A: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray] | None:
     return min(1.0, max(0.0, 1.0 - ssres / sstot)), coef
 
 
+def _quadratic(X: np.ndarray) -> np.ndarray:
+    """The quadratic model's design: intercept, linear and squared columns,
+    no interactions.  The linear model's design is its first 1 + d
+    columns."""
+    return np.hstack([np.ones((len(X), 1)), X, X ** 2])
+
+
 def meta_model_r2(sample: SampleSet) -> float:
     """R^2 of the full quadratic model (intercept, linear and squared
     terms, no interactions) fitted to the sample by least squares.
@@ -141,7 +148,9 @@ def meta_model_r2(sample: SampleSet) -> float:
     convention here is to report 1.0 (the constant model is exact) and
     warn ConstantResponse.  So does a response whose sum of squared
     deviations underflows to 0.  Raises ValueError unless n > 1 + 2d, and
-    RankDeficient for a constant design or linearly dependent columns."""
+    RankDeficient for a constant design or linearly dependent columns.
+    It reads no distance, so it builds its design per call and leaves the
+    memo of _design alone."""
     n, d = sample.n, sample.dim
     if n <= 1 + 2 * d:
         raise ValueError("need more points than quadratic model terms")
@@ -149,8 +158,8 @@ def meta_model_r2(sample: SampleSet) -> float:
         warnings.warn("constant response; reporting R^2 = 1.0",
                       ConstantResponse)
         return 1.0
-    design = _design(sample.X)
-    fit = None if design.constant else _lstsq_r2(design.quad, sample.y)
+    X = sample.X
+    fit = None if _constant(X) else _lstsq_r2(_quadratic(X), sample.y)
     if fit is None:
         raise RankDeficient(f"quadratic design of rank < {1 + 2 * d} columns")
     return fit[0]
@@ -176,14 +185,13 @@ class _Design:
     noise there), so a constant design has every distance 0.  ``nn`` is
     each point's nearest-neighbour distance, with its mean ``nn_mean`` and
     population standard deviation ``nn_sd``, and ``mean_all`` the mean
-    distance over all pairs.  ``quad`` is the quadratic model's design:
-    intercept, linear and squared columns, no interactions; the linear
-    model's design is its first 1 + d columns.  ``pca_x`` is the X-only
-    principal-component pair of _pca_counts, (1.0, 1.0) for a constant
-    design.  ``cand`` holds each row's k = min(16, n) nearest columns, in
-    no order, and ``cand_d`` their distances: every column outside a row's
-    table lies at least as far as the table's farthest entry.  Tours are
-    kept per start, so at most n of them.  Every array is read-only."""
+    distance over all pairs.  ``quad`` is the _quadratic design of X.
+    ``pca_x`` is the X-only principal-component pair of _pca_counts, (1.0,
+    1.0) for a constant design.  ``cand`` holds each row's k = min(16, n)
+    nearest columns, in no order, and ``cand_d`` their distances: every
+    column outside a row's table lies at least as far as the table's
+    farthest entry.  Tours are kept per start, so at most n of them.  Every
+    array is read-only."""
 
     def __init__(self, X: np.ndarray):
         n = len(X)
@@ -199,7 +207,7 @@ class _Design:
         self.nn = D.min(axis=1)
         self.nn_mean, self.nn_sd = float(self.nn.mean()), float(self.nn.std())
         self.D = D
-        self.quad = np.hstack([np.ones((n, 1)), X, X ** 2])
+        self.quad = _quadratic(X)
         self.pca_x = (1.0, 1.0) if self.constant else _pca_counts(X)
         k = min(_CANDIDATES, n)
         # A copy: a view of the slice would keep the whole n x n index
@@ -242,10 +250,10 @@ def _design(X: np.ndarray) -> _Design:
     return _design_terms(X.shape, X.tobytes())
 
 
-def _nearest_distances(design: _Design, y: np.ndarray):
-    """Nearest-neighbour distance per point and nearest-strictly-better
-    distance for every point that has a strictly better neighbour (none
-    for a constant response).
+def _nearest_distances(design: _Design, y: np.ndarray) -> np.ndarray:
+    """Nearest-strictly-better distance for every point that has a
+    strictly better neighbour, in row order (none for a constant response).
+    The nearest-neighbour distances are ``design.nn``.
 
     A row with a strictly better point among its candidates takes the
     nearest of those: no column outside the table lies nearer.  Only a row
@@ -256,7 +264,7 @@ def _nearest_distances(design: _Design, y: np.ndarray):
     if len(rest):
         nb_all[rest] = np.where(y[None, :] < y[rest, None], design.D[rest],
                                 np.inf).min(axis=1)
-    return design.nn, nb_all[np.isfinite(nb_all)]
+    return nb_all[np.isfinite(nb_all)]
 
 
 def nearest_better_ratio(sample: SampleSet) -> float:
@@ -274,7 +282,7 @@ def nearest_better_ratio(sample: SampleSet) -> float:
     design = _design(sample.X)
     if design.constant:
         raise ValueError("constant design: every distance is 0")
-    _, nb = _nearest_distances(design, sample.y)
+    nb = _nearest_distances(design, sample.y)
     if not nb.any():
         raise ValueError("every nearest-better distance is 0")
     return float(design.nn_mean / nb.mean())
@@ -430,7 +438,7 @@ def compute_features(sample: SampleSet, feature_seed: int = 0) -> FeatureVector:
         put(name, float(np.mean(pred_low != low)))
 
     # --- nearest-better --------------------------------------------------
-    nn, nb = _nearest_distances(design, y)
+    nb = _nearest_distances(design, y)
     nn_sd = design.nn_sd
     no_nb = not nb.any()
     put("nbc.ratio", 1.0 if no_nb else float(design.nn_mean / nb.mean()),
@@ -440,7 +448,7 @@ def compute_features(sample: SampleSet, feature_seed: int = 0) -> FeatureVector:
         put("nbc.cor_nn_y", 0.0, flag=True)
     else:
         put("nbc.sd_ratio", float(nb.std()) / nn_sd)
-        put("nbc.cor_nn_y", 0.0 if flat_y else np.corrcoef(nn, y)[0, 1],
+        put("nbc.cor_nn_y", 0.0 if flat_y else np.corrcoef(design.nn, y)[0, 1],
             flag=flat_y)
 
     # --- information content ---------------------------------------------

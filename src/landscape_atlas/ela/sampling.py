@@ -12,8 +12,9 @@ from ..problems.core import ProblemInstance, evaluate_batch
 
 @dataclass(frozen=True)
 class SampleSet:
-    """A design X of shape (n, d) and its responses y of shape (n,), read-only.
-    Non-finite entries are refused with a ValueError that names X or y."""
+    """A design X of shape (n, d) with d >= 1 and its responses y of shape
+    (n,), read-only.  Non-finite entries are refused with a ValueError that
+    names X or y."""
 
     X: np.ndarray
     y: np.ndarray
@@ -21,8 +22,8 @@ class SampleSet:
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
         y = np.asarray(self.y, dtype=float)
-        if X.ndim != 2 or y.shape != (X.shape[0],):
-            raise ValueError("need X of shape (n, d) and y of shape (n,)")
+        if X.ndim != 2 or X.shape[1] < 1 or y.shape != (X.shape[0],):
+            raise ValueError("need X of shape (n, d >= 1) and y of shape (n,)")
         if X.shape[0] < 2 * X.shape[1]:
             raise ValueError("need n >= 2d sample points")
         for name, a in (("X", X), ("y", y)):

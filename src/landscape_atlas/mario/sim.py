@@ -77,10 +77,12 @@ def time_taken(r: SimulationResult) -> float:
 
 class _Level:
     """Flattened lookup tables for one grid, as bytes: one 0/1 (or, for
-    step, tick-count) byte per entry."""
+    step, tick-count) byte per entry.  It holds only tables that a run
+    reads; a cell's footing (a standable tile below it) is
+    ``stand[cell * 3]``."""
 
-    __slots__ = ("height", "width", "t_max", "supported", "hazard", "coin",
-                 "col_open", "step", "stand", "spawn")
+    __slots__ = ("height", "width", "t_max", "hazard", "coin", "col_open",
+                 "step", "stand", "spawn")
 
     def __init__(self, grid: TileGrid):
         cells = grid.cells
@@ -89,9 +91,6 @@ class _Level:
         self.width = w
         self.t_max = 4 * w
         std = STANDABLE_MASK[cells]
-        sup = np.zeros((h, w), dtype=bool)
-        sup[:-1, :] = std[1:, :]
-        self.supported = sup.tobytes()
         hazard = HAZARD_MASK[cells]
         # One entry per cell, then a hazard-free one, so that hazard is
         # indexed like step.
@@ -103,9 +102,10 @@ class _Level:
         # stays in its cell.
         self.step = (hazard * np.uint8(HAZARD_PENALTY) + np.uint8(1)
                      ).tobytes() + b"\1"
-        # Per state (cell * 3 + jump phase): 1 where the agent stands.
-        stand = np.zeros((h * w, 3), dtype=bool)
-        stand[:, 0] = sup.ravel()
+        # Per state (cell * 3 + jump phase): 1 where the agent stands, in
+        # jump phase 0 above a standable tile.
+        stand = np.zeros((h, w, 3), dtype=bool)
+        stand[:-1, :, 0] = std[1:, :]
         self.stand = stand.tobytes()
         self.spawn = -1
         col = std[:, 0].tobytes()

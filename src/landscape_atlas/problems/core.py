@@ -178,7 +178,10 @@ def resolve(id_or_text: ProblemId | str, instance_seed: int,
 
 def decode_instance_level(instance: ProblemInstance, z: np.ndarray) -> TileGrid:
     """The grid an m-problem instance sees for latent vector z."""
-    return _design_levels(instance, np.asarray(z, dtype=float)[np.newaxis])[0]
+    if instance.id.suite != "mario":
+        raise UnknownProblem("only mario problems decode levels")
+    X = _design(instance, np.asarray(z, dtype=float)[np.newaxis])
+    return _design_levels(instance, X)[0]
 
 
 def _design(instance: ProblemInstance, X: np.ndarray) -> np.ndarray:
@@ -192,12 +195,9 @@ def _design(instance: ProblemInstance, X: np.ndarray) -> np.ndarray:
 
 def _design_levels(instance: ProblemInstance, X: np.ndarray
                    ) -> tuple[TileGrid, ...]:
-    """The grids an m-problem instance sees for the rows of X, from one
-    decode_levels call (concatenation variants stack both halves into a
-    batch of 2n rows)."""
-    if instance.id.suite != "mario":
-        raise UnknownProblem("only mario problems decode levels")
-    X = _design(instance, X)
+    """The grids an m-problem instance sees for the rows of X, a design
+    that _design has checked, from one decode_levels call (concatenation
+    variants stack both halves into a batch of 2n rows)."""
     _, _, variant, concat = _MARIO_ROWS[instance.id.index]
     if concat:
         half = instance.dimension // 2

@@ -71,6 +71,15 @@ def test_sample_set_validation():
 
 @pytest.mark.parametrize("entry", [compute_features, nearest_better_ratio,
                                    meta_model_r2])
+def test_designs_of_no_columns_are_refused_before_any_entry_point(entry):
+    # Accepted, this sample gave basic.dim = 0 with a constant design, a
+    # "constant design" error and a RankDeficient of "rank < 1 columns".
+    with pytest.raises(ValueError, match=r"need X of shape \(n, d >= 1\)"):
+        entry(SampleSet(np.empty((6, 0)), np.arange(6.0)))
+
+
+@pytest.mark.parametrize("entry", [compute_features, nearest_better_ratio,
+                                   meta_model_r2])
 @pytest.mark.parametrize("which", ["X", "y"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_samples_are_refused_before_any_entry_point(entry, which,
@@ -207,12 +216,14 @@ def test_nearest_distances_equal_brute_force_on_duplicates_and_tied_y():
         n = int(rng.integers(2, 121))  # above and below the 16 candidates
         X = rng.integers(0, 3, (n, 2)).astype(float)  # duplicate points
         y = rng.integers(0, 4, n).astype(float)       # tied fitness
-        nn, nb = _nearest_distances(_design(X), y)
+        design = _design(X)
+        nn, nb = design.nn, _nearest_distances(design, y)
         D = [[float(np.linalg.norm(X[i] - X[j])) for j in range(n)]
              for i in range(n)]
         nn_ref = [min(D[i][j] for j in range(n) if j != i) for i in range(n)]
         nb_ref = [min(D[i][j] for j in range(n) if y[j] < y[i])
                   for i in range(n) if (y < y[i]).any()]
+        assert isinstance(nb, np.ndarray) and nb.ndim == 1
         assert nn.tolist() == nn_ref
         assert nb.tolist() == nb_ref
         zero_nn += int((nn == 0.0).sum())
@@ -546,6 +557,37 @@ def test_memo_values_equal_cold_values():
         cold.append(vector(*case))
     assert warm == cold
     assert any(degenerate for _, degenerate in cold)
+
+
+def test_cold_meta_model_r2_leaves_the_memo_empty_and_equals_the_warm_value():
+    rng = np.random.default_rng(8)
+    X = lhs_points(500, 10, np.full(10, -1.0), np.ones(10), sample_seed=2)
+    cases = [(X, np.sin(3.0 * X).sum(axis=1)), (X, rng.normal(size=500)),
+             (X, np.full(500, 0.1)),                       # constant response
+             (X, np.linspace(0.0, 1.0, 500) * 1e-170),     # sstot underflows
+             (np.tile(rng.uniform(size=10), (500, 1)), rng.normal(size=500))]
+
+    def outcome(s):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ConstantResponse)
+            try:
+                r2 = meta_model_r2(s)
+            except RankDeficient as e:
+                return str(e), len(caught)
+        return np.float64(r2).tobytes(), len(caught)
+
+    kinds = set()
+    for X, y in cases:
+        s = _sample(X, y)
+        features._design_terms.cache_clear()
+        cold = outcome(s)
+        assert features._design_terms.cache_info().currsize == 0
+        fv = compute_features(s)  # warms the memo on this design
+        assert outcome(s) == cold
+        if not isinstance(cold[0], str):
+            assert cold[0] == np.float64(fv.values["meta.quad_r2"]).tobytes()
+        kinds.add((isinstance(cold[0], str), cold[1]))
+    assert kinds == {(False, 0), (False, 1), (True, 0)}
 
 
 def test_designs_differing_in_the_sign_of_zero_do_not_share_an_entry():

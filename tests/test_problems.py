@@ -7,8 +7,9 @@ from landscape_atlas.errors import (
 )
 from landscape_atlas.ela.sampling import lhs_points
 from landscape_atlas.mario.decoder import CHUNK_ROWS
+from landscape_atlas.mario import sim
 from landscape_atlas.problems import (
-    BoxDomain, ProblemId, decode_instance_level, evaluate,
+    BoxDomain, ProblemId, core, decode_instance_level, evaluate,
     evaluate_batch, instance_agent, list_problems, resolve,
 )
 
@@ -169,6 +170,28 @@ def test_agents_match_the_problem_table():
 def test_baselines_decline_to_decode():
     with pytest.raises(UnknownProblem):
         decode_instance_level(resolve("sphere", 1, 10), np.zeros(10))
+
+
+@pytest.mark.parametrize("name", ("m1", "m11", "m13", "sphere"))
+def test_a_batch_and_a_decoded_row_are_checked_once(name, monkeypatch):
+    checks, check = [], core._design
+
+    def counted(instance, X):
+        checks.append(np.shape(X))
+        return check(instance, X)
+
+    monkeypatch.setattr(core, "_design", counted)
+    sim._CACHE.clear()
+    inst = resolve(name, 1, 4)
+    evaluate_batch(inst, np.zeros((3, 4)))
+    assert checks == [(3, 4)]
+    if name != "sphere":
+        assert decode_instance_level(inst, np.zeros(4)) == \
+            core._design_levels(inst, np.zeros((1, 4)))[0]
+        assert checks == [(3, 4), (1, 4)]
+        for bad in (np.zeros(3), np.full(4, np.nan), np.zeros((1, 4))):
+            with pytest.raises(OutOfBounds):
+                decode_instance_level(inst, bad)
 
 
 def test_evaluation_is_deterministic_and_picklable():

@@ -211,7 +211,7 @@ _INF = float("inf")
 def _edges(lv, r: int, c: int, p: int):
     """Successor (r, c, p, cost) tuples, in a fixed deterministic order."""
     w, h = lv.width, lv.height
-    supported, hazard = lv.supported, lv.hazard
+    supported, hazard = lv.stand[::3], lv.hazard
     cell = r * w + c
     standing = p == 0 and supported[cell]
     out = []
@@ -411,7 +411,7 @@ def test_planner_matches_the_reference_search_on_decoded_levels():
 
 def _reference_run_scared(lv, track=None):
     w, h = lv.width, lv.height
-    supported, hazard, coin, col_open = lv.supported, lv.hazard, lv.coin, lv.col_open
+    supported, hazard, coin, col_open = lv.stand[::3], lv.hazard, lv.coin, lv.col_open
     r, c, p = lv.spawn // w, 0, 0
     coins = {lv.spawn} if coin[lv.spawn] else set()
     t_tot = t_g = 0
@@ -525,7 +525,7 @@ class _ReferenceLevel:
                 break
 
 
-_TABLES = ("supported", "hazard", "coin", "col_open", "step", "stand")
+_TABLES = ("hazard", "coin", "col_open", "step", "stand")
 
 
 @settings(max_examples=300, deadline=None)
@@ -536,6 +536,7 @@ _TABLES = ("supported", "hazard", "coin", "col_open", "step", "stand")
 @example(grid=parse_ascii("-E\n-X\nXX"))
 def test_level_byte_tables_equal_the_list_tables(grid):
     lv, ref = sim._Level(grid), _ReferenceLevel(grid)
+    assert set(lv.__slots__) == {*_TABLES, "height", "width", "t_max", "spawn"}
     for name in _TABLES:
         assert isinstance(getattr(lv, name), bytes), name
         assert list(getattr(lv, name)) == [int(v) for v in getattr(ref, name)], name
