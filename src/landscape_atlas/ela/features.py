@@ -103,7 +103,7 @@ def _squared_distances(X: np.ndarray, out: np.ndarray | None = None
 @lru_cache(maxsize=8)
 def _upper_pairs(n: int) -> np.ndarray:
     """Flat indices of the strict upper triangle of an n x n matrix, in
-    np.triu_indices(n, k=1) order."""
+    np.triu_indices(n, k=1) order; only the dispersion blocks read it."""
     pairs = np.ravel_multi_index(np.triu_indices(n, k=1), (n, n))
     pairs.flags.writeable = False
     return pairs
@@ -185,7 +185,8 @@ class _Design:
     noise there), so a constant design has every distance 0.  ``nn`` is
     each point's nearest-neighbour distance, with its mean ``nn_mean`` and
     population standard deviation ``nn_sd``, and ``mean_all`` the mean
-    distance over all pairs.  ``quad`` is the _quadratic design of X.
+    distance over all pairs, read row by row from the upper triangle in
+    _upper_pairs order.  ``quad`` is the _quadratic design of X.
     ``pca_x`` is the X-only principal-component pair of _pca_counts, (1.0,
     1.0) for a constant design.  ``cand`` holds each row's k = min(16, n)
     nearest columns, in no order, and ``cand_d`` their distances: every
@@ -203,7 +204,8 @@ class _Design:
             inverse = inverse.reshape(-1)
             D[inverse[:, None] == inverse[None, :]] = 0.0
         np.fill_diagonal(D, np.inf)
-        self.mean_all = float(D.take(_upper_pairs(n)).mean())
+        self.mean_all = float(np.concatenate(
+            [D[i, i + 1:] for i in range(n)]).mean())
         self.nn = D.min(axis=1)
         self.nn_mean, self.nn_sd = float(self.nn.mean()), float(self.nn.std())
         self.D = D

@@ -76,10 +76,10 @@ def time_taken(r: SimulationResult) -> float:
 
 
 class _Level:
-    """Flattened lookup tables for one grid, as bytes: one 0/1 (or, for
-    step, tick-count) byte per entry.  It holds only tables that a run
-    reads; a cell's footing (a standable tile below it) is
-    ``stand[cell * 3]``."""
+    """The lookup tables that a run reads, for one grid, flattened to
+    bytes: one 0/1 (or, for step, tick-count) byte per cell, column or
+    state.  step has one entry more, for a move that stays in its cell; a
+    cell's footing (a standable tile below it) is ``stand[cell * 3]``."""
 
     __slots__ = ("height", "width", "t_max", "hazard", "coin", "col_open",
                  "step", "stand", "spawn")
@@ -92,9 +92,7 @@ class _Level:
         self.t_max = 4 * w
         std = STANDABLE_MASK[cells]
         hazard = HAZARD_MASK[cells]
-        # One entry per cell, then a hazard-free one, so that hazard is
-        # indexed like step.
-        self.hazard = hazard.tobytes() + b"\0"
+        self.hazard = hazard.tobytes()
         self.coin = (cells == COIN).tobytes()
         self.col_open = (~std.any(axis=0)).tobytes()
         # The ticks a planner move costs, by the cell it enters: one, plus

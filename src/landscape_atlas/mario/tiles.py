@@ -57,9 +57,8 @@ _CODE_OF_CHAR = {ch: code for code, ch in enumerate(ASCII_LEGEND)}
 
 
 def _valid_codes(a: np.ndarray) -> bool:
-    """Whether every entry of a is an integer in 0..12."""
-    if a.dtype == np.int8:  # the decoder's grids: two cheap reductions
-        return a.min() >= 0 and a.max() < N_TILE_TYPES
+    """Whether every entry of a is an integer in 0..12, by one check for
+    every dtype.  Decoded grids skip it (TileGrid._trusted)."""
     if a.dtype.kind not in "biuf":
         return False
     valid = (a >= 0) & (a < N_TILE_TYPES)  # False for NaN

@@ -12,6 +12,7 @@ the same alone or in a group (``grow_forest``).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,16 +39,33 @@ class Tree:
 
     @staticmethod
     def from_dict(d: dict, n_features: int, n_classes: int) -> "Tree":
-        """The tree d describes; ValueError unless ``_grow`` could have
-        written it: equal-length node arrays, internal nodes that split one
-        of n_features features into two later nodes (so every descent ends),
-        and leaves that count each of n_classes classes."""
+        """The tree d describes; ValueError, naming the field, unless
+        ``_grow`` could have written it: equal-length node arrays of
+        integers (not floats or booleans) and finite thresholds, internal
+        nodes that split one of n_features features into two later nodes
+        (so every descent ends), and leaves that count each of n_classes
+        classes, none below 0."""
+        def ints(name: str, values, low: int) -> tuple[int, ...]:
+            values = tuple(values)
+            for i, v in enumerate(values):
+                if type(v) is not int or v < low:
+                    raise ValueError(f"{name}[{i}] = {v!r} is not an "
+                                     f"integer >= {low}")
+            return values
+
+        threshold = tuple(d["threshold"])
+        for i, t in enumerate(threshold):
+            # False for NaN, inf and ints beyond the float range
+            if type(t) not in (int, float) or not abs(t) <= sys.float_info.max:
+                raise ValueError(f"threshold[{i}] = {t!r} is not a finite "
+                                 f"number")
         tree = Tree(
-            feature=tuple(int(f) for f in d["feature"]),
-            threshold=tuple(float(t) for t in d["threshold"]),
-            left=tuple(int(i) for i in d["left"]),
-            right=tuple(int(i) for i in d["right"]),
-            counts=tuple(tuple(int(k) for k in c) for c in d["counts"]),
+            feature=ints("feature", d["feature"], -1),
+            threshold=tuple(float(t) for t in threshold),
+            left=ints("left", d["left"], -1),
+            right=ints("right", d["right"], -1),
+            counts=tuple(ints(f"counts[{i}]", c, 0)
+                         for i, c in enumerate(d["counts"])),
         )
         n = len(tree.feature)
         if n == 0 or {len(tree.threshold), len(tree.left), len(tree.right),

@@ -68,21 +68,40 @@ class PropertyModel:
         if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported model schema {doc.get('schema_version')!r}")
+        vocabulary = doc["vocabulary"]
+        if type(vocabulary) is not list or \
+                not all(type(v) is str for v in vocabulary) or \
+                len(set(vocabulary)) < len(vocabulary):
+            raise ValueError(f"malformed model vocabulary {vocabulary!r}: "
+                             f"labels must be distinct strings")
+        trees, where = [], ""
         try:
-            trees = tuple(Tree.from_dict(t, len(doc["manifest"]),
-                                         len(doc["vocabulary"]))
-                          for t in doc["trees"])
-        except TypeError as exc:  # a null or a number where a list belongs
-            raise ValueError(f"malformed model trees: {exc}") from exc
+            for at, tree in enumerate(doc["trees"]):
+                where = f"tree {at}: "
+                trees.append(Tree.from_dict(tree, len(doc["manifest"]),
+                                            len(vocabulary)))
+        except (TypeError, ValueError) as exc:
+            # TypeError: a null or a number where a list belongs
+            raise ValueError(f"malformed model trees: {where}{exc}") from exc
         if not trees:
             raise ValueError("malformed model trees: the forest is empty")
+        seed, accuracy = doc["train_seed"], doc["training_accuracy"]
+        if type(seed) is not int or seed < 0:
+            raise ValueError(f"malformed model train_seed {seed!r}: not an "
+                             f"integer >= 0")
+        if type(accuracy) not in (int, float) or not 0 <= accuracy <= 1:
+            raise ValueError(f"malformed model training_accuracy "
+                             f"{accuracy!r}: not a number in [0, 1]")
+        if type(doc["n_trees"]) is not int or doc["n_trees"] != len(trees):
+            raise ValueError(f"malformed model n_trees {doc['n_trees']!r}: "
+                             f"the forest has {len(trees)} trees")
         return PropertyModel(
             property_name=doc["property"],
-            vocabulary=tuple(doc["vocabulary"]),
+            vocabulary=tuple(vocabulary),
             manifest=tuple(doc["manifest"]),
-            train_seed=doc["train_seed"],
-            trees=trees,
-            training_accuracy=doc["training_accuracy"],
+            train_seed=seed,
+            trees=tuple(trees),
+            training_accuracy=accuracy,
         )
 
 

@@ -122,10 +122,6 @@ def walk_bundle(instance: ProblemInstance, anchor_seed: int,
     anchor = box.lower + rng.uniform(size=d) * (box.upper - box.lower)
     if step is None:
         step = default_step(instance)
-    specs = []
-    for _ in range(n_directions):
-        direction = rng.standard_normal(d)
-        while not np.any(direction):
-            direction = rng.standard_normal(d)
-        specs.append(WalkSpec(anchor, direction, step))
+    specs = [WalkSpec(anchor, rng.standard_normal(d), step)
+             for _ in range(n_directions)]
     return _walks(instance, specs)

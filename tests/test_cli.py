@@ -812,3 +812,46 @@ def test_classify_refuses_a_malformed_model_with_exit_1(capsys, tmp_path,
         assert (code, out) == (1, "")
         assert "ValueError" in err and "Traceback" not in err
     assert "forest is empty" in err
+
+
+# Node 0 splits feature 3 into leaves 1 and 2.
+_STUMP = {"feature": [3, -1, -1], "threshold": [0.5, 0.0, 0.0],
+          "left": [1, -1, -1], "right": [2, -1, -1],
+          "counts": [[], [4, 0], [0, 3]]}
+
+
+@pytest.mark.parametrize("field,path,value", [
+    ("feature[0]", ("trees", 0, "feature", 0), 3.7),
+    ("counts[1][0]", ("trees", 0, "counts", 1), [1.9, 0.2]),
+    ("counts[2][0]", ("trees", 0, "counts", 2, 0), -1),
+    ("threshold[0]", ("trees", 0, "threshold", 0), float("nan")),
+    ("threshold[0]", ("trees", 0, "threshold", 0), float("inf")),
+    ("vocabulary", ("vocabulary",), ["yes", "yes"]),
+    ("train_seed", ("train_seed",), "x"),
+    ("training_accuracy", ("training_accuracy",), 7.5),
+    ("n_trees", ("n_trees",), 99),
+], ids=["float-feature", "float-counts", "negative-count", "nan-threshold",
+        "inf-threshold", "repeated-label", "string-seed", "accuracy-above-1",
+        "n-trees-off-the-forest"])
+def test_classify_refuses_a_malformed_model_field_naming_it(
+        capsys, tmp_path, corpus_dir, field, path, value):
+    model_path = tmp_path / "model.json"
+    assert _run(capsys, ["train", "--property", "funnel",
+                         "--features-dir", str(corpus_dir), "--trees", "3",
+                         "--out", str(model_path)])[0] == 0
+    features = next(corpus_dir.iterdir())
+    doc = json.loads(model_path.read_text())
+    doc["trees"][0] = json.loads(json.dumps(_STUMP))
+    for spoil in (False, True):
+        if spoil:
+            *keys, last = path
+            target = doc
+            for key in keys:
+                target = target[key]
+            target[last] = value
+        model_path.write_text(json.dumps(doc))
+        code, out, err = _run(capsys, ["classify", "--model", str(model_path),
+                                       "--features", str(features)])
+        assert code == (1 if spoil else 0), err
+    assert out == ""
+    assert "ValueError" in err and field in err and "Traceback" not in err

@@ -612,6 +612,37 @@ def test_memo_arrays_are_read_only():
             a[0] = 0
 
 
+def test_mean_all_is_the_upper_triangle_mean_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for n in [*range(2, 61), 500]:
+        d = 1 + n % 5
+        X = lhs_points(n, d, np.full(d, -2.0), np.full(d, 2.0), sample_seed=n)
+        dup = X.copy()
+        dup[rng.integers(n, size=max(1, n // 3))] = dup[-1]
+        pairs = np.ravel_multi_index(np.triu_indices(n, 1), (n, n))
+        for design in (X, dup, np.tile(X[0], (n, 1))):
+            terms = features._Design(design)
+            assert np.float64(terms.mean_all).tobytes() == \
+                terms.D.take(pairs).mean().tobytes(), n
+
+
+def test_a_design_build_caches_no_pair_index_and_the_battery_only_blocks():
+    n, d = 500, 10
+    X = lhs_points(n, d, np.full(d, -1.0), np.ones(d), sample_seed=5)
+    features._design_terms.cache_clear()
+    _upper_pairs.cache_clear()
+    _design(X)
+    assert _upper_pairs.cache_info().currsize == 0
+    compute_features(_sample(X, np.sin(3.0 * X).sum(axis=1)))
+    blocks = {max(2, int(np.ceil(p * n))) for p in _DISP_QUANTILES}
+    assert max(blocks) <= int(np.ceil(n / 4))
+    assert _upper_pairs.cache_info().currsize == len(blocks)
+    for k in blocks:  # every entry is a block: each call hits
+        _upper_pairs(k)
+    assert _upper_pairs.cache_info().currsize == len(blocks)
+    assert _upper_pairs.cache_info().misses == len(blocks)
+
+
 # --- byte identity with the per-call battery ---------------------------------------
 
 def _per_call_features(sample, feature_seed):

@@ -513,10 +513,11 @@ class _ReferenceLevel:
         sup[:-1, :] = std[1:, :]
         self.supported = sup.ravel().tolist()
         self.hazard = tiles.HAZARD_MASK[cells].ravel().tolist()
-        self.hazard.append(False)
         self.coin = (cells == tiles.COIN).ravel().tolist()
         self.col_open = (~std.any(axis=0)).tolist()
-        self.step = [1 + HAZARD_PENALTY if hit else 1 for hit in self.hazard]
+        # one entry per cell, then the one tick of a move that stays put
+        self.step = [1 + HAZARD_PENALTY if hit else 1
+                     for hit in self.hazard] + [1]
         self.stand = [s and p == 0 for s in self.supported for p in range(3)]
         self.spawn = -1
         for r in range(h - 1, 0, -1):
@@ -540,7 +541,7 @@ def test_level_byte_tables_equal_the_list_tables(grid):
     for name in _TABLES:
         assert isinstance(getattr(lv, name), bytes), name
         assert list(getattr(lv, name)) == [int(v) for v in getattr(ref, name)], name
-    assert len(lv.step) == len(lv.hazard) == grid.cells.size + 1
+    assert len(lv.step) == len(lv.hazard) + 1 == grid.cells.size + 1
     assert len(lv.stand) == 3 * grid.cells.size
     assert (lv.height, lv.width, lv.t_max, lv.spawn) == \
         (grid.height, grid.width, 4 * grid.width, ref.spawn)
