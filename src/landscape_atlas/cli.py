@@ -382,20 +382,14 @@ def _corpus(args) -> tuple[list[LabelledRow], list[tuple[str, object]]]:
     metadata pairs.  A row is a feature file of --features-dir whose problem
     is a labelled baseline at a corpus instance seed, labelled for
     --property and grouped by function; other files are skipped.  The
-    corpus files must share one set-up (d, n, sample and feature seed), and
-    no two may hold one (problem, instance) pair."""
+    corpus files must share one set-up (d, n, sample and feature seed)."""
     if args.property not in PROPERTY_NAMES:
         raise UsageError(f"--property must be one of {', '.join(PROPERTY_NAMES)}")
     labels = load_labels()
-    rows, setups, path_of = [], set(), {}
-    for path in _feature_paths(args.features_dir):
-        fv, (_, problem, instance), doc = _load_feature_doc(path)
+    rows, setups = [], set()
+    for _, fv, (_, problem, instance), doc in _feature_dir(args.features_dir):
         if problem not in labels or instance not in CORPUS_INSTANCE_SEEDS:
             continue
-        first = path_of.setdefault((problem, instance), path)
-        if first != path:
-            raise LandscapeError(
-                f"{first} and {path} both hold {problem} instance {instance}")
         setups.add((("dim", doc["d"]), ("n", doc["n"]),
                     ("sample_seed", doc["sample_seed"]),
                     ("feature_seed", doc["feature_seed"])))
@@ -436,14 +430,23 @@ def _load_feature_doc(path: str
     return fv, ident, doc
 
 
-def _feature_paths(directory: str) -> list[str]:
-    """The .json files of directory, but for the .meta.json sidecars that
-    embed writes beside its map."""
+def _feature_dir(directory: str) -> list[tuple]:
+    """(path, vector, (suite, problem, instance), document) of each .json
+    file of directory, but for the .meta.json sidecars that embed writes
+    beside its map.  No two files may hold one (problem, instance) pair."""
     names = sorted(n for n in os.listdir(directory)
                    if n.endswith(".json") and not n.endswith(".meta.json"))
     if not names:
         raise LandscapeError(f"no .json feature files in {directory}")
-    return [os.path.join(directory, n) for n in names]
+    loaded, path_of = [], {}
+    for path in (os.path.join(directory, n) for n in names):
+        fv, (suite, problem, instance), doc = _load_feature_doc(path)
+        first = path_of.setdefault((problem, instance), path)
+        if first != path:
+            raise LandscapeError(
+                f"{first} and {path} both hold {problem} instance {instance}")
+        loaded.append((path, fv, (suite, problem, instance), doc))
+    return loaded
 
 
 def _cmd_classify(args) -> int:
@@ -454,10 +457,10 @@ def _cmd_classify(args) -> int:
     model = PropertyModel.from_json(text)
     # the set-up the model was trained at; models without metadata skip this
     trained = json.loads(text).get("metadata", {})
-    paths = [args.features] if args.features else _feature_paths(args.features_dir)
+    loaded = [(args.features, *_load_feature_doc(args.features))] \
+        if args.features else _feature_dir(args.features_dir)
     X, rows = [], []
-    for path in paths:
-        fv, (_, problem, instance), _ = _load_feature_doc(path)
+    for path, fv, (_, problem, instance), _ in loaded:
         for key, feature in (("dim", "basic.dim"), ("n", "basic.n_obs")):
             if key in trained and fv.values[feature] != trained[key]:
                 raise ManifestMismatch(
@@ -502,10 +505,9 @@ def _cmd_embed(args) -> int:
     if not (math.isfinite(args.perplexity) and args.perplexity >= 1):
         raise UsageError(
             f"--perplexity must be a real >= 1, got {args.perplexity}")
-    paths = _feature_paths(args.features_dir)
-    loaded = [_load_feature_doc(p) for p in paths]
-    fvs = [fv for fv, _, _ in loaded]
-    ids = [ident for _, ident, _ in loaded]
+    loaded = _feature_dir(args.features_dir)
+    fvs = [fv for _, fv, _, _ in loaded]
+    ids = [ident for _, _, ident, _ in loaded]
     matrix, kept = normalize_features(fvs)
     emb = tsne_embed(matrix, ids=ids, perplexity=args.perplexity,
                      embed_seed=args.embed_seed, iterations=args.iterations,

@@ -147,9 +147,9 @@ def simulate(grid: TileGrid, agent: str,
     return result
 
 
-# The process's one evaluation memo: the shared-design records of
-# problems.core, one per decoder, which it fills.  Emptying it with .clear()
-# makes the next evaluation of every design decode and simulate afresh.
+# The shared-design memo of problems.core (see the comment above
+# core._decoder_key).  It lives here, under this name, because the
+# benchmark's per-pass reset empties sim._CACHE.
 _CACHE: dict = {}
 
 

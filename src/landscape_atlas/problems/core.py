@@ -196,17 +196,16 @@ def _design(instance: ProblemInstance, X: np.ndarray) -> np.ndarray:
 def _design_levels(instance: ProblemInstance, X: np.ndarray
                    ) -> tuple[TileGrid, ...]:
     """The grids an m-problem instance sees for the rows of X, a design
-    that _design has checked, from one decode_levels call (concatenation
-    variants stack both halves into a batch of 2n rows)."""
+    that _design has checked, from one decode_levels call: a concatenation
+    variant decodes the two halves of each row as adjacent rows and joins
+    their grids."""
     _, _, variant, concat = _MARIO_ROWS[instance.id.index]
+    d = instance.dimension // 2 if concat else instance.dimension
+    params = decoder_params(variant, instance.instance_seed, d)
+    grids = decode_levels(params, X.reshape(-1, d))
     if concat:
-        half = instance.dimension // 2
-        params = decoder_params(variant, instance.instance_seed, half)
-        grids = decode_levels(params, np.vstack([X[:, :half], X[:, half:]]))
-        n = X.shape[0]
-        return tuple(concatenate([a, b]) for a, b in zip(grids[:n], grids[n:]))
-    params = decoder_params(variant, instance.instance_seed, instance.dimension)
-    return tuple(decode_levels(params, X))
+        return tuple(map(concatenate, zip(grids[::2], grids[1::2])))
+    return tuple(grids)
 
 
 def instance_agent(instance: ProblemInstance) -> str | None:
@@ -218,12 +217,12 @@ def instance_agent(instance: ProblemInstance) -> str | None:
 # Shared-design memo.  The 28 m-problems read only four decoders per
 # (instance seed, dimension) and two agents, so the problems that evaluate
 # one design share its decoded grids and agent runs.  sim._CACHE maps each
-# _decoder_key to a record of the last design read under that decoder:
-# (design bytes, grids, astar runs, scared runs), the last three tuples in
-# design row order and the runs None until a problem first needs them.  A
-# different design under the same decoder replaces the record, so the memo
-# holds at most one design per decoder in use.
-_AGENT_SLOTS = {ASTAR: 2, SCARED: 3}
+# _decoder_key to the record (design bytes, items) of the last design read
+# under that decoder: items[None] is the tuple of its grids and
+# items[agent] the tuple of that agent's runs, filled when a problem first
+# needs them, both in design row order.  A different design under the same
+# decoder replaces the record, so the memo holds at most one design per
+# decoder in use.
 
 
 def _decoder_key(instance: ProblemInstance) -> tuple[str, int, int, bool]:
@@ -245,19 +244,18 @@ def _design_groups(instances: list[ProblemInstance]
     return list(groups.values())
 
 
-def _design_record(instance: ProblemInstance, X: np.ndarray, agent: str | None
-                   ) -> tuple:
-    """The memo record of design X under instance's decoder, with the runs
-    of agent (if any) filled in."""
+def _design_items(instance: ProblemInstance, X: np.ndarray,
+                  agent: str | None) -> tuple:
+    """The memo's grids (agent None) or agent runs of design X under
+    instance's decoder, decoded or run on first need."""
     key, design = _decoder_key(instance), X.tobytes()
     record = _CACHE.get(key)
     if record is None or record[0] != design:
-        record = (design, _design_levels(instance, X), None, None)
-    slot = _AGENT_SLOTS.get(agent)
-    if slot is not None and record[slot] is None:
-        record = record[:slot] + (_runs(record[1], agent),) + record[slot + 1:]
-    _CACHE[key] = record
-    return record
+        record = _CACHE[key] = (design, {None: _design_levels(instance, X)})
+    items = record[1]
+    if agent not in items:
+        items[agent] = _runs(items[None], agent)
+    return items[agent]
 
 
 def _runs(grids: tuple[TileGrid, ...], agent: str
@@ -293,14 +291,10 @@ def evaluate_batch(instance: ProblemInstance, X: np.ndarray) -> np.ndarray:
     if instance.id.suite == "baseline":
         return baseline_eval(instance.id.text, instance.instance_seed, X)
     measure, agent, _, _ = _MARIO_ROWS[instance.id.index]
-    record = _design_record(instance, X, agent)  # decode_levels box-checks X
-    if agent is None:
-        score = _GRID_MEASURES[measure]
-        values = [score(grid) for grid in record[1]]
-    else:
-        score = _SIM_MEASURES[measure]
-        values = [score(run) for run in record[_AGENT_SLOTS[agent]]]
-    return np.array([min(1.0, max(0.0, v)) for v in values], dtype=float)
+    items = _design_items(instance, X, agent)  # decode_levels box-checks X
+    score = (_SIM_MEASURES if agent else _GRID_MEASURES)[measure]
+    return np.array([min(1.0, max(0.0, score(item))) for item in items],
+                    dtype=float)
 
 
 def list_problems() -> list[dict]:

@@ -68,6 +68,9 @@ class PropertyModel:
         if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported model schema {doc.get('schema_version')!r}")
+        if type(doc["property"]) is not str:
+            raise ValueError(f"malformed model property {doc['property']!r}: "
+                             f"not a string")
         vocabulary = doc["vocabulary"]
         if type(vocabulary) is not list or \
                 not all(type(v) is str for v in vocabulary) or \

@@ -464,20 +464,55 @@ def _copy_dir(src, dst):
     return dst
 
 
+def _directory_readers(tmp_path, corpus_dir, capsys) -> list[list[str]]:
+    """One argv per command that reads --features-dir (the flag and its
+    value left off): train, cv, classify with a model trained on
+    corpus_dir, and embed."""
+    model = tmp_path / "model.json"
+    assert _run(capsys, ["train", "--property", "funnel", "--features-dir",
+                         str(corpus_dir), "--trees", "3",
+                         "--out", str(model)])[0] == 0
+    return [["train", "--property", "funnel", "--trees", "3"],
+            ["cv", "--property", "funnel", "--trees", "3"],
+            ["classify", "--model", str(model)],
+            ["embed", "--perplexity", "5", "--iterations", "60"]]
+
+
+def _refuses_naming_both(capsys, tmp_path, argvs, features_dir, first, copy):
+    for argv in argvs:
+        out_file = tmp_path / f"{argv[0]}.out"
+        code, out, err = _run(capsys, argv + [
+            "--features-dir", str(features_dir), "--out", str(out_file)])
+        assert (code, out) == (1, ""), argv
+        assert str(first) in err and str(copy) in err
+        assert not out_file.exists()
+
+
 def test_a_second_file_for_one_corpus_pair_exits_1_naming_both(
         capsys, tmp_path, corpus_dir):
+    argvs = _directory_readers(tmp_path, corpus_dir, capsys)
     features_dir = _copy_dir(corpus_dir, tmp_path / "corpus")
     first = features_dir / "sphere-i1.json"
     copy = features_dir / "sphere-i1 (copy).json"
     copy.write_bytes(first.read_bytes())
-    for command in ("train", "cv"):
-        out_file = tmp_path / f"{command}.out"
-        code, out, err = _run(capsys, [command, "--property", "funnel",
-                                       "--features-dir", str(features_dir),
-                                       "--out", str(out_file)])
-        assert (code, out) == (1, "")
-        assert str(first) in err and str(copy) in err
-        assert not out_file.exists()
+    _refuses_naming_both(capsys, tmp_path, argvs, features_dir, first, copy)
+
+
+def test_a_second_file_for_one_non_corpus_pair_exits_1_naming_both(
+        capsys, tmp_path, corpus_dir):
+    argvs = _directory_readers(tmp_path, corpus_dir, capsys)
+    features_dir = _copy_dir(corpus_dir, tmp_path / "corpus")
+    assert main(["features", "--problem", "m7", "--instance", "1",
+                 "--dim", "2", "--n", "20", "--out-dir",
+                 str(features_dir)]) == 0
+    for argv in argvs:  # one m7 file: train and cv skip it
+        assert main(argv + ["--features-dir", str(features_dir), "--out",
+                            str(tmp_path / "ok.out")]) == 0, argv
+    capsys.readouterr()
+    first = features_dir / "m7-i1.json"
+    copy = features_dir / "m7-i1 (copy).json"
+    copy.write_bytes(first.read_bytes())
+    _refuses_naming_both(capsys, tmp_path, argvs, features_dir, first, copy)
 
 
 def test_embed_sidecars_are_skipped_and_other_documents_refused_by_path(
@@ -830,9 +865,11 @@ _STUMP = {"feature": [3, -1, -1], "threshold": [0.5, 0.0, 0.0],
     ("train_seed", ("train_seed",), "x"),
     ("training_accuracy", ("training_accuracy",), 7.5),
     ("n_trees", ("n_trees",), 99),
+    ("property", ("property",), None),
+    ("property", ("property",), ["a,b"]),
 ], ids=["float-feature", "float-counts", "negative-count", "nan-threshold",
         "inf-threshold", "repeated-label", "string-seed", "accuracy-above-1",
-        "n-trees-off-the-forest"])
+        "n-trees-off-the-forest", "null-property", "list-property"])
 def test_classify_refuses_a_malformed_model_field_naming_it(
         capsys, tmp_path, corpus_dir, field, path, value):
     model_path = tmp_path / "model.json"

@@ -187,8 +187,7 @@ def test_agent_runs_of_the_astar_decoders_match_their_digests():
         X = lhs_points(200, 10, box.lower, box.upper, 1)
         core.evaluate_batch(inst, X)
         for agent in AGENT_KINDS:
-            record = core._design_record(inst, X, agent)
             rows = [dataclasses.astuple(r)
-                    for r in record[core._AGENT_SLOTS[agent]]]
+                    for r in core._design_items(inst, X, agent)]
             got[f"{agent} {problem}"] = _sha256(json.dumps(rows).encode())
     assert _mismatches(got, GOLDEN["runs"]) == []

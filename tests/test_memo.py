@@ -1,11 +1,11 @@
 """The shared-design memo of problems.core.
 
-``sim._CACHE`` holds one record per decoder: the last design read under it,
-its decoded grids, and each agent's runs once the first problem needs them.
-Every m-problem that evaluates that design under that decoder reads the
-record.  These tests pin that the memo never changes a value (cold, warm,
-after another design evicted the record, pointwise, duplicated or permuted
-rows, concatenation variants, walk bundles), that it holds one record per
+``sim._CACHE`` holds one ``(design bytes, items)`` record per decoder, laid
+out as the comment above ``core._decoder_key`` describes.  Every m-problem
+that evaluates that design under that decoder reads the record.  These
+tests pin that the memo never changes a value (cold, warm, after another
+design evicted the record, pointwise, duplicated or permuted rows,
+concatenation variants, walk bundles), that it holds one record per
 decoder with the last design read, that what it hands out cannot be
 mutated, and that ``sim._CACHE.clear()`` resets it.
 """
@@ -37,7 +37,7 @@ def _design(n: int, seed: int) -> np.ndarray:
 
 
 def _held_rows() -> int:
-    return sum(len(record[1]) for record in sim._CACHE.values())
+    return sum(len(items[None]) for _, items in sim._CACHE.values())
 
 
 def _pointwise_cold(inst, X) -> np.ndarray:
@@ -88,7 +88,7 @@ def test_values_equal_cold_warm_evicted_and_pointwise(problem):
     cold = evaluate_batch(inst, X)
     warm = evaluate_batch(inst, X)
     evaluate_batch(inst, other)  # takes X's place
-    assert [record[0] for record in sim._CACHE.values()] == [other.tobytes()]
+    assert [design for design, _ in sim._CACHE.values()] == [other.tobytes()]
     assert _held_rows() == 12
     evicted = evaluate_batch(inst, X)
     assert np.array_equal(cold, warm)
@@ -137,9 +137,10 @@ def test_the_memo_never_holds_more_rows_than_its_bound(calls):
         evaluate_batch(inst, X)
         last[core._decoder_key(inst)] = X
         assert sim._CACHE.keys() == last.keys()
-        for key, design in last.items():
-            assert sim._CACHE[key][0] == design.tobytes()
-            assert len(sim._CACHE[key][1]) == len(design)
+        for key, X in last.items():
+            design, items = sim._CACHE[key]
+            assert design == X.tobytes()
+            assert len(items[None]) == len(X)
         assert _held_rows() == sum(len(design) for design in last.values())
 
 
@@ -165,12 +166,13 @@ def test_a_hit_hands_out_nothing_mutable():
     inst = resolve("m13", 1, DIM)
     X = _design(5, 2)
     evaluate_batch(inst, X)
-    record = core._design_record(inst, X, sim.ASTAR)
-    assert record is sim._CACHE[core._decoder_key(inst)]
-    design, grids, astar, scared = record
+    grids = core._design_items(inst, X, None)
+    astar = core._design_items(inst, X, sim.ASTAR)
+    design, items = sim._CACHE[core._decoder_key(inst)]
     assert design == X.tobytes() and isinstance(design, bytes)
-    assert isinstance(record, tuple) and isinstance(grids, tuple)
-    assert isinstance(astar, tuple) and scared is None
+    assert items[None] is grids and items[sim.ASTAR] is astar
+    assert sim.SCARED not in items
+    assert isinstance(grids, tuple) and isinstance(astar, tuple)
     assert len(grids) == len(astar) == 5
     for grid, run in zip(grids, astar):
         assert type(grid) is TileGrid and type(run) is SimulationResult
