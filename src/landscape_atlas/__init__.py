@@ -16,8 +16,6 @@ from .ela import (
     SampleSet,
     compute_features,
     lhs_sample,
-    meta_model_r2,
-    nearest_better_ratio,
     normalize_features,
 )
 from .mario.decoder import decode_levels, decoder_params
@@ -83,8 +81,6 @@ __all__ = [
     "lhs_sample",
     "list_problems",
     "lofo_cv",
-    "meta_model_r2",
-    "nearest_better_ratio",
     "normalize_features",
     "parse_ascii",
     "predict",

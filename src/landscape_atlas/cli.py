@@ -40,8 +40,8 @@ from .problems.core import (
 )
 from .properties.corpus import CORPUS_INSTANCE_SEEDS, load_labels
 from .properties.models import (
-    DEFAULT_TREES, PROPERTY_NAMES, LabelledRow, PropertyModel, _feature_array,
-    _vote, lofo_cv, train,
+    DEFAULT_TREES, PROPERTY_NAMES, LabelledRow, PropertyModel, lofo_cv,
+    predict, train,
 )
 from .similarity import DEFAULT_ITERATIONS, DEFAULT_PERPLEXITY, kl_trace, tsne_embed
 from .walks import walk_bundle
@@ -387,12 +387,15 @@ def _corpus(args) -> tuple[list[LabelledRow], list[tuple[str, object]]]:
         raise UsageError(f"--property must be one of {', '.join(PROPERTY_NAMES)}")
     labels = load_labels()
     rows, setups = [], set()
-    for _, fv, (_, problem, instance), doc in _feature_dir(args.features_dir):
+    for path, fv, (_, problem, instance), doc in _feature_dir(
+            args.features_dir):
         if problem not in labels or instance not in CORPUS_INSTANCE_SEEDS:
             continue
-        setups.add((("dim", doc["d"]), ("n", doc["n"]),
-                    ("sample_seed", doc["sample_seed"]),
-                    ("feature_seed", doc["feature_seed"])))
+        setups.add(tuple(
+            (key, _field(path, doc, field, _is_int, "not an integer"))
+            for key, field in (("dim", "d"), ("n", "n"),
+                               ("sample_seed", "sample_seed"),
+                               ("feature_seed", "feature_seed"))))
         rows.append(LabelledRow(fv, labels[problem][args.property], problem))
     if len(setups) != 1:
         raise LandscapeError(
@@ -414,20 +417,48 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _is_int(value) -> bool:
+    return type(value) is int  # not a bool, nor a float like 1.0
+
+
+def _field(path: str, doc: dict, key: str, ok, what: str, where: str = ""):
+    """doc[key], or a ValueError naming the file and the field unless ok
+    accepts it; a missing field reads as None, which no check accepts."""
+    value = doc.get(key)
+    if not ok(value):
+        raise ValueError(f"{path}: malformed {where}{key} {value!r}: {what}")
+    return value
+
+
 def _load_feature_doc(path: str
                       ) -> tuple[FeatureVector, tuple[str, str, int], dict]:
-    """A features file's vector, (suite, problem, instance) and document."""
+    """A features file's vector, (suite, problem, instance) and document,
+    each field checked: the problem spelled as its registry id, an integer
+    instance, a finite real for every manifest feature and a list of
+    manifest names for degenerate."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     command = doc.get("command") if isinstance(doc, dict) else None
     if command != "features":
         raise LandscapeError(
             f"{path} is not a features file (its command is {command!r})")
-    values = {name: float(doc["features"][name]) for name in FEATURE_NAMES}
-    fv = FeatureVector(values=values, degenerate=tuple(doc.get("degenerate", ())))
-    problem = str(doc["problem"])
-    ident = (ProblemId.parse(problem).suite, problem, int(doc["instance"]))
-    return fv, ident, doc
+    features = _field(path, doc, "features", lambda v: type(v) is dict,
+                      "not an object")
+    values = {name: float(_field(
+        path, features, name,
+        lambda v: type(v) in (int, float) and math.isfinite(v),
+        "not a finite real number", "features.")) for name in FEATURE_NAMES}
+    degenerate = _field(
+        path, doc, "degenerate",
+        lambda v: type(v) is list and all(n in FEATURE_NAMES for n in v),
+        "not a list of feature names")
+    problem = _field(
+        path, doc, "problem",
+        lambda v: type(v) is str and ProblemId.parse(v).text == v,
+        "not spelled as a registry id")
+    instance = _field(path, doc, "instance", _is_int, "not an integer")
+    fv = FeatureVector(values=values, degenerate=tuple(degenerate))
+    return fv, (ProblemId.parse(problem).suite, problem, instance), doc
 
 
 def _feature_dir(directory: str) -> list[tuple]:
@@ -459,19 +490,17 @@ def _cmd_classify(args) -> int:
     trained = json.loads(text).get("metadata", {})
     loaded = [(args.features, *_load_feature_doc(args.features))] \
         if args.features else _feature_dir(args.features_dir)
-    X, rows = [], []
-    for path, fv, (_, problem, instance), _ in loaded:
+    for path, fv, _, _ in loaded:
         for key, feature in (("dim", "basic.dim"), ("n", "basic.n_obs")):
             if key in trained and fv.values[feature] != trained[key]:
                 raise ManifestMismatch(
                     f"{path}: {feature} = {_fmt(fv.values[feature])}, but "
                     f"the model was trained at {key} = {trained[key]}")
-        X.append(_feature_array(model, fv))  # checks the manifest
-        rows.append([problem, instance, model.property_name])
     # one vote over every file; a row's share is its label's, the largest
-    labels, shares = _vote(model.trees, np.stack(X), model.vocabulary)
-    for row, label, share in zip(rows, labels, shares):
-        row += [label, float(share.max())]
+    labels, shares = predict(model, [fv for _, fv, _, _ in loaded])
+    rows = [[problem, instance, model.property_name, label, float(share.max())]
+            for (_, _, (_, problem, instance), _), label, share
+            in zip(loaded, labels, shares)]
     meta = [("model", os.path.basename(args.model)),
             ("property", model.property_name),
             ("train_seed", model.train_seed)]

@@ -2,8 +2,6 @@ from .features import (
     FEATURE_NAMES,
     FeatureVector,
     compute_features,
-    meta_model_r2,
-    nearest_better_ratio,
     normalize_features,
 )
 from .sampling import SampleSet, lhs_points, lhs_sample
@@ -15,7 +13,5 @@ __all__ = [
     "compute_features",
     "lhs_points",
     "lhs_sample",
-    "meta_model_r2",
-    "nearest_better_ratio",
     "normalize_features",
 ]

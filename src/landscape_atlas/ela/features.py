@@ -7,14 +7,13 @@ recorded on the vector's ``degenerate`` list instead of raising.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .._seeds import NS_FEATURES, rng_for
-from ..errors import AllEqualFitness, ConstantResponse, RankDeficient, TooFewRows
+from ..errors import TooFewRows
 from .sampling import SampleSet
 
 #: Manifest: fixed names in fixed order.  Downstream consumers (property
@@ -133,38 +132,6 @@ def _lstsq_r2(A: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray] | None:
     return min(1.0, max(0.0, 1.0 - ssres / sstot)), coef
 
 
-def _quadratic(X: np.ndarray) -> np.ndarray:
-    """The quadratic model's design: intercept, linear and squared columns,
-    no interactions.  The linear model's design is its first 1 + d
-    columns."""
-    return np.hstack([np.ones((len(X), 1)), X, X ** 2])
-
-
-def meta_model_r2(sample: SampleSet) -> float:
-    """R^2 of the full quadratic model (intercept, linear and squared
-    terms, no interactions) fitted to the sample by least squares.
-
-    A constant response (every y equal) makes R^2 undefined; the
-    convention here is to report 1.0 (the constant model is exact) and
-    warn ConstantResponse.  So does a response whose sum of squared
-    deviations underflows to 0.  Raises ValueError unless n > 1 + 2d, and
-    RankDeficient for a constant design or linearly dependent columns.
-    It reads no distance, so it builds its design per call and leaves the
-    memo of _design alone."""
-    n, d = sample.n, sample.dim
-    if n <= 1 + 2 * d:
-        raise ValueError("need more points than quadratic model terms")
-    if _constant(sample.y) or _sstot(sample.y) == 0.0:
-        warnings.warn("constant response; reporting R^2 = 1.0",
-                      ConstantResponse)
-        return 1.0
-    X = sample.X
-    fit = None if _constant(X) else _lstsq_r2(_quadratic(X), sample.y)
-    if fit is None:
-        raise RankDeficient(f"quadratic design of rank < {1 + 2 * d} columns")
-    return fit[0]
-
-
 def _pca_counts(M: np.ndarray) -> tuple[float, float]:
     """(fraction of components covering 90% variance, first-component
     variance share) of a matrix whose rows are not all equal."""
@@ -186,7 +153,9 @@ class _Design:
     each point's nearest-neighbour distance, with its mean ``nn_mean`` and
     population standard deviation ``nn_sd``, and ``mean_all`` the mean
     distance over all pairs, read row by row from the upper triangle in
-    _upper_pairs order.  ``quad`` is the _quadratic design of X.
+    _upper_pairs order.  ``quad`` is the quadratic model's design of X:
+    intercept, linear and squared columns, no interactions; the linear
+    model's design is its first 1 + d columns.
     ``pca_x`` is the X-only principal-component pair of _pca_counts, (1.0,
     1.0) for a constant design.  ``cand`` holds each row's k = min(16, n)
     nearest columns, in no order, and ``cand_d`` their distances: every
@@ -209,7 +178,7 @@ class _Design:
         self.nn = D.min(axis=1)
         self.nn_mean, self.nn_sd = float(self.nn.mean()), float(self.nn.std())
         self.D = D
-        self.quad = _quadratic(X)
+        self.quad = np.hstack([np.ones((n, 1)), X, X ** 2])
         self.pca_x = (1.0, 1.0) if self.constant else _pca_counts(X)
         k = min(_CANDIDATES, n)
         # A copy: a view of the slice would keep the whole n x n index
@@ -267,27 +236,6 @@ def _nearest_distances(design: _Design, y: np.ndarray) -> np.ndarray:
         nb_all[rest] = np.where(y[None, :] < y[rest, None], design.D[rest],
                                 np.inf).min(axis=1)
     return nb_all[np.isfinite(nb_all)]
-
-
-def nearest_better_ratio(sample: SampleSet) -> float:
-    """Mean nearest-neighbour distance divided by mean distance to the
-    nearest strictly better point (points with no better point drop out
-    of the denominator).
-
-    Raises ValueError for fewer than 3 points, AllEqualFitness for a
-    constant response, and ValueError for a constant design or when every
-    nearest-better distance is 0 (the only better points are duplicates)."""
-    if sample.n < 3:
-        raise ValueError("need at least 3 points")
-    if _constant(sample.y):
-        raise AllEqualFitness("all fitness values equal")
-    design = _design(sample.X)
-    if design.constant:
-        raise ValueError("constant design: every distance is 0")
-    nb = _nearest_distances(design, sample.y)
-    if not nb.any():
-        raise ValueError("every nearest-better distance is 0")
-    return float(design.nn_mean / nb.mean())
 
 
 def _entropy_nat(y: np.ndarray) -> float:

@@ -41,18 +41,6 @@ class BadSampleSize(LandscapeError):
     """Requested design size is too small."""
 
 
-class RankDeficient(LandscapeError):
-    """Regression design matrix has deficient rank."""
-
-
-class ConstantResponse(UserWarning):
-    """Constant response: R^2 is undefined and reported as 1.0."""
-
-
-class AllEqualFitness(LandscapeError):
-    """All sample fitness values are identical."""
-
-
 class TooFewRows(LandscapeError):
     """Not enough rows for the requested operation."""
 

@@ -8,7 +8,6 @@ Shekel instances instead redraw peak locations and widths per seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -96,18 +95,14 @@ def baseline_box(name: str) -> tuple[float, float]:
     raise UnknownProblem(name)
 
 
-@lru_cache(maxsize=512)
 def _shift(name: str, instance_seed: int, d: int) -> np.ndarray:
     fn, lo, hi, opt = _BASELINES[name]
     if instance_seed == 1:
-        shift = np.zeros(d)
-    else:
-        rng = rng_for(NS_BASELINE, list(_BASELINES).index(name), instance_seed, d)
-        center = (lo + hi) / 2.0
-        target = center + (rng.uniform(size=d) - 0.5) * 0.5 * (hi - lo)
-        shift = target - opt
-    shift.flags.writeable = False
-    return shift
+        return np.zeros(d)
+    rng = rng_for(NS_BASELINE, list(_BASELINES).index(name), instance_seed, d)
+    center = (lo + hi) / 2.0
+    target = center + (rng.uniform(size=d) - 0.5) * 0.5 * (hi - lo)
+    return target - opt
 
 
 @dataclass(frozen=True)
@@ -123,7 +118,6 @@ class ShekelInstance:
                              "width per peak")
 
 
-@lru_cache(maxsize=512)
 def shekel_instance(peaks: int, instance_seed: int, d: int) -> ShekelInstance:
     if peaks not in SHEKEL_PEAK_COUNTS:
         raise UnknownProblem(f"shekel peak count {peaks} not offered")
@@ -132,8 +126,6 @@ def shekel_instance(peaks: int, instance_seed: int, d: int) -> ShekelInstance:
     rng = rng_for(NS_SHEKEL, peaks, instance_seed, d)
     locations = rng.uniform(0.0, 10.0, size=(peaks, d))
     widths = 1.0 - rng.uniform(size=peaks)  # in (0, 1]: no singular peaks
-    locations.flags.writeable = False
-    widths.flags.writeable = False
     return ShekelInstance(peaks, locations, widths)
 
 

@@ -1,7 +1,6 @@
 from .corpus import (
     CORPUS_INSTANCE_SEEDS,
     build_labelled_rows,
-    labelled_functions,
     load_labels,
 )
 from .models import (
@@ -11,7 +10,6 @@ from .models import (
     CVResult,
     FoldResult,
     LabelledRow,
-    Prediction,
     PropertyModel,
     lofo_cv,
     predict,
@@ -27,10 +25,8 @@ __all__ = [
     "LabelledRow",
     "PROPERTY_NAMES",
     "PROPERTY_VOCABULARIES",
-    "Prediction",
     "PropertyModel",
     "build_labelled_rows",
-    "labelled_functions",
     "load_labels",
     "lofo_cv",
     "predict",

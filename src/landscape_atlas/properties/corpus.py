@@ -25,10 +25,6 @@ def load_labels() -> dict[str, dict[str, str]]:
     return table
 
 
-def labelled_functions() -> tuple[str, ...]:
-    return tuple(load_labels())
-
-
 def build_labelled_rows(property_name: str, dimension: int = 10,
                         n: int | None = None, sample_seed: int = 1,
                         feature_seed: int = 0) -> list[LabelledRow]:

@@ -98,6 +98,16 @@ class PropertyModel:
         if type(doc["n_trees"]) is not int or doc["n_trees"] != len(trees):
             raise ValueError(f"malformed model n_trees {doc['n_trees']!r}: "
                              f"the forest has {len(trees)} trees")
+        # the set-up the forest was trained at, which classify checks
+        metadata = doc.get("metadata", {})
+        if type(metadata) is not dict:
+            raise ValueError(f"malformed model metadata {metadata!r}: not an "
+                             f"object")
+        for key in ("dim", "n"):
+            value = metadata.get(key, 1)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"malformed model metadata.{key} {value!r}: "
+                                 f"not an integer >= 1")
         return PropertyModel(
             property_name=doc["property"],
             vocabulary=tuple(vocabulary),
@@ -106,12 +116,6 @@ class PropertyModel:
             trees=tuple(trees),
             training_accuracy=accuracy,
         )
-
-
-@dataclass(frozen=True)
-class Prediction:
-    label: str
-    vote_shares: dict[str, float]
 
 
 @dataclass(frozen=True)
@@ -198,22 +202,21 @@ def _vote(trees: tuple[Tree, ...], X: np.ndarray,
     return [vocab[j] for j in np.argmax(shares, axis=1)], shares
 
 
-def _feature_array(model: PropertyModel,
-                   fv: FeatureVector | Mapping[str, float]) -> np.ndarray:
-    values = fv.values if isinstance(fv, FeatureVector) else fv
-    if tuple(values.keys()) != model.manifest:
-        raise ManifestMismatch("feature names do not match the model manifest")
-    return np.array([float(values[n]) for n in model.manifest])
-
-
 def predict(model: PropertyModel,
-            fv: FeatureVector | Mapping[str, float]) -> Prediction:
-    labels, shares = _vote(model.trees, _feature_array(model, fv)[None, :],
-                           model.vocabulary)
-    return Prediction(
-        label=labels[0],
-        vote_shares={v: float(s) for v, s in zip(model.vocabulary, shares[0])},
-    )
+            vectors: Sequence[FeatureVector | Mapping[str, float]]
+            ) -> tuple[list[str], np.ndarray]:
+    """The model's label for each feature vector and the vectors' vote
+    shares, one column per vocabulary label, from one vote over all of
+    them.  Every vector must name the model's manifest in order
+    (ManifestMismatch otherwise)."""
+    X = []
+    for fv in vectors:
+        values = fv.values if isinstance(fv, FeatureVector) else fv
+        if tuple(values.keys()) != model.manifest:
+            raise ManifestMismatch(
+                "feature names do not match the model manifest")
+        X.append([float(values[n]) for n in model.manifest])
+    return _vote(model.trees, np.array(X), model.vocabulary)
 
 
 def lofo_cv(rows: Sequence[LabelledRow], property_name: str,

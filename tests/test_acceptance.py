@@ -19,7 +19,7 @@ import pytest
 from landscape_atlas.cli import main
 from landscape_atlas.ela import (
     FEATURE_NAMES, SampleSet, compute_features, lhs_points, lhs_sample,
-    meta_model_r2, nearest_better_ratio, normalize_features,
+    normalize_features,
 )
 from landscape_atlas.mario import tiles
 from landscape_atlas.mario.metrics import (
@@ -33,9 +33,8 @@ from landscape_atlas.mario.tiles import HAZARD_MASK, STANDABLE_MASK, TileGrid
 from landscape_atlas.problems import decode_instance_level, evaluate, resolve
 from landscape_atlas.properties import (
     CORPUS_INSTANCE_SEEDS, PROPERTY_NAMES, LabelledRow, build_labelled_rows,
-    load_labels, lofo_cv, train,
+    load_labels, lofo_cv, predict, train,
 )
-from landscape_atlas.properties.models import _vote
 from landscape_atlas.similarity import bandwidth_bisection, kl_trace, tsne_embed
 from landscape_atlas.walks import walk_bundle
 from test_golden import GOLDEN, skip_off_the_pinned_stack
@@ -278,7 +277,8 @@ def test_criterion_04_agent_sensitivity():
 
 
 # ---------------------------------------------------------------------------
-# criterion 5: ELA exactness against closed forms and a brute-force oracle
+# criterion 5: ELA exactness against closed forms and a brute-force oracle,
+# read from the feature battery's meta.quad_r2 and nbc.ratio
 
 def test_criterion_05_ela_exactness():
     start = time.perf_counter()
@@ -290,7 +290,7 @@ def test_criterion_05_ela_exactness():
         beta = rng.normal(size=d)
         gamma = rng.normal(size=d) + 0.1
         y = float(rng.normal()) + X @ beta + (X ** 2) @ gamma
-        r2 = meta_model_r2(SampleSet(X, y))
+        r2 = compute_features(SampleSet(X, y)).values["meta.quad_r2"]
         assert abs(r2 - 1.0) <= 1e-9
 
     def brute(X, y):
@@ -306,16 +306,23 @@ def test_criterion_05_ela_exactness():
                 nb.append(min(better))
         return float(np.mean(nn) / np.mean(nb))
 
+    checked = 0
     for _ in range(200):
         n = int(rng.integers(3, 65))
         d = max(1, min(int(rng.integers(1, 6)), n // 2))
         X = rng.uniform(-5.0, 5.0, (n, d))
         y = rng.normal(size=n)
         s = SampleSet(X, y)
-        assert abs(nearest_better_ratio(s) - brute(s.X, s.y)) <= 1e-12
+        if n < 2 * d + 2:  # the battery's floor
+            with pytest.raises(ValueError, match="n >= 2d"):
+                compute_features(s)
+            continue
+        ratio = compute_features(s).values["nbc.ratio"]
+        assert abs(ratio - brute(s.X, s.y)) <= 1e-12
+        checked += 1
     _report(5, time.perf_counter() - start, 10.0,
-            "quadratic R^2 exact on 100 instances; NBC matches brute force "
-            "on 200 samples")
+            f"quadratic R^2 exact on 100 instances; NBC matches brute force "
+            f"on {checked} of 200 samples, the rest below n = 2d + 2")
 
 
 # ---------------------------------------------------------------------------
@@ -637,12 +644,11 @@ def test_criterion_13_survey_property_labels(mario_features, corpus):
                 in zip(corpus_fvs, corpus_ids)
                 if suite == "baseline" and seed in CORPUS_INSTANCE_SEEDS]
     assert len(labelled) == 80
-    X = np.stack([fv.as_array() for fv in fvs])
     labels = {}
     for prop in PROPERTY_NAMES:
         rows = [LabelledRow(fv, table[fn][prop], fn) for fv, fn in labelled]
         model = train(rows, prop, train_seed=0, n_trees=200)
-        labels[prop], _ = _vote(model.trees, X, model.vocabulary)
+        labels[prop], _ = predict(model, fvs)
     survey = [[problem, seed, prop, labels[prop][k]]
               for k, (_, problem, seed) in enumerate(ids)
               for prop in PROPERTY_NAMES]

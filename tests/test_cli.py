@@ -341,10 +341,10 @@ def test_classify_features_dir_equals_per_file_predict(capsys, tmp_path,
     expected = []
     for name in sorted(os.listdir(feature_dir)):
         doc = json.loads((feature_dir / name).read_text())
-        pred = predict(model, doc["features"])
+        (label,), shares = predict(model, [doc["features"]])
         expected.append(",".join([
-            doc["problem"], str(doc["instance"]), "funnel", pred.label,
-            format(pred.vote_shares[pred.label], ".17g")]))
+            doc["problem"], str(doc["instance"]), "funnel", label,
+            format(shares[0, model.vocabulary.index(label)], ".17g")]))
     assert out.splitlines()[-len(expected):] == expected
     assert len({line.split(",")[4] for line in expected}) > 1
 
@@ -513,6 +513,90 @@ def test_a_second_file_for_one_non_corpus_pair_exits_1_naming_both(
     copy = features_dir / "m7-i1 (copy).json"
     copy.write_bytes(first.read_bytes())
     _refuses_naming_both(capsys, tmp_path, argvs, features_dir, first, copy)
+
+
+@pytest.mark.parametrize("spelling", [" sphere", "sphere ", "m01"])
+def test_a_problem_not_spelled_by_its_registry_id_exits_1_naming_the_file(
+        capsys, tmp_path, corpus_dir, spelling):
+    # Read as given, " sphere" passed the one-file-per-pair rule: classify
+    # wrote a second " sphere,1" row and train skipped the file.
+    argvs = _directory_readers(tmp_path, corpus_dir, capsys)
+    features_dir = _copy_dir(corpus_dir, tmp_path / "corpus")
+    copy = features_dir / "sphere-i1 (copy).json"
+    doc = json.loads((features_dir / "sphere-i1.json").read_text())
+    copy.write_text(json.dumps(dict(doc, problem=spelling)))
+    for argv in argvs + [["classify", "--model", str(tmp_path / "model.json"),
+                          "--features", str(copy)]]:
+        if "--features" not in argv:
+            argv = argv + ["--features-dir", str(features_dir)]
+        out_file = tmp_path / f"{argv[0]}.out"
+        code, out, err = _run(capsys, argv + ["--out", str(out_file)])
+        assert (code, out) == (1, ""), argv
+        assert "ValueError" in err and str(copy) in err and "problem" in err
+        assert "Traceback" not in err and not out_file.exists()
+
+
+@pytest.mark.parametrize("field,keys,value", [
+    ("features", ("features",), [1, 2]),
+    ("features.basic.y_min", ("features", "basic.y_min"), [1]),
+    ("features.basic.y_min", ("features", "basic.y_min"), True),
+    ("features.basic.y_min", ("features", "basic.y_min"), "0.5"),
+    ("features.basic.y_min", ("features", "basic.y_min"), None),
+    ("features.basic.y_min", ("features", "basic.y_min"), float("nan")),
+    ("instance", ("instance",), [1]),
+    ("instance", ("instance",), 1.7),
+    ("instance", ("instance",), True),
+    ("problem", ("problem",), 7),
+    ("degenerate", ("degenerate",), 5),
+    ("degenerate", ("degenerate",), ["meta.r2"]),
+], ids=["list-features", "list-value", "bool-value", "string-value",
+        "null-value", "nan-value", "list-instance", "float-instance",
+        "bool-instance", "number-problem", "number-degenerate",
+        "unknown-degenerate"])
+def test_classify_refuses_a_malformed_feature_field_naming_file_and_field(
+        capsys, tmp_path, corpus_dir, field, keys, value):
+    model = tmp_path / "model.json"
+    assert _run(capsys, ["train", "--property", "funnel", "--trees", "3",
+                         "--features-dir", str(corpus_dir),
+                         "--out", str(model)])[0] == 0
+    doc = json.loads((corpus_dir / "sphere-i1.json").read_text())
+    *parents, last = keys
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    features = tmp_path / "sphere-i1.json"
+    features.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["classify", "--model", str(model),
+                                   "--features", str(features)])
+    assert (code, out) == (1, "")
+    assert f"{features}: malformed {field} " in err
+    assert "ValueError" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n", None), ("n", 20.0), ("d", True), ("sample_seed", "1"),
+    ("feature_seed", [0]),
+], ids=["missing-n", "float-n", "bool-d", "string-sample-seed",
+        "list-feature-seed"])
+def test_train_and_cv_refuse_a_malformed_set_up_field_naming_it(
+        capsys, tmp_path, corpus_dir, field, value):
+    features_dir = _copy_dir(corpus_dir, tmp_path / "corpus")
+    path = features_dir / "sphere-i1.json"
+    doc = json.loads(path.read_text())
+    if value is None:
+        del doc[field]
+    else:
+        doc[field] = value
+    path.write_text(json.dumps(doc))
+    for command in ("train", "cv"):
+        out_file = tmp_path / f"{command}.out"
+        code, out, err = _run(capsys, [command, "--property", "funnel",
+                                       "--features-dir", str(features_dir),
+                                       "--out", str(out_file)])
+        assert (code, out) == (1, "")
+        assert f"{path}: malformed {field} " in err
+        assert "ValueError" in err and not out_file.exists()
 
 
 def test_embed_sidecars_are_skipped_and_other_documents_refused_by_path(
@@ -867,9 +951,17 @@ _STUMP = {"feature": [3, -1, -1], "threshold": [0.5, 0.0, 0.0],
     ("n_trees", ("n_trees",), 99),
     ("property", ("property",), None),
     ("property", ("property",), ["a,b"]),
+    ("metadata", ("metadata",), ["dim"]),
+    ("metadata", ("metadata",), "dim"),
+    ("metadata.dim", ("metadata", "dim"), "2"),
+    ("metadata.dim", ("metadata", "dim"), True),
+    ("metadata.n", ("metadata", "n"), 0),
+    ("metadata.n", ("metadata", "n"), 20.0),
 ], ids=["float-feature", "float-counts", "negative-count", "nan-threshold",
         "inf-threshold", "repeated-label", "string-seed", "accuracy-above-1",
-        "n-trees-off-the-forest", "null-property", "list-property"])
+        "n-trees-off-the-forest", "null-property", "list-property",
+        "list-metadata", "string-metadata", "string-dim", "bool-dim",
+        "zero-n", "float-n"])
 def test_classify_refuses_a_malformed_model_field_naming_it(
         capsys, tmp_path, corpus_dir, field, path, value):
     model_path = tmp_path / "model.json"

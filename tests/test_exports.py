@@ -5,9 +5,12 @@ import importlib
 import pytest
 
 PACKAGES = ("landscape_atlas", "landscape_atlas.ela", "landscape_atlas.mario",
-            "landscape_atlas.problems")
+            "landscape_atlas.problems", "landscape_atlas.properties")
 DELETED = ("CountingEvaluator", "SampleProvenance", "provenance",
-           "shekel_eval", "SHEKEL_SEEDS", "decode_level", "simulate_trace")
+           "shekel_eval", "SHEKEL_SEEDS", "decode_level", "simulate_trace",
+           "meta_model_r2", "nearest_better_ratio", "AllEqualFitness",
+           "RankDeficient", "ConstantResponse", "Prediction",
+           "_feature_array", "labelled_functions")
 
 
 @pytest.mark.parametrize("name", PACKAGES)
@@ -25,11 +28,14 @@ def test_star_import_succeeds():
 
 
 def test_deleted_names_are_gone():
-    from landscape_atlas.ela import SampleSet, sampling
+    from landscape_atlas import errors
+    from landscape_atlas.ela import SampleSet, features, sampling
     from landscape_atlas.mario import decoder, sim
     from landscape_atlas.problems import baselines, core
+    from landscape_atlas.properties import corpus, models
     modules = [importlib.import_module(n) for n in PACKAGES] + [
-        sampling, core, baselines, decoder, sim]
+        sampling, features, core, baselines, decoder, sim, errors, corpus,
+        models]
     for module in modules:
         for name in DELETED:
             assert name not in getattr(module, "__all__", ())

@@ -238,4 +238,4 @@ def test_count_and_vote_ties_go_to_the_lowest_class():
     for x0 in (0.0, 1.0):
         values = dict.fromkeys(FEATURE_NAMES, 0.0)
         values[FEATURE_NAMES[0]] = x0
-        assert predict(model, values).label == "a"
+        assert predict(model, [values])[0] == ["a"]

@@ -7,8 +7,9 @@ from landscape_atlas.errors import (
 )
 from landscape_atlas.properties import (
     PROPERTY_VOCABULARIES, LabelledRow, PropertyModel, build_labelled_rows,
-    labelled_functions, load_labels, lofo_cv, predict, train, vocabulary_for,
+    load_labels, lofo_cv, predict, train, vocabulary_for,
 )
+from landscape_atlas.problems import list_problems
 from landscape_atlas.properties import forest
 
 
@@ -32,8 +33,8 @@ def test_separable_data_is_memorized():
     rows = _separable_rows()
     model = train(rows, "funnel", train_seed=0, n_trees=21)
     assert model.training_accuracy == 1.0
-    for row in rows:
-        assert predict(model, row.features).label == row.label
+    labels, _ = predict(model, [row.features for row in rows])
+    assert labels == [row.label for row in rows]
 
 
 def test_training_is_deterministic():
@@ -57,12 +58,13 @@ def test_vote_shares_form_a_probability_vector():
     rows = _separable_rows()
     model = train(rows, "funnel", 0, n_trees=15)
     rng = np.random.default_rng(1)
-    for _ in range(10):
-        p = predict(model, _fv(rng, float(rng.normal())))
-        shares = np.array(list(p.vote_shares.values()))
-        assert np.all(shares >= 0.0)
-        assert abs(shares.sum() - 1.0) <= 1e-12
-        assert p.label in model.vocabulary
+    vectors = [_fv(rng, float(rng.normal())) for _ in range(10)]
+    labels, shares = predict(model, vectors)
+    assert shares.shape == (10, len(model.vocabulary))
+    assert np.all(shares >= 0.0)
+    assert np.all(np.abs(shares.sum(axis=1) - 1.0) <= 1e-12)
+    # each label is the first with the largest share
+    assert labels == [model.vocabulary[j] for j in np.argmax(shares, axis=1)]
 
 
 def test_prediction_requires_the_training_manifest():
@@ -72,11 +74,11 @@ def test_prediction_requires_the_training_manifest():
     partial = dict(good.values)
     partial.pop("pca.first_pc_share")
     with pytest.raises(ManifestMismatch):
-        predict(model, partial)
+        predict(model, [good, partial])
     renamed = {("x_" + k if k == "basic.dim" else k): v
                for k, v in good.values.items()}
     with pytest.raises(ManifestMismatch):
-        predict(model, renamed)
+        predict(model, [renamed])
 
 
 def test_training_input_validation():
@@ -105,7 +107,10 @@ def test_model_json_round_trip():
     assert clone == model
     rng = np.random.default_rng(5)
     fv = _fv(rng)
-    assert predict(clone, fv) == predict(model, fv)
+    labels, shares = predict(model, [fv])
+    clone_labels, clone_shares = predict(clone, [fv])
+    assert clone_labels == labels
+    assert clone_shares.tobytes() == shares.tobytes()
     with pytest.raises(ValueError):
         PropertyModel.from_json('{"schema_version": 99}')
 
@@ -215,9 +220,8 @@ def test_lofo_cv_never_leaks_the_held_out_group():
 
 def test_shipped_labels_cover_the_baseline_suite():
     table = load_labels()
-    functions = labelled_functions()
-    assert len(functions) == 16
-    assert set(functions) == set(table.keys())
+    assert list(table) == [row["problem"] for row in list_problems()
+                           if row["suite"] == "baseline"]
     for fn, props in table.items():
         assert set(props.keys()) >= set(PROPERTY_VOCABULARIES.keys())
         for prop, vocab in PROPERTY_VOCABULARIES.items():
@@ -241,7 +245,7 @@ def test_labelled_corpus_rows_carry_function_groups():
                                sample_seed=1, feature_seed=0)
     assert len(rows) == 80  # 16 functions x 5 instances
     groups = {r.group for r in rows}
-    assert groups == set(labelled_functions())
+    assert groups == set(load_labels())
     vocab = PROPERTY_VOCABULARIES["multimodality"]
     assert all(r.label in vocab for r in rows)
     by_group = {g: [r for r in rows if r.group == g] for g in groups}
