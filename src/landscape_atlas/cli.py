@@ -27,7 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ela.features import FEATURE_NAMES, FeatureVector, compute_features, normalize_features
+from .ela.features import normalize_features
+from .ela.files import feature_documents, read_features, read_features_dir
 from .ela.sampling import lhs_sample
 from .errors import LandscapeError, ManifestMismatch
 from .mario.sim import (
@@ -35,8 +36,8 @@ from .mario.sim import (
 )
 from .mario.tiles import render_ascii
 from .problems.core import (
-    ProblemId, ProblemInstance, _design_groups, decode_instance_level,
-    evaluate, instance_agent, list_problems, resolve,
+    ProblemInstance, _design_groups, decode_instance_level, evaluate,
+    instance_agent, list_problems, resolve,
 )
 from .properties.corpus import CORPUS_INSTANCE_SEEDS, load_labels
 from .properties.models import (
@@ -307,24 +308,6 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _feature_docs(instances: list[ProblemInstance], n: int, sample_seed: int,
-                  feature_seed: int) -> list[dict]:
-    docs = []
-    for inst in instances:
-        fv = compute_features(lhs_sample(inst, n, sample_seed), feature_seed)
-        docs.append({
-            "problem": inst.id.text,
-            "instance": inst.instance_seed,
-            "n": n,
-            "d": inst.dimension,
-            "sample_seed": sample_seed,
-            "feature_seed": feature_seed,
-            "features": fv.values,
-            "degenerate": list(fv.degenerate),
-        })
-    return docs
-
-
 def _one_blas_thread() -> None:
     """Pool initializer: run this worker's BLAS on one thread, so N workers
     use N cores, not N times the cores.  It sets the OpenBLAS that numpy's
@@ -361,7 +344,7 @@ def _cmd_features(args) -> int:
         os.makedirs(args.out_dir, exist_ok=True)
 
     groups = _design_groups(instances)
-    docs_of = partial(_feature_docs, n=args.n, sample_seed=args.sample_seed,
+    docs_of = partial(feature_documents, n=args.n, sample_seed=args.sample_seed,
                       feature_seed=args.feature_seed)
     parallel = args.jobs > 1 and len(groups) > 1
     with (Pool(min(args.jobs, len(groups)), initializer=_one_blas_thread)
@@ -387,16 +370,14 @@ def _corpus(args) -> tuple[list[LabelledRow], list[tuple[str, object]]]:
         raise UsageError(f"--property must be one of {', '.join(PROPERTY_NAMES)}")
     labels = load_labels()
     rows, setups = [], set()
-    for path, fv, (_, problem, instance), doc in _feature_dir(
-            args.features_dir):
-        if problem not in labels or instance not in CORPUS_INSTANCE_SEEDS:
+    for f in read_features_dir(args.features_dir):
+        problem = f.problem.text
+        if problem not in labels or f.instance not in CORPUS_INSTANCE_SEEDS:
             continue
-        setups.add(tuple(
-            (key, _field(path, doc, field, _is_int, "not an integer"))
-            for key, field in (("dim", "d"), ("n", "n"),
-                               ("sample_seed", "sample_seed"),
-                               ("feature_seed", "feature_seed"))))
-        rows.append(LabelledRow(fv, labels[problem][args.property], problem))
+        setups.add((("dim", f.d), ("n", f.n), ("sample_seed", f.sample_seed),
+                    ("feature_seed", f.feature_seed)))
+        rows.append(LabelledRow(f.vector, labels[problem][args.property],
+                                problem))
     if len(setups) != 1:
         raise LandscapeError(
             f"{args.features_dir} needs labelled baseline feature files at "
@@ -417,90 +398,24 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _is_int(value) -> bool:
-    return type(value) is int  # not a bool, nor a float like 1.0
-
-
-def _field(path: str, doc: dict, key: str, ok, what: str, where: str = ""):
-    """doc[key], or a ValueError naming the file and the field unless ok
-    accepts it; a missing field reads as None, which no check accepts."""
-    value = doc.get(key)
-    if not ok(value):
-        raise ValueError(f"{path}: malformed {where}{key} {value!r}: {what}")
-    return value
-
-
-def _load_feature_doc(path: str
-                      ) -> tuple[FeatureVector, tuple[str, str, int], dict]:
-    """A features file's vector, (suite, problem, instance) and document,
-    each field checked: the problem spelled as its registry id, an integer
-    instance, a finite real for every manifest feature and a list of
-    manifest names for degenerate."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    command = doc.get("command") if isinstance(doc, dict) else None
-    if command != "features":
-        raise LandscapeError(
-            f"{path} is not a features file (its command is {command!r})")
-    features = _field(path, doc, "features", lambda v: type(v) is dict,
-                      "not an object")
-    values = {name: float(_field(
-        path, features, name,
-        lambda v: type(v) in (int, float) and math.isfinite(v),
-        "not a finite real number", "features.")) for name in FEATURE_NAMES}
-    degenerate = _field(
-        path, doc, "degenerate",
-        lambda v: type(v) is list and all(n in FEATURE_NAMES for n in v),
-        "not a list of feature names")
-    problem = _field(
-        path, doc, "problem",
-        lambda v: type(v) is str and ProblemId.parse(v).text == v,
-        "not spelled as a registry id")
-    instance = _field(path, doc, "instance", _is_int, "not an integer")
-    fv = FeatureVector(values=values, degenerate=tuple(degenerate))
-    return fv, (ProblemId.parse(problem).suite, problem, instance), doc
-
-
-def _feature_dir(directory: str) -> list[tuple]:
-    """(path, vector, (suite, problem, instance), document) of each .json
-    file of directory, but for the .meta.json sidecars that embed writes
-    beside its map.  No two files may hold one (problem, instance) pair."""
-    names = sorted(n for n in os.listdir(directory)
-                   if n.endswith(".json") and not n.endswith(".meta.json"))
-    if not names:
-        raise LandscapeError(f"no .json feature files in {directory}")
-    loaded, path_of = [], {}
-    for path in (os.path.join(directory, n) for n in names):
-        fv, (suite, problem, instance), doc = _load_feature_doc(path)
-        first = path_of.setdefault((problem, instance), path)
-        if first != path:
-            raise LandscapeError(
-                f"{first} and {path} both hold {problem} instance {instance}")
-        loaded.append((path, fv, (suite, problem, instance), doc))
-    return loaded
-
-
 def _cmd_classify(args) -> int:
     if bool(args.features) == bool(args.features_dir):
         raise UsageError("need exactly one of --features / --features-dir")
-    with open(args.model, encoding="utf-8") as fh:
-        text = fh.read()
-    model = PropertyModel.from_json(text)
-    # the set-up the model was trained at; models without metadata skip this
-    trained = json.loads(text).get("metadata", {})
-    loaded = [(args.features, *_load_feature_doc(args.features))] \
-        if args.features else _feature_dir(args.features_dir)
-    for path, fv, _, _ in loaded:
+    model = PropertyModel.from_json(Path(args.model).read_bytes(), args.model)
+    files = [read_features(args.features)] if args.features \
+        else read_features_dir(args.features_dir)
+    for f in files:  # the set-up the model was trained at, where it has one
         for key, feature in (("dim", "basic.dim"), ("n", "basic.n_obs")):
-            if key in trained and fv.values[feature] != trained[key]:
+            trained, value = getattr(model, key), f.vector.values[feature]
+            if trained is not None and value != trained:
                 raise ManifestMismatch(
-                    f"{path}: {feature} = {_fmt(fv.values[feature])}, but "
-                    f"the model was trained at {key} = {trained[key]}")
+                    f"{f.path}: {feature} = {_fmt(value)}, but the model "
+                    f"was trained at {key} = {trained}")
     # one vote over every file; a row's share is its label's, the largest
-    labels, shares = predict(model, [fv for _, fv, _, _ in loaded])
-    rows = [[problem, instance, model.property_name, label, float(share.max())]
-            for (_, _, (_, problem, instance), _), label, share
-            in zip(loaded, labels, shares)]
+    labels, shares = predict(model, [f.vector for f in files])
+    rows = [[f.problem.text, f.instance, model.property_name, label,
+             float(share.max())]
+            for f, label, share in zip(files, labels, shares)]
     meta = [("model", os.path.basename(args.model)),
             ("property", model.property_name),
             ("train_seed", model.train_seed)]
@@ -534,10 +449,9 @@ def _cmd_embed(args) -> int:
     if not (math.isfinite(args.perplexity) and args.perplexity >= 1):
         raise UsageError(
             f"--perplexity must be a real >= 1, got {args.perplexity}")
-    loaded = _feature_dir(args.features_dir)
-    fvs = [fv for _, fv, _, _ in loaded]
-    ids = [ident for _, _, ident, _ in loaded]
-    matrix, kept = normalize_features(fvs)
+    files = read_features_dir(args.features_dir)
+    ids = [(f.problem.suite, f.problem.text, f.instance) for f in files]
+    matrix, kept = normalize_features([f.vector for f in files])
     emb = tsne_embed(matrix, ids=ids, perplexity=args.perplexity,
                      embed_seed=args.embed_seed, iterations=args.iterations,
                      trace=True)

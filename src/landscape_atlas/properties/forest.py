@@ -1,4 +1,5 @@
-"""Random-forest classifier: seeded, Gini-split, JSON-serializable trees.
+"""Random-forest classifier: seeded, Gini-split trees, which the model file
+of ``models`` writes and reads.
 
 Trees are stored as parallel arrays.  ``feature[i] == -1`` marks a leaf;
 leaves carry per-class counts, internal nodes carry a threshold and the
@@ -12,7 +13,6 @@ the same alone or in a group (``grow_forest``).
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,59 +27,6 @@ class Tree:
     left: tuple[int, ...]
     right: tuple[int, ...]
     counts: tuple[tuple[int, ...], ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "feature": list(self.feature),
-            "threshold": list(self.threshold),
-            "left": list(self.left),
-            "right": list(self.right),
-            "counts": [list(c) for c in self.counts],
-        }
-
-    @staticmethod
-    def from_dict(d: dict, n_features: int, n_classes: int) -> "Tree":
-        """The tree d describes; ValueError, naming the field, unless
-        ``_grow`` could have written it: equal-length node arrays of
-        integers (not floats or booleans) and finite thresholds, internal
-        nodes that split one of n_features features into two later nodes
-        (so every descent ends), and leaves that count each of n_classes
-        classes, none below 0."""
-        def ints(name: str, values, low: int) -> tuple[int, ...]:
-            values = tuple(values)
-            for i, v in enumerate(values):
-                if type(v) is not int or v < low:
-                    raise ValueError(f"{name}[{i}] = {v!r} is not an "
-                                     f"integer >= {low}")
-            return values
-
-        threshold = tuple(d["threshold"])
-        for i, t in enumerate(threshold):
-            # False for NaN, inf and ints beyond the float range
-            if type(t) not in (int, float) or not abs(t) <= sys.float_info.max:
-                raise ValueError(f"threshold[{i}] = {t!r} is not a finite "
-                                 f"number")
-        tree = Tree(
-            feature=ints("feature", d["feature"], -1),
-            threshold=tuple(float(t) for t in threshold),
-            left=ints("left", d["left"], -1),
-            right=ints("right", d["right"], -1),
-            counts=tuple(ints(f"counts[{i}]", c, 0)
-                         for i, c in enumerate(d["counts"])),
-        )
-        n = len(tree.feature)
-        if n == 0 or {len(tree.threshold), len(tree.left), len(tree.right),
-                      len(tree.counts)} != {n}:
-            raise ValueError("tree node arrays need one equal, non-zero length")
-        for i, (f, lo, hi, c) in enumerate(zip(tree.feature, tree.left,
-                                               tree.right, tree.counts)):
-            if f == -1 and len(c) != n_classes:
-                raise ValueError(f"leaf {i} needs {n_classes} class counts")
-            if f != -1 and not (0 <= f < n_features and i < lo < n
-                                and i < hi < n):
-                raise ValueError(f"node {i} must split one of {n_features} "
-                                 f"features into two later nodes")
-        return tree
 
 
 #: Trees that one ``_grow`` call grows together.  A step's temporaries

@@ -8,6 +8,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .. import _fields
 from ..ela.features import FEATURE_NAMES, FeatureVector
 from ..errors import ManifestMismatch, SingleClass, TooFewGroups, TooFewRows
 from .forest import Tree, forest_votes, grow_forest
@@ -38,6 +39,31 @@ class LabelledRow:
     group: str
 
 
+_DISTINCT_STRINGS = (
+    lambda v: type(v) is list and all(type(s) is str for s in v)
+    and len(set(v)) == len(v), "not a list of distinct strings")
+
+#: The node arrays of one tree of a model file, in ``Tree`` field order.
+_TREE = {"feature": [_fields.at_least(-1)], "threshold": [_fields.REAL],
+         "left": [_fields.at_least(-1)], "right": [_fields.at_least(-1)],
+         "counts": [[_fields.at_least(0)]]}
+
+#: The fields of a model file.  An optional ``metadata`` object records the
+#: set-up the forest was trained at.
+_FIELDS = {
+    "schema_version": (lambda v: type(v) is int and v == MODEL_SCHEMA_VERSION,
+                       f"not {MODEL_SCHEMA_VERSION}, the schema read here"),
+    "property": (lambda v: type(v) is str, "not a string"),
+    "vocabulary": _DISTINCT_STRINGS,
+    "manifest": _DISTINCT_STRINGS,
+    "train_seed": _fields.at_least(0),
+    "training_accuracy": (lambda v: _fields.REAL[0](v) and 0 <= v <= 1,
+                          "not a number in [0, 1]"),
+    "n_trees": _fields.INT,
+    "trees": [_TREE],
+}
+
+
 @dataclass(frozen=True)
 class PropertyModel:
     property_name: str
@@ -46,76 +72,78 @@ class PropertyModel:
     train_seed: int
     trees: tuple[Tree, ...]
     training_accuracy: float
+    #: the model file's metadata.dim and metadata.n, the set-up that
+    #: classify holds features to; None where the file records none
+    dim: int | None = None
+    n: int | None = None
 
     def to_json(self, metadata: dict | None = None) -> str:
-        doc = {
-            "schema_version": MODEL_SCHEMA_VERSION,
-            "property": self.property_name,
-            "vocabulary": list(self.vocabulary),
-            "manifest": list(self.manifest),
-            "train_seed": self.train_seed,
-            "n_trees": len(self.trees),
-            "training_accuracy": self.training_accuracy,
-            "trees": [t.to_dict() for t in self.trees],
-        }
+        doc = dict(zip(_FIELDS, (  # in _FIELDS order
+            MODEL_SCHEMA_VERSION, self.property_name, self.vocabulary,
+            self.manifest, self.train_seed, self.training_accuracy,
+            len(self.trees),
+            [{key: getattr(t, key) for key in _TREE} for t in self.trees])))
         if metadata:
             doc["metadata"] = metadata
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
     @staticmethod
-    def from_json(text: str) -> "PropertyModel":
-        doc = json.loads(text)
-        if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported model schema {doc.get('schema_version')!r}")
-        if type(doc["property"]) is not str:
-            raise ValueError(f"malformed model property {doc['property']!r}: "
-                             f"not a string")
-        vocabulary = doc["vocabulary"]
-        if type(vocabulary) is not list or \
-                not all(type(v) is str for v in vocabulary) or \
-                len(set(vocabulary)) < len(vocabulary):
-            raise ValueError(f"malformed model vocabulary {vocabulary!r}: "
-                             f"labels must be distinct strings")
-        trees, where = [], ""
+    def from_json(data: str | bytes, source: str = "model") -> "PropertyModel":
+        """The model that data, a model file's text, holds.  A ValueError
+        names source and the field for each of: a field of ``_FIELDS`` that
+        is missing or malformed; a vocabulary other than ``vocabulary_for``
+        gives for its property and labels; a tree that ``_tree`` refuses;
+        no trees, or an ``n_trees`` other than their number; and a given
+        metadata.dim or metadata.n that is not an integer >= 1."""
+        doc = _fields.load(data, source, _FIELDS)
+        prop, vocabulary = doc["property"], doc["vocabulary"]
         try:
-            for at, tree in enumerate(doc["trees"]):
-                where = f"tree {at}: "
-                trees.append(Tree.from_dict(tree, len(doc["manifest"]),
-                                            len(vocabulary)))
-        except (TypeError, ValueError) as exc:
-            # TypeError: a null or a number where a list belongs
-            raise ValueError(f"malformed model trees: {where}{exc}") from exc
+            ordered = vocabulary_for(prop, vocabulary) == tuple(vocabulary)
+        except ValueError:  # a label outside the property's vocabulary
+            ordered = False
+        if not ordered:
+            raise _fields.malformed(source, "vocabulary", vocabulary,
+                                    f"not the labels of {prop!r} in order")
+        trees = tuple(_tree(source, at, tree, len(doc["manifest"]),
+                            len(vocabulary))
+                      for at, tree in enumerate(doc["trees"]))
         if not trees:
-            raise ValueError("malformed model trees: the forest is empty")
-        seed, accuracy = doc["train_seed"], doc["training_accuracy"]
-        if type(seed) is not int or seed < 0:
-            raise ValueError(f"malformed model train_seed {seed!r}: not an "
-                             f"integer >= 0")
-        if type(accuracy) not in (int, float) or not 0 <= accuracy <= 1:
-            raise ValueError(f"malformed model training_accuracy "
-                             f"{accuracy!r}: not a number in [0, 1]")
-        if type(doc["n_trees"]) is not int or doc["n_trees"] != len(trees):
-            raise ValueError(f"malformed model n_trees {doc['n_trees']!r}: "
-                             f"the forest has {len(trees)} trees")
-        # the set-up the forest was trained at, which classify checks
-        metadata = doc.get("metadata", {})
-        if type(metadata) is not dict:
-            raise ValueError(f"malformed model metadata {metadata!r}: not an "
-                             f"object")
-        for key in ("dim", "n"):
-            value = metadata.get(key, 1)
-            if type(value) is not int or value < 1:
-                raise ValueError(f"malformed model metadata.{key} {value!r}: "
-                                 f"not an integer >= 1")
-        return PropertyModel(
-            property_name=doc["property"],
-            vocabulary=tuple(vocabulary),
-            manifest=tuple(doc["manifest"]),
-            train_seed=seed,
-            trees=tuple(trees),
-            training_accuracy=accuracy,
-        )
+            raise _fields.malformed(source, "trees", [], "the forest is empty")
+        if doc["n_trees"] != len(trees):
+            raise _fields.malformed(source, "n_trees", doc["n_trees"],
+                                    f"the forest has {len(trees)} trees")
+        metadata = _fields.check(source, doc.get("metadata", {}), {},
+                                 "metadata")
+        _fields.check(source, metadata, {key: _fields.at_least(1) for key
+                                         in ("dim", "n") if key in metadata},
+                      "metadata")
+        return PropertyModel(prop, tuple(vocabulary), tuple(doc["manifest"]),
+                             doc["train_seed"], trees, doc["training_accuracy"],
+                             metadata.get("dim"), metadata.get("n"))
+
+
+def _tree(source: str, at: int, d: dict, n_features: int,
+          n_classes: int) -> Tree:
+    """Tree at of a model file, unless ``_grow`` could not have written it:
+    node arrays of one length, each node a leaf that counts n_classes
+    classes or a split of one of n_features features into two later nodes
+    (so that every descent ends)."""
+    n = len(d["feature"])
+    if not n or any(len(d[key]) != n for key in _TREE):
+        raise _fields.malformed(source, f"trees[{at}]",
+                                {key: len(d[key]) for key in _TREE},
+                                "node arrays not of one non-zero length")
+    for i, node in enumerate(zip(*(d[key] for key in _TREE))):
+        f, _, lo, hi, c = node
+        if not (len(c) == n_classes if f == -1 else
+                f < n_features and i < lo < n and i < hi < n):
+            raise _fields.malformed(
+                source, f"trees[{at}] node {i}", dict(zip(_TREE, node)),
+                f"neither a leaf that counts {n_classes} classes nor a split "
+                f"of one of {n_features} features into two later nodes")
+    return Tree(tuple(d["feature"]), tuple(map(float, d["threshold"])),
+                tuple(d["left"]), tuple(d["right"]),
+                tuple(map(tuple, d["counts"])))
 
 
 @dataclass(frozen=True)

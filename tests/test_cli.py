@@ -9,11 +9,11 @@ import pytest
 
 from landscape_atlas import cli, walks
 from landscape_atlas.cli import main
-from landscape_atlas.ela import sampling
+from landscape_atlas.ela import files, sampling
 from landscape_atlas.problems import list_problems, resolve
 from landscape_atlas.problems.core import _design_groups
 from landscape_atlas.properties import (
-    PropertyModel, build_labelled_rows, predict, train,
+    PropertyModel, build_labelled_rows, models, predict, train,
 )
 
 
@@ -536,6 +536,29 @@ def test_a_problem_not_spelled_by_its_registry_id_exits_1_naming_the_file(
         assert "Traceback" not in err and not out_file.exists()
 
 
+#: A value that spoils a field by deleting it.
+_DELETE = object()
+
+
+def _spoil(doc: dict, keys: tuple, value) -> None:
+    *parents, last = keys
+    for key in parents:
+        doc = doc[key]
+    if value is _DELETE:
+        del doc[last]
+    else:
+        doc[last] = value
+
+
+@pytest.fixture(scope="module")
+def funnel_model(tmp_path_factory, corpus_dir) -> Path:
+    """A 3-tree funnel model trained on corpus_dir."""
+    model = tmp_path_factory.mktemp("model") / "model.json"
+    assert main(["train", "--property", "funnel", "--trees", "3",
+                 "--features-dir", str(corpus_dir), "--out", str(model)]) == 0
+    return model
+
+
 @pytest.mark.parametrize("field,keys,value", [
     ("features", ("features",), [1, 2]),
     ("features.basic.y_min", ("features", "basic.y_min"), [1]),
@@ -548,30 +571,52 @@ def test_a_problem_not_spelled_by_its_registry_id_exits_1_naming_the_file(
     ("instance", ("instance",), True),
     ("problem", ("problem",), 7),
     ("degenerate", ("degenerate",), 5),
-    ("degenerate", ("degenerate",), ["meta.r2"]),
-], ids=["list-features", "list-value", "bool-value", "string-value",
-        "null-value", "nan-value", "list-instance", "float-instance",
-        "bool-instance", "number-problem", "number-degenerate",
-        "unknown-degenerate"])
+    ("degenerate[0]", ("degenerate",), ["meta.r2"]),
+    ("features.basic.y_min", ("features", "basic.y_min"), _DELETE),
+    ("features.basic.y_min", ("features", "basic.y_min"), 10 ** 400),
+    ("problem", ("problem",), "spheroid"),
+] + [(key, (key,), value) for key in files._FIELDS
+     for value in (_DELETE, None)],
+    ids=["list-features", "list-value", "bool-value", "string-value",
+         "null-value", "nan-value", "list-instance", "float-instance",
+         "bool-instance", "number-problem", "number-degenerate",
+         "unknown-degenerate", "missing-value", "huge-value",
+         "unknown-problem"] + [f"{spoil}-{key}" for key in files._FIELDS
+                               for spoil in ("missing", "null")])
 def test_classify_refuses_a_malformed_feature_field_naming_file_and_field(
-        capsys, tmp_path, corpus_dir, field, keys, value):
-    model = tmp_path / "model.json"
-    assert _run(capsys, ["train", "--property", "funnel", "--trees", "3",
-                         "--features-dir", str(corpus_dir),
-                         "--out", str(model)])[0] == 0
+        capsys, tmp_path, corpus_dir, funnel_model, field, keys, value):
     doc = json.loads((corpus_dir / "sphere-i1.json").read_text())
-    *parents, last = keys
-    target = doc
-    for key in parents:
-        target = target[key]
-    target[last] = value
+    _spoil(doc, keys, value)
     features = tmp_path / "sphere-i1.json"
     features.write_text(json.dumps(doc))
-    code, out, err = _run(capsys, ["classify", "--model", str(model),
+    code, out, err = _run(capsys, ["classify", "--model", str(funnel_model),
                                    "--features", str(features)])
     assert (code, out) == (1, "")
     assert f"{features}: malformed {field} " in err
     assert "ValueError" in err and "Traceback" not in err
+    assert "KeyError" not in err
+
+
+@pytest.mark.parametrize("which", ["model", "features"])
+@pytest.mark.parametrize("data,what", [
+    (b"[1]", "malformed document [1]: not an object"),
+    (b"7", "malformed document 7: not an object"),
+    (b"{", "not a JSON document"),
+    (b"\xff{}", "not a JSON document"),
+    (b"[" * 100_000 + b"]" * 100_000, "not a JSON document"),
+], ids=["list", "number", "truncated", "not-utf-8", "nested-too-deep"])
+def test_classify_refuses_a_document_that_is_no_json_object_naming_the_file(
+        capsys, tmp_path, corpus_dir, funnel_model, which, data, what):
+    paths = {"model": tmp_path / "model.json",
+             "features": tmp_path / "sphere-i1.json"}
+    paths["model"].write_bytes(funnel_model.read_bytes())
+    paths["features"].write_bytes((corpus_dir / "sphere-i1.json").read_bytes())
+    paths[which].write_bytes(data)
+    code, out, err = _run(capsys, ["classify", "--model", str(paths["model"]),
+                                   "--features", str(paths["features"])])
+    assert (code, out) == (1, "")
+    assert f"ValueError: {paths[which]}: {what}" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("field,value", [
@@ -698,8 +743,8 @@ def test_feature_file_naming_an_unknown_problem_is_a_runtime_error(
                                  "--perplexity", "2", "--iterations", "60",
                                  "--out", str(out_file)])
     assert code == 1
-    assert "UnknownProblem" in err and "spheroid" in err
-    assert not out_file.exists()
+    assert f"ValueError: {doc_path}: malformed problem 'spheroid': " in err
+    assert "Traceback" not in err and not out_file.exists()
 
 
 def test_features_jobs_output_matches_serial_on_shared_designs(capsys, tmp_path):
@@ -949,7 +994,6 @@ _STUMP = {"feature": [3, -1, -1], "threshold": [0.5, 0.0, 0.0],
     ("train_seed", ("train_seed",), "x"),
     ("training_accuracy", ("training_accuracy",), 7.5),
     ("n_trees", ("n_trees",), 99),
-    ("property", ("property",), None),
     ("property", ("property",), ["a,b"]),
     ("metadata", ("metadata",), ["dim"]),
     ("metadata", ("metadata",), "dim"),
@@ -957,30 +1001,40 @@ _STUMP = {"feature": [3, -1, -1], "threshold": [0.5, 0.0, 0.0],
     ("metadata.dim", ("metadata", "dim"), True),
     ("metadata.n", ("metadata", "n"), 0),
     ("metadata.n", ("metadata", "n"), 20.0),
-], ids=["float-feature", "float-counts", "negative-count", "nan-threshold",
-        "inf-threshold", "repeated-label", "string-seed", "accuracy-above-1",
-        "n-trees-off-the-forest", "null-property", "list-property",
-        "list-metadata", "string-metadata", "string-dim", "bool-dim",
-        "zero-n", "float-n"])
+    ("manifest", ("manifest",), 5),
+    ("manifest", ("manifest",), ["basic.dim", "basic.dim"]),
+    ("vocabulary", ("vocabulary",), ["no", "yes"]),
+    ("vocabulary", ("vocabulary",), ["yes", "maybe"]),
+    ("metadata", ("metadata",), None),
+    ("metadata.dim", ("metadata", "dim"), None),
+] + [(key, (key,), value) for key in models._FIELDS
+     for value in (_DELETE, None)] + [
+    (f"trees[0].{key}", ("trees", 0, key), value) for key in models._TREE
+    for value in (_DELETE, None)],
+    ids=["float-feature", "float-counts", "negative-count", "nan-threshold",
+         "inf-threshold", "repeated-label", "string-seed", "accuracy-above-1",
+         "n-trees-off-the-forest", "list-property",
+         "list-metadata", "string-metadata", "string-dim", "bool-dim",
+         "zero-n", "float-n", "number-manifest", "repeated-manifest-name",
+         "relabelled-vocabulary", "unknown-label", "null-metadata",
+         "null-dim"]
+    + [f"{spoil}-{key}" for key in models._FIELDS
+       for spoil in ("missing", "null")]
+    + [f"{spoil}-tree-{key}" for key in models._TREE
+       for spoil in ("missing", "null")])
 def test_classify_refuses_a_malformed_model_field_naming_it(
-        capsys, tmp_path, corpus_dir, field, path, value):
+        capsys, tmp_path, corpus_dir, funnel_model, field, path, value):
     model_path = tmp_path / "model.json"
-    assert _run(capsys, ["train", "--property", "funnel",
-                         "--features-dir", str(corpus_dir), "--trees", "3",
-                         "--out", str(model_path)])[0] == 0
     features = next(corpus_dir.iterdir())
-    doc = json.loads(model_path.read_text())
+    doc = json.loads(funnel_model.read_text())
     doc["trees"][0] = json.loads(json.dumps(_STUMP))
     for spoil in (False, True):
         if spoil:
-            *keys, last = path
-            target = doc
-            for key in keys:
-                target = target[key]
-            target[last] = value
+            _spoil(doc, path, value)
         model_path.write_text(json.dumps(doc))
         code, out, err = _run(capsys, ["classify", "--model", str(model_path),
                                        "--features", str(features)])
         assert code == (1 if spoil else 0), err
     assert out == ""
     assert "ValueError" in err and field in err and "Traceback" not in err
+    assert str(model_path) in err and "KeyError" not in err

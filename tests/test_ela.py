@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from landscape_atlas.ela import (
-    FEATURE_NAMES, FeatureVector, SampleSet, compute_features, lhs_points,
-    lhs_sample, normalize_features,
+    FEATURE_NAMES, FeatureFile, FeatureVector, SampleSet, compute_features,
+    feature_documents, lhs_points, lhs_sample, normalize_features,
+    read_features, read_features_dir,
 )
 from landscape_atlas.ela import features
 from landscape_atlas.ela.features import (
@@ -15,8 +17,8 @@ from landscape_atlas.ela.features import (
     _nearest_distances, _pca_counts, _sstot, _upper_pairs,
 )
 from landscape_atlas._seeds import NS_FEATURES, rng_for
-from landscape_atlas.errors import BadSampleSize, TooFewRows
-from landscape_atlas.problems import resolve
+from landscape_atlas.errors import BadSampleSize, LandscapeError, TooFewRows
+from landscape_atlas.problems import ProblemId, resolve
 
 
 def _sample(X, y):
@@ -764,6 +766,33 @@ def test_feature_vector_rejects_nonfinite_values():
     values["basic.y_mean"] = float("nan")
     with pytest.raises(ValueError):
         FeatureVector(values=values, degenerate=())
+
+
+# --- features files ------------------------------------------------------------
+
+def test_the_reader_returns_what_the_writer_wrote(tmp_path):
+    instances = [resolve(p, k, 2) for p, k in (("sphere", 2), ("m7", 1))]
+    for inst, doc in zip(instances, feature_documents(instances, 20, 3, 4)):
+        path = tmp_path / f"{inst.id.text}-i{inst.instance_seed}.json"
+        path.write_text(json.dumps(dict(command="features", **doc)))
+    tmp_path.joinpath("map.csv.meta.json").write_text("{}")  # skipped
+    files = read_features_dir(str(tmp_path))
+    assert [f.path for f in files] == [str(tmp_path / "m7-i1.json"),
+                                       str(tmp_path / "sphere-i2.json")]
+    fv = compute_features(lhs_sample(instances[0], 20, 3), 4)
+    assert files[1] == FeatureFile(
+        path=str(tmp_path / "sphere-i2.json"), vector=fv,
+        problem=ProblemId.parse("sphere"), instance=2, d=2, n=20,
+        sample_seed=3, feature_seed=4)
+    assert read_features(files[0].path).problem.suite == "mario"
+    # a second file for one pair, and a malformed field, each named
+    copy = tmp_path / "sphere-copy.json"
+    copy.write_text((tmp_path / "sphere-i2.json").read_text())
+    with pytest.raises(LandscapeError, match="sphere-copy.json"):
+        read_features_dir(str(tmp_path))
+    copy.write_text(copy.read_text().replace('"d": 2', '"d": 2.0'))
+    with pytest.raises(ValueError, match=r"sphere-copy.json: malformed d 2\.0"):
+        read_features(str(copy))
 
 
 # --- normalization -------------------------------------------------------------------
