@@ -61,12 +61,17 @@ def feature_documents(instances: list[ProblemInstance], n: int,
 def read_features(path: str) -> FeatureFile:
     """The features file at path: a LandscapeError naming it unless
     ``features`` wrote it, a ValueError naming it and the field unless each
-    field of ``_FIELDS`` is there and well formed."""
+    field of ``_FIELDS`` is there and well formed, and its d and n are its
+    own ``basic.dim`` and ``basic.n_obs``."""
     doc = _fields.load(Path(path).read_bytes(), path, {})
     if doc.get("command") != "features":
         raise LandscapeError(f"{path} is not a features file (its command "
                              f"is {doc.get('command')!r})")
     _fields.check(path, doc, _FIELDS)
+    for field, name in (("d", "basic.dim"), ("n", "basic.n_obs")):
+        if doc[field] != doc["features"][name]:
+            raise _fields.malformed(path, field, doc[field], f"not the file's "
+                                    f"{name}, {doc['features'][name]!r}")
     values = {name: float(doc["features"][name]) for name in FEATURE_NAMES}
     return FeatureFile(path, FeatureVector(values, tuple(doc["degenerate"])),
                        ProblemId.parse(doc["problem"]), doc["instance"],

@@ -64,55 +64,82 @@ def kl_trace(embedding: Embedding) -> tuple[tuple[int, float], ...]:
     return embedding.kl_checkpoints
 
 
-def _conditional_row(shifted: np.ndarray, beta: float) -> np.ndarray:
-    """p_{j|i} for one point at bandwidth beta; shifted holds the squared
-    distances to the other points less the smallest of them."""
-    e = np.exp(-beta * shifted)
-    return e / e.sum()
+def _conditional_rows(shifted: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """p_{j|i} for each row of shifted at its bandwidth beta[i]; a row holds
+    the squared distances to the other points less the smallest of them."""
+    e = np.exp(-beta[:, None] * shifted)
+    return e / e.sum(axis=1, keepdims=True)
 
 
-def _row_perplexity(p: np.ndarray) -> float:
-    nz = p[p > 0.0]
-    h_bits = float(-(nz * (np.log(nz) / _LN2)).sum())
-    return 2.0 ** h_bits
+def _perplexities(P: np.ndarray) -> np.ndarray:
+    """2 ** (entropy in bits) of each row of P.  A row's entropy sums its
+    positive probabilities in row order: a row that holds an underflowed 0
+    (or a NaN) is summed compacted, as padding it with zeros changes the
+    pairwise sum's bits."""
+    full = (P > 0.0).all(axis=1)
+    h = np.empty(len(P))
+    h[full] = (P[full] * (np.log(P[full]) / _LN2)).sum(axis=1)
+    for i in np.flatnonzero(~full):
+        nz = P[i][P[i] > 0.0]
+        h[i] = (nz * (np.log(nz) / _LN2)).sum()
+    # Python's float power: numpy's vectorised power rounds some of these
+    # differently, which can move a row's bracket
+    return np.array([2.0 ** -bits for bits in h.tolist()])
+
+
+def _bisect(shifted: np.ndarray, perplexity: float
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Bisect every row's bandwidth at once, each row in its own bracket:
+    (beta, conditional probabilities) per row of shifted.  A step
+    recomputes only the rows whose perplexity is further than
+    _BANDWIDTH_TOL from the target; a row stops there, or at its
+    _BANDWIDTH_MAX_ITER-th step with the probabilities of its last beta."""
+    rows = len(shifted)
+    beta, lo, hi = np.ones(rows), np.zeros(rows), np.full(rows, np.inf)
+    P = _conditional_rows(shifted, beta)
+    live = np.arange(rows)
+    for _ in range(_BANDWIDTH_MAX_ITER):
+        perp = _perplexities(P[live])
+        miss = np.abs(perp - perplexity) > _BANDWIDTH_TOL
+        live, perp = live[miss], perp[miss]
+        if not len(live):
+            break
+        b, l, h = beta[live], lo[live], hi[live]
+        flat = perp > perplexity  # too flat: tighten the kernel
+        l = np.where(flat, b, l)
+        h = np.where(flat, h, b)
+        mid = (l + h) / 2.0
+        beta[live] = np.where(flat, np.where(np.isinf(h), b * 2.0, mid),
+                              np.where(l == 0.0, b / 2.0, mid))
+        lo[live], hi[live] = l, h
+        P[live] = _conditional_rows(shifted[live], beta[live])
+    return beta, P
 
 
 def bandwidth_bisection(d2_row: np.ndarray, perplexity: float
                         ) -> tuple[float, np.ndarray]:
     """Find beta so the conditional distribution's perplexity matches the
     target within _BANDWIDTH_TOL, in at most _BANDWIDTH_MAX_ITER steps;
-    returns (beta, conditional probabilities).  A target below 1 or above
-    the neighbour count is refused: no distribution over len(d2_row)
-    points has that perplexity."""
+    returns (beta, conditional probabilities), a batch of one of the
+    bisection that ``tsne_embed`` runs over all rows.  A target below 1 or
+    above the neighbour count is refused: no distribution over
+    len(d2_row) points has that perplexity."""
     if not 1.0 <= perplexity <= len(d2_row):
         raise ValueError(f"perplexity {perplexity} is unreachable: need "
                          f"1 <= perplexity <= {len(d2_row)} neighbours")
     shifted = d2_row - d2_row.min()  # nearest neighbour contributes exp(0)
-    beta = 1.0
-    lo, hi = 0.0, np.inf
-    p = _conditional_row(shifted, beta)
-    for _ in range(_BANDWIDTH_MAX_ITER):
-        perp = _row_perplexity(p)
-        if abs(perp - perplexity) <= _BANDWIDTH_TOL:
-            break
-        if perp > perplexity:  # too flat: tighten the kernel
-            lo = beta
-            beta = beta * 2.0 if np.isinf(hi) else (lo + hi) / 2.0
-        else:
-            hi = beta
-            beta = beta / 2.0 if lo == 0.0 else (lo + hi) / 2.0
-        p = _conditional_row(shifted, beta)
-    return beta, p
+    beta, P = _bisect(shifted[None, :], perplexity)
+    return float(beta[0]), P[0]
 
 
 def _affinities(X: np.ndarray, perplexity: float) -> np.ndarray:
     n = X.shape[0]
     d2 = _squared_distances(X)
+    off = ~np.eye(n, dtype=bool)
+    d2 = d2[off].reshape(n, n - 1)  # each row without its own point
+    _, P_cond = _bisect(d2 - d2.min(axis=1, keepdims=True), perplexity)
     P = np.zeros((n, n))
-    mask = ~np.eye(n, dtype=bool)
-    for i in range(n):
-        _, p = bandwidth_bisection(d2[i][mask[i]], perplexity)
-        P[i][mask[i]] = p
+    P[off] = P_cond.ravel()
     P = (P + P.T) / (2.0 * n)
     return np.maximum(P, _P_FLOOR)
 

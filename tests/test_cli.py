@@ -644,6 +644,30 @@ def test_train_and_cv_refuse_a_malformed_set_up_field_naming_it(
         assert "ValueError" in err and not out_file.exists()
 
 
+@pytest.mark.parametrize("field,value,feature", [
+    ("d", 3, "basic.dim"), ("n", 21, "basic.n_obs"),
+])
+def test_a_set_up_field_that_disagrees_with_its_features_exits_1_naming_it(
+        capsys, tmp_path, corpus_dir, field, value, feature):
+    # train once recorded the files' d as the model's dim while classify
+    # compared basic.dim with it, so the model refused its own corpus
+    argvs = _directory_readers(tmp_path, corpus_dir, capsys)
+    features_dir = _copy_dir(corpus_dir, tmp_path / "corpus")
+    for path in features_dir.iterdir():
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+    first = sorted(features_dir.iterdir())[0]
+    for argv in argvs:
+        out_file = tmp_path / f"{argv[0]}.out"
+        code, out, err = _run(capsys, argv + [
+            "--features-dir", str(features_dir), "--out", str(out_file)])
+        assert (code, out) == (1, ""), argv
+        assert (f"ValueError: {first}: malformed {field} {value}: not the "
+                f"file's {feature}, ") in err
+        assert "Traceback" not in err and not out_file.exists()
+
+
 def test_embed_sidecars_are_skipped_and_other_documents_refused_by_path(
         capsys, tmp_path, corpus_dir):
     features_dir = _copy_dir(corpus_dir, tmp_path / "corpus")

@@ -14,6 +14,7 @@ stack, including the summation order of the Gini class sums.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from landscape_atlas._seeds import NS_FOREST, rng_for
@@ -191,6 +192,53 @@ def test_a_cut_that_rounds_up_leaves_an_empty_child_inside_a_forest():
     assert trees == tuple(_ref_grow_tree(X, y, 2, rng_for(NS_FOREST, 0, t))
                           for t in range(2 * CAP + 1))
     assert sum(t.counts.count((0, 0)) for t in trees) > 0
+
+
+@pytest.mark.parametrize("group", [1, 25, 50])
+def test_every_group_size_grows_the_reference_trees(monkeypatch, group):
+    rng = np.random.default_rng(group)
+    X = rng.choice(POOL, size=(20, 5))
+    X[:, 0] = rng.normal(size=20)
+    y = rng.integers(0, 3, size=20)
+    monkeypatch.setattr(forest, "_GROUP_TREES", group)
+    n_trees = 2 * group + 1
+    assert grow_forest(X, y, 3, 7, n_trees) == tuple(
+        _ref_grow_tree(X, y, 3, rng_for(NS_FOREST, 7, t))
+        for t in range(n_trees))
+
+
+@pytest.mark.parametrize("noise", [0.1, 0.5])
+def test_steps_on_both_sides_of_16_bit_keys_grow_the_reference_trees(
+        monkeypatch, noise):
+    # 50 trees, k = 6 of 31 columns and 240 distinct values a column: a
+    # step of 46 or more trees has keys beyond 16 bits, a later step of
+    # fewer trees radix-sorts them
+    rng = np.random.default_rng(0)
+    z = rng.normal(size=240)
+    X = z[:, None] + rng.normal(scale=noise, size=(240, 31))
+    y = (z > 0).astype(int) + (z > 1)
+    tops = []
+
+    def spy(keys, top):
+        tops.append(top)
+        return argsort(keys, top)
+
+    argsort = forest._argsort
+    monkeypatch.setattr(forest, "_argsort", spy)
+    assert grow_forest(X, y, 3, 0, 50) == tuple(
+        _ref_grow_tree(X, y, 3, rng_for(NS_FOREST, 0, t)) for t in range(50))
+    assert max(tops) == 50 * 6 * 240 > 2 ** 16
+    assert any(2 ** 8 < top <= 2 ** 16 for top in tops)
+
+
+@pytest.mark.parametrize("top", [1, 2 ** 8, 2 ** 8 + 1, 2 ** 16, 2 ** 16 + 1])
+def test_keys_sort_stably_to_16_bits_and_in_order_beyond(top):
+    rng = np.random.default_rng(top)
+    keys = np.append(rng.integers(0, top, size=(3, 400)), top - 1)
+    order = forest._argsort(keys, top)
+    assert np.array_equal(keys.ravel()[order], np.sort(keys, axis=None))
+    if top <= 2 ** 16:
+        assert np.array_equal(order, np.argsort(keys, axis=None, kind="stable"))
 
 
 @settings(max_examples=150, deadline=None)

@@ -54,7 +54,7 @@ def test_bisection_refuses_an_unreachable_perplexity_before_its_first_step(
     def no_work(*args):
         raise AssertionError("bisection started")
 
-    monkeypatch.setattr(similarity, "_conditional_row", no_work)
+    monkeypatch.setattr(similarity, "_conditional_rows", no_work)
     with pytest.raises(ValueError, match="unreachable"):
         bandwidth_bisection(d2, target)
 
@@ -346,7 +346,7 @@ def _bisection_rows(draw):
     m = draw(st.integers(2, 60))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     kind = draw(st.sampled_from(["uniform", "equidistant", "underflow",
-                                 "ties"]))
+                                 "ties", "nan"]))
     if kind == "equidistant":
         d2 = np.full(m, draw(st.sampled_from([0.0, 1e-300, 2.0, 1e6])))
     elif kind == "underflow":
@@ -356,6 +356,8 @@ def _bisection_rows(draw):
         d2 = rng.integers(0, 3, m).astype(float)
     else:
         d2 = rng.uniform(0.0, 9.0, m)
+    if kind == "nan":  # every shifted distance and probability is NaN
+        d2[rng.integers(m)] = np.nan
     target = 1.0 + draw(st.floats(0.0, 1.0)) * (m - 1.0)
     return d2, target
 
@@ -368,3 +370,80 @@ def test_bandwidth_bisection_matches_the_reference(case):
     ref_beta, ref_p = _ref_bandwidth_bisection(d2, target)
     assert _bits(beta) == _bits(ref_beta)
     assert _bits(p) == _bits(ref_p)
+
+
+# --- all rows at once -----------------------------------------------------------
+#
+# tsne_embed bisects every row's bandwidth in one batch, each row in its own
+# bracket and under its own step cap.  Each row must come out as the
+# per-row reference gives it, beta and probabilities bit for bit.
+
+def _assert_rows_match_the_reference(shifted, target):
+    beta, P = similarity._bisect(shifted, target)
+    for row, b, p in zip(shifted, beta, P):
+        ref_beta, ref_p = _ref_bandwidth_bisection(row, target)
+        assert _bits(b) == _bits(ref_beta)
+        assert _bits(p) == _bits(ref_p)
+    return beta, P
+
+
+def test_all_rows_bisection_matches_the_per_row_reference_row_by_row():
+    m, target = 12, 3.0
+    rng = np.random.default_rng(5)
+    rows = [
+        # far points underflow to 0 at every bandwidth the row tries
+        [0.0, 0.1, 0.2, 0.3] + list(rng.uniform(1e5, 1e6, m - 4)),
+        # exp(0) three times and 0 for the rest: 3 at beta = 1, first look
+        [0.0, 0.0, 0.0] + [1e4] * (m - 3),
+        # the same row again: duplicate points at distance 0
+        [0.0, 0.0, 0.0] + [1e4] * (m - 3),
+        # nearly flat at every beta up to 2 ** 200: stops at the step cap
+        [0.0] + [1e-100] * (m - 1),
+        [0.0, 0.0, 0.0, 0.0] + list(rng.uniform(0.5, 2.0, m - 4)),
+    ] + [list(rng.uniform(0.0, 9.0, m)) for _ in range(4)]
+    shifted = np.array(rows)
+    shifted -= shifted.min(axis=1, keepdims=True)
+    beta, P = _assert_rows_match_the_reference(shifted, target)
+    assert (P[0] == 0.0).any() and (P[1] == 0.0).any()
+    assert beta[1] == beta[2] == 1.0
+    assert beta[3] == 2.0 ** similarity._BANDWIDTH_MAX_ITER
+    assert abs(_ref_row_perplexity(P[3]) - target) > similarity._BANDWIDTH_TOL
+    assert len(set(beta.tolist())) >= 6
+
+
+@st.composite
+def _bisection_batches(draw):
+    m = draw(st.integers(2, 40))
+    target = 1.0 + draw(st.floats(0.0, 1.0)) * (m - 1.0)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(
+            ["uniform", "underflow", "ties", "tiny"]), min_size=1, max_size=8)):
+        if kind == "underflow":
+            rows.append(np.concatenate([[0.5], rng.uniform(800.0, 5e4, m - 1)]))
+        elif kind == "ties":
+            rows.append(rng.integers(0, 3, m).astype(float))
+        elif kind == "tiny":
+            rows.append(rng.uniform(0.0, 1e-90, m))
+        else:
+            rows.append(rng.uniform(0.0, 9.0, m))
+    if draw(st.booleans()):
+        rows.append(rows[0])
+    shifted = np.array(rows)
+    return shifted - shifted.min(axis=1, keepdims=True), target
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_bisection_batches())
+def test_all_rows_bisection_matches_the_reference_on_mixed_batches(case):
+    _assert_rows_match_the_reference(*case)
+
+
+def test_affinities_match_the_reference_on_outliers_and_duplicates():
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(60, 6))
+    X[:4] *= 1e3  # their neighbours' probabilities underflow
+    X[10:14] = X[20]
+    for perplexity in (2.0, 5.0, 19.0):
+        assert _bits(similarity._affinities(X, perplexity)) == _bits(
+            _ref_affinities(X, perplexity))
