@@ -10,7 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tiles import ENEMY, LENIENT_N, LENIENT_P, PRETTY_MASK, STANDABLE_MASK, TileGrid
+from .tiles import (
+    ENEMY, LENIENT_N, LENIENT_P, STANDABLE_BYTES, STANDABLE_MASK, TileGrid,
+    open_columns,
+)
 
 
 @dataclass(frozen=True)
@@ -56,29 +59,21 @@ def negative_space(grid: TileGrid) -> float:
 def detect_gaps(grid: TileGrid) -> GapReport:
     """Maximal runs of columns with no standable tile, excluding runs that
     touch column 0 (the spawn column cannot be jumped over)."""
-    open_col = ~STANDABLE_MASK[grid.cells].any(axis=0)
-    lengths = []
-    run = 0
-    for col, is_open in enumerate(open_col):
-        if is_open:
-            run += 1
-        else:
-            if run and col - run > 0:
-                lengths.append(run)
-            run = 0
-    if run and grid.width - run > 0:
-        lengths.append(run)
+    open_col = open_columns(
+        grid.cells.tobytes().translate(STANDABLE_BYTES), grid.width)
+    # The runs of 1 bytes between 0 bytes; the first run starts at column 0.
+    lengths = [len(run) for run in open_col.split(b"\0")[1:] if run]
     if not lengths:
         return GapReport(0, 0.0)
-    return GapReport(len(lengths), float(np.mean(lengths)))
+    return GapReport(len(lengths), sum(lengths) / len(lengths))
 
 
 def leniency(grid: TileGrid) -> LeniencyBreakdown:
     """(v / n_tot + 1) / 2 with v = #P - #N - n_gaps/2 - mean gap length,
     the ratio clamped to [-1, 1] so gap-heavy levels stay in range."""
-    counts = np.bincount(grid.cells.ravel(), minlength=13)
-    sum_p = int(counts[list(LENIENT_P)].sum())
-    sum_n = int(counts[list(LENIENT_N)].sum())
+    cells = grid.cells.tobytes()
+    sum_p = sum(map(cells.count, LENIENT_P))
+    sum_n = sum(map(cells.count, LENIENT_N))
     gaps = detect_gaps(grid)
     v = sum_p - sum_n - gaps.n_gaps / 2.0 - gaps.mean_gap_length
     ratio = min(1.0, max(-1.0, v / grid.n_tot))

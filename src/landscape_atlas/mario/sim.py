@@ -22,25 +22,36 @@ column 0 that has a non-standable cell above it; no such tile means no run.
 The astar agent plans a cheapest-ticks path over (row, column, jump-phase)
 states with the admissible remaining-columns heuristic, then replays it.  On
 an unwinnable level it replays the cheapest path to the farthest column
-reachable within the budget.  The scared agent never plans: it runs right and
-jumps whenever a gap or a hazard shows up within two columns of lookahead.
-Both agents move by the one successor table of _successors.
+reachable within the budget.  Its open list holds one level of states per
+f = g + columns left, a bucket queue: the heuristic is consistent, so f
+never falls and a level, once reached, only grows.  The scared agent never
+plans: it runs right and jumps whenever a gap or a hazard shows up within
+two columns of lookahead.  Both agents move by the one successor table of
+_successors, and read one grid's tables as bytes, each translated from the
+grid's tile-code bytes (_Level).
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
-import numpy as np
-
-from .tiles import COIN, HAZARD_MASK, STANDABLE_MASK, TileGrid
+from .tiles import (
+    COIN, HAZARD_BYTES, STANDABLE_BYTES, TileGrid, open_columns,
+)
 
 ASTAR = "astar"
 SCARED = "scared"
 AGENT_KINDS = (ASTAR, SCARED)
 
 HAZARD_PENALTY = 10
+
+# bytes.translate tables of _Level, by tile code as tiles.STANDABLE_BYTES:
+# 1 at a coin; and the ticks a planner move costs by the cell it enters,
+# one plus the penalty for a hazard.
+_COIN_BYTES = bytes(c == COIN for c in range(256))
+_STEP_BYTES = bytes(1 + HAZARD_PENALTY * b for b in HAZARD_BYTES)
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,39 +89,33 @@ def time_taken(r: SimulationResult) -> float:
 class _Level:
     """The lookup tables that a run reads, for one grid, flattened to
     bytes: one 0/1 (or, for step, tick-count) byte per cell, column or
-    state.  step has one entry more, for a move that stays in its cell; a
-    cell's footing (a standable tile below it) is ``stand[cell * 3]``."""
+    state, each translated from the grid's tile-code bytes.  step has one
+    entry more, for a move that stays in its cell; a cell's footing (a
+    standable tile below it) is ``stand[cell * 3]``."""
 
     __slots__ = ("height", "width", "t_max", "hazard", "coin", "col_open",
                  "step", "stand", "spawn")
 
     def __init__(self, grid: TileGrid):
-        cells = grid.cells
-        h, w = cells.shape
+        h, w = grid.cells.shape
+        cells = grid.cells.tobytes()
         self.height = h
         self.width = w
         self.t_max = 4 * w
-        std = STANDABLE_MASK[cells]
-        hazard = HAZARD_MASK[cells]
-        self.hazard = hazard.tobytes()
-        self.coin = (cells == COIN).tobytes()
-        self.col_open = (~std.any(axis=0)).tobytes()
-        # The ticks a planner move costs, by the cell it enters: one, plus
-        # the penalty for a hazard; the last entry, one, prices a move that
-        # stays in its cell.
-        self.step = (hazard * np.uint8(HAZARD_PENALTY) + np.uint8(1)
-                     ).tobytes() + b"\1"
+        std = cells.translate(STANDABLE_BYTES)
+        self.hazard = cells.translate(HAZARD_BYTES)
+        self.coin = cells.translate(_COIN_BYTES)
+        self.col_open = open_columns(std, w)
+        self.step = cells.translate(_STEP_BYTES) + b"\1"
         # Per state (cell * 3 + jump phase): 1 where the agent stands, in
         # jump phase 0 above a standable tile.
-        stand = np.zeros((h, w, 3), dtype=bool)
-        stand[:-1, :, 0] = std[1:, :]
-        self.stand = stand.tobytes()
-        self.spawn = -1
-        col = std[:, 0].tobytes()
-        for r in range(h - 1, 0, -1):
-            if col[r] and not col[r - 1]:
-                self.spawn = (r - 1) * w
-                break
+        stand = bytearray(3 * h * w)
+        stand[:3 * (h - 1) * w:3] = std[w:]
+        self.stand = bytes(stand)
+        # Above the bottommost standable tile of column 0 that has a
+        # non-standable cell above it.
+        r = std[::w].rfind(b"\0\1")
+        self.spawn = r * w if r >= 0 else -1
 
 
 def _spawn_result(lv: _Level, agent: str) -> SimulationResult | None:
@@ -234,13 +239,13 @@ def _successor_table(h: int, w: int) -> list:
     s when the agent is not standing, and entry ``h*w*3 + s`` those of s when
     it is (only jump-phase-0 states stand), so a grid's stand table gives
     the entry of s as ``s + h*w*3 * stand[s]``; None until first needed.
-    Each successor is a tuple ``(s2, k, key)``: the next state; the index
+    Each successor is a tuple ``(s2, k, left)``: the next state; the index
     into the grid's step table that prices the move (the new cell, or the
-    last entry, one tick, when the move stays in its cell); and the heap
-    key of s2 at zero cost (see _astar_search).  Successors come in the
-    order the moves are tried: stay or fall, then jump, then drop, each
-    without and then with a step right.  Only the step prices depend on the
-    grid, so one table serves every grid of its shape."""
+    last entry, one tick, when the move stays in its cell); and the columns
+    left after the move, s2's heuristic (see _astar_search).  Successors
+    come in the order the moves are tried: stay or fall, then jump, then
+    drop, each without and then with a step right.  Only the step prices
+    depend on the grid, so one table serves every grid of its shape."""
     return [None] * (2 * h * w * 3)
 
 
@@ -253,7 +258,6 @@ _STEP_RIGHT, _JUMP_RIGHT = 1, 3
 
 def _successors(h: int, w: int, state: int, standing: bool):
     """Table entry of state (see _successor_table)."""
-    n_states = h * w * 3
     cell, p = divmod(state, 3)
     r, c = divmod(cell, w)
     if c == w - 1:
@@ -278,19 +282,24 @@ def _successors(h: int, w: int, state: int, standing: bool):
         cell2 = r2 * w + c + dx
         s2 = cell2 * 3 + p2
         k = cell2 if cell2 != cell else h * w
-        out.append((s2, k, (w - 1 - c - dx) * n_states + s2))
+        out.append((s2, k, w - 1 - c - dx))
     return tuple(out)
 
 
 def _astar_search(lv: _Level, start: int, start_cost: int):
     """Cheapest ticks from start to every state the search settles.
 
-    States are ``(row * width + col) * 3 + jump_phase``.  The heap orders
-    states by (g + columns left, state), packed into the one int
-    ``(g + columns left) * n_states + state``.  Nothing past the t_max
-    budget is pushed, so the first goal settled is within budget; the
-    heuristic is consistent, so every within-budget state settles in the
-    order, and with the parent, of an unbounded search."""
+    States are ``(row * width + col) * 3 + jump_phase``; a state's f is its
+    g plus its columns left.  The open list holds one level per f (a
+    bucket queue): the states of the current f form a heap, so they pop in
+    state order, and a push at a higher f appends to that level's list,
+    which is heapified when its f comes up.  The columns-left heuristic is
+    consistent (a move costs at least one tick and gains at most one
+    column), so no push lands below the current f, and states pop in
+    (f, state) order, as from one heap of the keys ``f * n_states + state``.
+    Nothing past the t_max budget is pushed, so the first goal settled is
+    within budget; every within-budget state settles in the order, and
+    with the parent, of an unbounded search."""
     h, w = lv.height, lv.width
     table = _successor_table(h, w)
     step, stand = lv.step, lv.stand
@@ -298,12 +307,20 @@ def _astar_search(lv: _Level, start: int, start_cost: int):
     dist = [lv.t_max + 1] * n_states
     parent = [-1] * n_states
     dist[start] = start_cost
-    heap = [(start_cost + w - 1) * n_states + start]
+    f = start_cost + w - 1
+    heap = [start]
+    later = defaultdict(list)  # f above the current one -> its states
     goal_state = -1
-    while heap:
+    while True:
+        if not heap:
+            if not later:
+                break
+            f = min(later)
+            heap = later.pop(f)
+            heapify(heap)
         # No closed set: the first pop settles a state at its final g, so a
         # stale entry re-expands from that g and relaxes nothing.
-        state = heappop(heap) % n_states
+        state = heappop(heap)
         i = state + n_states * stand[state]
         edges = table[i]
         if edges is None:
@@ -312,12 +329,15 @@ def _astar_search(lv: _Level, start: int, start_cost: int):
             goal_state = state
             break
         g = dist[state]
-        for s2, k, key in edges:
+        for s2, k, left in edges:
             g2 = g + step[k]
             if g2 < dist[s2]:
                 dist[s2] = g2
                 parent[s2] = state
-                heappush(heap, g2 * n_states + key)
+                if g2 + left == f:
+                    heappush(heap, s2)
+                else:
+                    later[g2 + left].append(s2)
     return dist, parent, goal_state
 
 

@@ -51,6 +51,13 @@ LENIENT_N = HAZARD
 STANDABLE_MASK = np.array([c in STANDABLE for c in range(N_TILE_TYPES)])
 PRETTY_MASK = np.array([c in PRETTY for c in range(N_TILE_TYPES)])
 HAZARD_MASK = np.array([c in HAZARD for c in range(N_TILE_TYPES)])
+# The same flags as bytes.translate tables: byte 1 at a flagged code, 0 at
+# every other byte value, so ``cells.tobytes().translate(STANDABLE_BYTES)``
+# is STANDABLE_MASK[cells] as one 0/1 byte per cell, in row order.
+STANDABLE_BYTES = bytes(c in STANDABLE for c in range(256))
+PRETTY_BYTES = bytes(c in PRETTY for c in range(256))
+HAZARD_BYTES = bytes(c in HAZARD for c in range(256))
+_ZERO_BYTES = b"\1" + bytes(255)
 
 ASCII_LEGEND = "-XS?QO<>[BP=E"
 _CODE_OF_CHAR = {ch: code for code, ch in enumerate(ASCII_LEGEND)}
@@ -65,6 +72,20 @@ def _valid_codes(a: np.ndarray) -> bool:
     if a.dtype.kind == "f":
         valid &= a == np.floor(a)
     return bool(valid.all())
+
+
+def open_columns(standable: bytes, width: int) -> bytes:
+    """One byte per column, 1 where no row holds a standable tile; standable
+    is a grid's cells translated by STANDABLE_BYTES."""
+    # The rows as one big-endian int, ORed onto the last row 1, 2, 4, ...
+    # rows at a time (0/1 bytes never carry).
+    rows = int.from_bytes(standable, "big")
+    shift = 1
+    while shift < len(standable) // width:
+        rows |= rows >> (8 * width * shift)
+        shift *= 2
+    return rows.to_bytes(len(standable), "big")[-width:].translate(
+        _ZERO_BYTES)
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,11 +128,11 @@ class TileGrid:
 
     @property
     def n_st(self) -> int:
-        return int(STANDABLE_MASK[self.cells].sum())
+        return self.cells.tobytes().translate(STANDABLE_BYTES).count(1)
 
     @property
     def n_pt(self) -> int:
-        return int(PRETTY_MASK[self.cells].sum())
+        return self.cells.tobytes().translate(PRETTY_BYTES).count(1)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TileGrid) and np.array_equal(self.cells, other.cells)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from landscape_atlas.mario import tiles
 from landscape_atlas.mario.metrics import (
@@ -7,6 +8,7 @@ from landscape_atlas.mario.metrics import (
     negative_space, position_distribution,
 )
 from landscape_atlas.mario.tiles import TileGrid, parse_ascii
+from test_tiles import _grids
 
 
 def _grid(fill, height, width, **cells):
@@ -168,3 +170,52 @@ def test_all_five_measures_stay_in_unit_interval_on_random_grids():
                         decoration_frequency, negative_space):
             assert 0.0 <= measure(g) <= 1.0
         assert 0.0 <= leniency(g).value <= 1.0
+
+
+# --- the byte counts against the mask formulas they replaced ----------------
+#
+# _reference_detect_gaps and _reference_leniency are detect_gaps and
+# leniency as they were when they counted with numpy masks and bincount.
+
+def _reference_detect_gaps(grid):
+    open_col = ~tiles.STANDABLE_MASK[grid.cells].any(axis=0)
+    lengths = []
+    run = 0
+    for col, is_open in enumerate(open_col):
+        if is_open:
+            run += 1
+        else:
+            if run and col - run > 0:
+                lengths.append(run)
+            run = 0
+    if run and grid.width - run > 0:
+        lengths.append(run)
+    if not lengths:
+        return (0, 0.0)
+    return (len(lengths), float(np.mean(lengths)))
+
+
+def _reference_leniency(grid):
+    counts = np.bincount(grid.cells.ravel(), minlength=13)
+    sum_p = int(counts[list(tiles.LENIENT_P)].sum())
+    sum_n = int(counts[list(tiles.LENIENT_N)].sum())
+    n_gaps, mean_gap = _reference_detect_gaps(grid)
+    v = sum_p - sum_n - n_gaps / 2.0 - mean_gap
+    ratio = min(1.0, max(-1.0, v / grid.n_tot))
+    return (sum_p, sum_n, v, (ratio + 1.0) / 2.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid=_grids())
+@example(grid=TileGrid(np.array([[tiles.AIR]])))
+@example(grid=TileGrid(np.array([[tiles.GROUND, tiles.AIR, tiles.AIR, tiles.GROUND,
+                                   tiles.AIR, tiles.QUESTION_POWERUP]])))
+@example(grid=TileGrid(np.array([[tiles.ENEMY], [tiles.AIR], [tiles.GROUND]])))
+@example(grid=parse_ascii("-------\nX-X--X-"))
+def test_gaps_and_leniency_equal_the_mask_formulas(grid):
+    gaps = detect_gaps(grid)
+    assert (gaps.n_gaps, gaps.mean_gap_length) == _reference_detect_gaps(grid)
+    assert type(gaps.mean_gap_length) is float
+    out = leniency(grid)
+    assert (out.sum_p, out.sum_n, out.v, out.value) == _reference_leniency(grid)
+    assert type(out.sum_p) is type(out.sum_n) is int

@@ -403,6 +403,171 @@ def test_planner_matches_the_reference_search_on_decoded_levels():
         assert _runs(grid, ASTAR) == _reference_runs(grid)
 
 
+# --- the bucketed open list against the packed-key heap ----------------------
+#
+# _packed_successors and _packed_astar_search are _successors and
+# _astar_search as they were when one heap ordered the open list by the
+# packed key (g + columns left) * n_states + state, with that key at zero
+# cost as the third entry of a successor tuple.  They keep a successor
+# table of their own.  The bucketed search must pop the same states: every
+# dist, parent and goal must match, state for state.
+
+_PACKED_TABLES: dict = {}
+
+
+def _packed_successor_table(h: int, w: int) -> list:
+    table = _PACKED_TABLES.get((h, w))
+    if table is None:
+        table = _PACKED_TABLES[h, w] = [None] * (2 * h * w * 3)
+    return table
+
+
+def _packed_successors(h: int, w: int, state: int, standing: bool):
+    """Table entry of state (see _successor_table)."""
+    n_states = h * w * 3
+    cell, p = divmod(state, 3)
+    r, c = divmod(cell, w)
+    if c == w - 1:
+        return sim._GOAL
+    out = []
+    moves = ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)) if standing \
+        else ((0, 0), (0, 1))
+    for kind, dx in moves:  # kind: 0 stay/fall, 1 jump, 2 drop
+        if kind == 1:
+            rise = 2 if r >= 2 else r
+            r2, p2 = r - rise, (1 if rise == 2 else 0)
+        elif kind == 2 or not standing:
+            if p > 0:
+                rise = 2 if r >= 2 else r
+                r2, p2 = r - rise, (p - 1 if rise == 2 else 0)
+            else:
+                r2, p2 = r + 1, 0
+                if r2 >= h:
+                    continue  # falls out: dead end
+        else:
+            r2, p2 = r, 0
+        cell2 = r2 * w + c + dx
+        s2 = cell2 * 3 + p2
+        k = cell2 if cell2 != cell else h * w
+        out.append((s2, k, (w - 1 - c - dx) * n_states + s2))
+    return tuple(out)
+
+
+def _packed_astar_search(lv, start: int, start_cost: int):
+    """Cheapest ticks from start to every state the search settles.
+
+    States are ``(row * width + col) * 3 + jump_phase``.  The heap orders
+    states by (g + columns left, state), packed into the one int
+    ``(g + columns left) * n_states + state``.  Nothing past the t_max
+    budget is pushed, so the first goal settled is within budget; the
+    heuristic is consistent, so every within-budget state settles in the
+    order, and with the parent, of an unbounded search."""
+    h, w = lv.height, lv.width
+    table = _packed_successor_table(h, w)
+    step, stand = lv.step, lv.stand
+    n_states = h * w * 3
+    dist = [lv.t_max + 1] * n_states
+    parent = [-1] * n_states
+    dist[start] = start_cost
+    heap = [(start_cost + w - 1) * n_states + start]
+    goal_state = -1
+    while heap:
+        # No closed set: the first pop settles a state at its final g, so a
+        # stale entry re-expands from that g and relaxes nothing.
+        state = heappop(heap) % n_states
+        i = state + n_states * stand[state]
+        edges = table[i]
+        if edges is None:
+            edges = table[i] = _packed_successors(h, w, state, i >= n_states)
+        if edges is sim._GOAL:
+            goal_state = state
+            break
+        g = dist[state]
+        for s2, k, key in edges:
+            g2 = g + step[k]
+            if g2 < dist[s2]:
+                dist[s2] = g2
+                parent[s2] = state
+                heappush(heap, g2 * n_states + key)
+    return dist, parent, goal_state
+
+
+def _search_args(grid: TileGrid):
+    """The level and the arguments of the one search of an astar run."""
+    lv = sim._Level(grid)
+    return lv, lv.spawn * 3, HAZARD_PENALTY if lv.hazard[lv.spawn] else 0
+
+
+def _assert_same_search(grid: TileGrid) -> tuple:
+    """Both searches on grid, which must agree; returns the bucketed one."""
+    lv, start, start_cost = _search_args(grid)
+    assert lv.spawn >= 0
+    got = sim._astar_search(lv, start, start_cost)
+    assert got == _packed_astar_search(lv, start, start_cost)
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid=_grids())
+def test_bucketed_search_matches_the_packed_heap_on_random_grids(grid):
+    if sim._Level(grid).spawn >= 0:
+        _assert_same_search(grid)
+
+
+@pytest.mark.parametrize("rows", _STALE_ENTRY_GRIDS)
+def test_bucketed_search_matches_the_packed_heap_where_it_pops_stale_entries(
+        rows):
+    _assert_same_search(parse_ascii("\n".join(rows)))
+
+
+def test_bucketed_search_matches_the_packed_heap_on_decoded_levels():
+    goals = 0
+    for problem in ("m11", "m12", "m13", "m14"):
+        inst = core.resolve(problem, 2, 10)
+        box = inst.domain
+        X = lhs_points(130, 10, box.lower, box.upper, 7)
+        for grid in core._design_levels(inst, X):
+            if sim._Level(grid).spawn >= 0:
+                goals += _assert_same_search(grid)[2] >= 0
+    assert goals >= 100
+
+
+def _f_steps(lv, dist, parent) -> set:
+    """f(s) - f(parent of s) over the settled states: the levels above the
+    parent's f at which the last push of each state landed."""
+    w = lv.width
+
+    def f(s):
+        return dist[s] + w - 1 - (s // 3) % w
+
+    return {f(s) - f(p) for s, p in enumerate(parent) if p >= 0}
+
+
+def test_bucketed_search_matches_the_packed_heap_with_pushes_ten_levels_up():
+    # Enemies over half the cells: moves into them cost 1 + 10 ticks, so a
+    # push lands at f + 10 (a step right) or f + 11 (a stay or a rise).
+    rng = np.random.default_rng(3)
+    m = np.where(rng.random((14, 28)) < 0.5, tiles.ENEMY, tiles.AIR
+                 ).astype(np.int8)
+    m[13, :] = tiles.GROUND
+    m[12, 0] = tiles.AIR
+    grid = TileGrid(m)
+    lv = sim._Level(grid)
+    dist, parent, goal = _assert_same_search(grid)
+    assert {0, 1, 10, 11} <= _f_steps(lv, dist, parent)
+    assert simulate(grid, ASTAR) == _reference_runs(grid)[0]
+
+
+def test_bucketed_search_matches_the_packed_heap_without_a_goal():
+    # A floor gap wider than a full jump: no path reaches the last column,
+    # so both searches settle every state within budget.
+    m = _floor_grid(20)
+    m[3, 4:14] = tiles.AIR
+    dist, parent, goal = _assert_same_search(TileGrid(m))
+    assert goal == -1
+    assert sum(d <= 80 for d in dist) > 1
+
+
 # --- the scared agent against its own-physics reference ----------------------
 #
 # _reference_run_scared is _run_scared as it was before the agent stepped

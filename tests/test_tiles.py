@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from landscape_atlas.errors import EmptyInput, HeightMismatch
 from landscape_atlas.mario import tiles
@@ -29,6 +30,38 @@ def test_grid_shape_and_counts():
     assert (g.height, g.width, g.n_tot) == (2, 2, 4)
     assert g.n_st == 1
     assert g.n_pt == 1  # the enemy
+
+
+@pytest.mark.parametrize("name", ["STANDABLE", "PRETTY", "HAZARD"])
+def test_each_byte_table_is_its_mask_on_the_codes_and_zero_beyond(name):
+    table, mask = getattr(tiles, name + "_BYTES"), getattr(tiles, name + "_MASK")
+    assert isinstance(table, bytes) and len(table) == 256
+    assert list(table[:tiles.N_TILE_TYPES]) == [int(v) for v in mask]
+    assert table[tiles.N_TILE_TYPES:] == bytes(256 - tiles.N_TILE_TYPES)
+
+
+@st.composite
+def _grids(draw):
+    """Grids from 1 x 1 up to 16 x 60 of random codes, some with few kinds."""
+    h = draw(st.integers(1, 16))
+    w = draw(st.integers(1, 60))
+    codes = draw(st.lists(st.integers(0, tiles.N_TILE_TYPES - 1),
+                          min_size=1, max_size=2 * tiles.N_TILE_TYPES))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return TileGrid(np.array(codes, dtype=np.int8)[rng.integers(0, len(codes), (h, w))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid=_grids())
+@example(grid=TileGrid(np.array([[tiles.GROUND]])))
+@example(grid=TileGrid(np.array([[tiles.AIR, tiles.ENEMY, tiles.TUBE_BODY]])))
+@example(grid=TileGrid(np.array([[tiles.PLATFORM], [tiles.AIR], [tiles.QUESTION_COIN]])))
+def test_counts_equal_the_mask_sums(grid):
+    assert grid.n_st == int(tiles.STANDABLE_MASK[grid.cells].sum())
+    assert grid.n_pt == int(tiles.PRETTY_MASK[grid.cells].sum())
+    std = grid.cells.tobytes().translate(tiles.STANDABLE_BYTES)
+    assert tiles.open_columns(std, grid.width) == \
+        (~tiles.STANDABLE_MASK[grid.cells].any(axis=0)).tobytes()
 
 
 def test_grid_rejects_bad_input():
