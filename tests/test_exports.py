@@ -1,6 +1,9 @@
 """Export hygiene: every advertised name exists and deleted names stay gone."""
 import dataclasses
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -12,10 +15,20 @@ DELETED = ("CountingEvaluator", "SampleProvenance", "provenance",
            "RankDeficient", "ConstantResponse", "Prediction",
            "_feature_array", "labelled_functions", "_is_int", "_field",
            "_load_feature_doc", "_feature_dir", "_feature_docs")
-#: The features file's record, writer and readers, each exported by one
-#: package only.
-FEATURES_FILE = ("FeatureFile", "feature_documents", "read_features",
-                 "read_features_dir")
+#: The top level exports only the names that no subpackage exports.
+TOP_LEVEL = ("Embedding", "EmbeddingRow", "WalkSpec", "WalkTrace",
+             "__version__", "default_step", "diagonal_walk", "errors",
+             "kl_trace", "tsne_embed", "walk_bundle")
+#: Subpackage names that the top level no longer re-exports.
+SUBPACKAGE_ONLY = (
+    "BoxDomain", "FEATURE_NAMES", "FeatureVector", "LabelledRow",
+    "PROPERTY_NAMES", "PROPERTY_VOCABULARIES", "ProblemId", "ProblemInstance",
+    "PropertyModel", "SampleSet", "SimulationResult", "TileGrid", "air_time",
+    "basic_fitness", "build_labelled_rows", "compute_features", "concatenate",
+    "decode_instance_level", "decode_levels", "decoder_params", "evaluate",
+    "evaluate_batch", "instance_agent", "lhs_sample", "list_problems",
+    "lofo_cv", "normalize_features", "parse_ascii", "predict", "render_ascii",
+    "resolve", "simulate", "time_taken", "train")
 
 
 @pytest.mark.parametrize("name", PACKAGES)
@@ -29,14 +42,25 @@ def test_every_exported_name_resolves(name):
 def test_star_import_succeeds():
     namespace: dict = {}
     exec("from landscape_atlas import *", namespace)
-    assert "evaluate_batch" in namespace
+    names = set(namespace) - {"__builtins__"}
+    assert names == set(TOP_LEVEL)  # so none of SUBPACKAGE_ONLY
 
 
-def test_each_features_file_name_has_one_home():
-    homes = {name: [p for p in PACKAGES
-                    if name in importlib.import_module(p).__all__]
-             for name in FEATURES_FILE}
-    assert homes == {name: ["landscape_atlas.ela"] for name in FEATURES_FILE}
+def test_each_home_is_reached_from_the_top_level_package():
+    # A fresh interpreter: in this one, other tests have imported every home.
+    code = "import landscape_atlas as la; " + "; ".join(
+        f"la.{p.split('.')[-1]}.__all__" for p in PACKAGES[1:])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_each_exported_name_has_one_home():
+    homes: dict = {}
+    for package in PACKAGES:
+        for name in importlib.import_module(package).__all__:
+            homes.setdefault(name, []).append(package)
+    assert {n: h for n, h in homes.items() if len(h) > 1} == {}
+    assert set(SUBPACKAGE_ONLY) <= set(homes)
 
 
 def test_deleted_names_are_gone():

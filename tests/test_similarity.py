@@ -323,6 +323,12 @@ def _maps(draw, min_rows=13, max_rows=40):
        trace=st.booleans(), embed_seed=st.integers(0, 3))
 @example(case=(_blobs(n_per=81, d=5, seed=11), 30.0), iterations=251,
          trace=True, embed_seed=0)
+# 100 rows: with OpenBLAS SkylakeX, a gemm Gram product of the 2-column
+# layout, such as Y @ (2.0 * Y).T, differs bit for bit from the syrk path
+# of Y @ Y.T here (and at 13, 308 and 356 rows), but not at the 162 rows
+# above, where a descent with the gemm form passes.
+@example(case=(_blobs(n_per=50, d=5, seed=3), 30.0), iterations=3,
+         trace=False, embed_seed=1)
 def test_tsne_embed_matches_the_allocating_reference(case, iterations, trace,
                                                      embed_seed):
     X, perplexity = case
