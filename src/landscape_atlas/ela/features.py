@@ -99,13 +99,10 @@ def _squared_distances(X: np.ndarray, out: np.ndarray | None = None
     return out
 
 
-@lru_cache(maxsize=8)
-def _upper_pairs(n: int) -> np.ndarray:
-    """Flat indices of the strict upper triangle of an n x n matrix, in
-    np.triu_indices(n, k=1) order; only the dispersion blocks read it."""
-    pairs = np.ravel_multi_index(np.triu_indices(n, k=1), (n, n))
-    pairs.flags.writeable = False
-    return pairs
+def _upper_mean(block: np.ndarray) -> float:
+    """Mean of a square block's strict upper triangle (~np.tri), its
+    entries summed row by row, in np.triu_indices(k, 1) order."""
+    return float(block[~np.tri(len(block), dtype=bool)].mean())
 
 
 def _constant(a: np.ndarray) -> bool:
@@ -152,10 +149,9 @@ class _Design:
     noise there), so a constant design has every distance 0.  ``nn`` is
     each point's nearest-neighbour distance, with its mean ``nn_mean`` and
     population standard deviation ``nn_sd``, and ``mean_all`` the mean
-    distance over all pairs, read row by row from the upper triangle in
-    _upper_pairs order.  ``quad`` is the quadratic model's design of X:
-    intercept, linear and squared columns, no interactions; the linear
-    model's design is its first 1 + d columns.
+    distance over all pairs, the _upper_mean of D.  ``quad`` is the
+    quadratic model's design of X: intercept, linear and squared columns,
+    no interactions; the linear model's design is its first 1 + d columns.
     ``pca_x`` is the X-only principal-component pair of _pca_counts, (1.0,
     1.0) for a constant design.  ``cand`` holds each row's k = min(16, n)
     nearest columns, in no order, and ``cand_d`` their distances: every
@@ -173,8 +169,7 @@ class _Design:
             inverse = inverse.reshape(-1)
             D[inverse[:, None] == inverse[None, :]] = 0.0
         np.fill_diagonal(D, np.inf)
-        self.mean_all = float(np.concatenate(
-            [D[i, i + 1:] for i in range(n)]).mean())
+        self.mean_all = _upper_mean(D)
         self.nn = D.min(axis=1)
         self.nn_mean, self.nn_sd = float(self.nn.mean()), float(self.nn.std())
         self.D = D
@@ -370,8 +365,7 @@ def compute_features(sample: SampleSet, feature_seed: int = 0) -> FeatureVector:
             continue
         k = max(2, math.ceil(p * n))
         best = rank_order[:k]
-        sub = D[np.ix_(best, best)]
-        put(name, float(sub.take(_upper_pairs(k)).mean()) / mean_all)
+        put(name, _upper_mean(D[np.ix_(best, best)]) / mean_all)
 
     # --- level sets ------------------------------------------------------
     for q, thr in zip(_LEVEL_QUANTILES, np.quantile(y, _LEVEL_QUANTILES)):

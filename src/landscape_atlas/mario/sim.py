@@ -245,7 +245,9 @@ def _successor_table(h: int, w: int) -> list:
     left after the move, s2's heuristic (see _astar_search).  Successors
     come in the order the moves are tried: stay or fall, then jump, then
     drop, each without and then with a step right.  Only the step prices
-    depend on the grid, so one table serves every grid of its shape."""
+    depend on the grid, so one table serves every grid of its shape, and
+    the cache keeps it across runs: a search reads the entries that earlier
+    searches filled and fills only the ones it reaches first."""
     return [None] * (2 * h * w * 3)
 
 

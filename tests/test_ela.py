@@ -14,7 +14,7 @@ from landscape_atlas.ela import features
 from landscape_atlas.ela.features import (
     _DISP_QUANTILES, _IC_EPSILONS, _IC_SETTLE, _IC_SETTLE_FALLBACK,
     _LEVEL_QUANTILES, _constant, _design, _entropy_nat, _lstsq_r2,
-    _nearest_distances, _pca_counts, _sstot, _upper_pairs,
+    _nearest_distances, _pca_counts, _sstot,
 )
 from landscape_atlas._seeds import NS_FEATURES, rng_for
 from landscape_atlas.errors import BadSampleSize, LandscapeError, TooFewRows
@@ -583,23 +583,6 @@ def test_mean_all_is_the_upper_triangle_mean_bit_for_bit():
                 terms.D.take(pairs).mean().tobytes(), n
 
 
-def test_a_design_build_caches_no_pair_index_and_the_battery_only_blocks():
-    n, d = 500, 10
-    X = lhs_points(n, d, np.full(d, -1.0), np.ones(d), sample_seed=5)
-    features._design_terms.cache_clear()
-    _upper_pairs.cache_clear()
-    _design(X)
-    assert _upper_pairs.cache_info().currsize == 0
-    compute_features(_sample(X, np.sin(3.0 * X).sum(axis=1)))
-    blocks = {max(2, int(np.ceil(p * n))) for p in _DISP_QUANTILES}
-    assert max(blocks) <= int(np.ceil(n / 4))
-    assert _upper_pairs.cache_info().currsize == len(blocks)
-    for k in blocks:  # every entry is a block: each call hits
-        _upper_pairs(k)
-    assert _upper_pairs.cache_info().currsize == len(blocks)
-    assert _upper_pairs.cache_info().misses == len(blocks)
-
-
 # --- byte identity with the per-call battery ---------------------------------------
 
 def _per_call_features(sample, feature_seed):
@@ -659,7 +642,8 @@ def _per_call_features(sample, feature_seed):
         k = max(2, int(np.ceil(p * n)))
         best = rank_order[:k]
         sub = D[np.ix_(best, best)]
-        put(name, float(sub.take(_upper_pairs(k)).mean()) / mean_all)
+        pairs = np.ravel_multi_index(np.triu_indices(k, 1), (k, k))
+        put(name, float(sub.take(pairs).mean()) / mean_all)
 
     for q in _LEVEL_QUANTILES:
         name = f"level.mmce_{int(round(q * 100)):02d}"

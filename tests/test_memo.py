@@ -7,14 +7,19 @@ tests pin that the memo never changes a value (cold, warm, after another
 design evicted the record, pointwise, duplicated or permuted rows,
 concatenation variants, walk bundles), that it holds one record per
 decoder with the last design read, that what it hands out cannot be
-mutated, and that ``sim._CACHE.clear()`` resets it.
+mutated, and that ``sim._CACHE.clear()`` resets it.  The package's other
+process-wide caches are the three functools caches that README.md names,
+each kept for a stated reason; a new one fails the last test here.
 """
 import dataclasses
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import landscape_atlas
 from landscape_atlas import walks
 from landscape_atlas.ela.sampling import lhs_points
 from landscape_atlas.errors import OutOfBounds
@@ -265,3 +270,16 @@ def test_problems_sharing_a_decoder_share_a_bundle(decodes, sim_calls):
     assert decodes == []
     assert sim_calls == {sim.ASTAR: distinct, sim.SCARED: 0}
     assert len(sim._CACHE) == 1
+
+
+def test_the_process_wide_caches_are_the_three_named_ones():
+    found = set()
+    for info in pkgutil.walk_packages(landscape_atlas.__path__,
+                                      "landscape_atlas."):
+        module = importlib.import_module(info.name)
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                found.add(f"{value.__module__}.{value.__name__}")
+    assert found == {"landscape_atlas.mario.decoder.decoder_params",
+                     "landscape_atlas.mario.sim._successor_table",
+                     "landscape_atlas.ela.features._design_terms"}
