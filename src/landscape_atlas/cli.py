@@ -30,7 +30,7 @@ from . import __version__
 from .ela.features import normalize_features
 from .ela.files import feature_documents, read_features, read_features_dir
 from .ela.sampling import lhs_sample
-from .errors import LandscapeError, ManifestMismatch
+from .errors import LandscapeError
 from .mario.sim import (
     AGENT_KINDS, air_time, basic_fitness, simulate, time_taken,
 )
@@ -404,15 +404,9 @@ def _cmd_classify(args) -> int:
     model = PropertyModel.from_json(Path(args.model).read_bytes(), args.model)
     files = [read_features(args.features)] if args.features \
         else read_features_dir(args.features_dir)
-    for f in files:  # the set-up the model was trained at, where it has one
-        for key, feature in (("dim", "basic.dim"), ("n", "basic.n_obs")):
-            trained, value = getattr(model, key), f.vector.values[feature]
-            if trained is not None and value != trained:
-                raise ManifestMismatch(
-                    f"{f.path}: {feature} = {_fmt(value)}, but the model "
-                    f"was trained at {key} = {trained}")
-    # one vote over every file; a row's share is its label's, the largest
-    labels, shares = predict(model, [f.vector for f in files])
+    # one vote over every file, each checked against the model's set-up; a
+    # row's share is its label's, the largest
+    labels, shares = predict(model, files)
     rows = [[f.problem.text, f.instance, model.property_name, label,
              float(share.max())]
             for f, label, share in zip(files, labels, shares)]

@@ -20,8 +20,7 @@ from ..mario.decoder import (
     OVERWORLD, UNDERGROUND, decode_levels, decoder_params,
 )
 from ..mario.sim import (
-    _CACHE, ASTAR, SCARED, SimulationResult, air_time, basic_fitness,
-    simulate, time_taken,
+    _CACHE, ASTAR, SCARED, air_time, basic_fitness, simulate, time_taken,
 )
 from ..mario.tiles import TileGrid, concatenate
 from .baselines import (
@@ -218,8 +217,9 @@ def instance_agent(instance: ProblemInstance) -> str | None:
 # (instance seed, dimension) and two agents, so the problems that evaluate
 # one design share its decoded grids and agent runs.  sim._CACHE maps each
 # _decoder_key to the record (design bytes, items) of the last design read
-# under that decoder: items[None] is the tuple of its grids and
-# items[agent] the tuple of that agent's runs, filled when a problem first
+# under that decoder: items[None] is the tuple of its grids, one per row,
+# and items[agent] the tuple of that agent's runs, one per row (a repeated
+# row is run again, as it is decoded again), filled when a problem first
 # needs them, both in design row order.  A different design under the same
 # decoder replaces the record, so the memo holds at most one design per
 # decoder in use.
@@ -254,22 +254,8 @@ def _design_items(instance: ProblemInstance, X: np.ndarray,
         record = _CACHE[key] = (design, {None: _design_levels(instance, X)})
     items = record[1]
     if agent not in items:
-        items[agent] = _runs(items[None], agent)
+        items[agent] = tuple(simulate(grid, agent) for grid in items[None])
     return items[agent]
-
-
-def _runs(grids: tuple[TileGrid, ...], agent: str
-          ) -> tuple[SimulationResult, ...]:
-    """One simulate call per distinct grid, scattered back to every row."""
-    seen: dict[bytes, SimulationResult] = {}
-    runs = []
-    for grid in grids:
-        cells = grid.cells.tobytes()
-        result = seen.get(cells)
-        if result is None:
-            result = seen[cells] = simulate(grid, agent)
-        runs.append(result)
-    return tuple(runs)
 
 
 def evaluate(instance: ProblemInstance, x: np.ndarray) -> float:
@@ -285,8 +271,8 @@ def evaluate(instance: ProblemInstance, x: np.ndarray) -> float:
 def evaluate_batch(instance: ProblemInstance, X: np.ndarray) -> np.ndarray:
     """Objective values at the rows of an (n, d) design.  Baselines make one
     baseline_eval call per design; mario problems decode the design once per
-    decoder and run each agent once per distinct decoded grid, shared
-    through the memo by every problem that reads the same design."""
+    decoder and run each agent once per row, shared through the memo by
+    every problem that reads the same design."""
     X = _design(instance, X)
     if instance.id.suite == "baseline":
         return baseline_eval(instance.id.text, instance.instance_seed, X)

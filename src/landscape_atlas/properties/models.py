@@ -10,6 +10,7 @@ import numpy as np
 
 from .. import _fields
 from ..ela.features import FEATURE_NAMES, FeatureVector
+from ..ela.files import FeatureFile
 from ..errors import ManifestMismatch, SingleClass, TooFewGroups, TooFewRows
 from .forest import Tree, forest_votes, grow_forest
 
@@ -72,8 +73,10 @@ class PropertyModel:
     train_seed: int
     trees: tuple[Tree, ...]
     training_accuracy: float
-    #: the model file's metadata.dim and metadata.n, the set-up that
-    #: classify holds features to; None where the file records none
+    #: the set-up that predict holds feature vectors to: the basic.dim and
+    #: basic.n_obs that train's rows share, or a model file's metadata.dim
+    #: and metadata.n; None where the rows share none or the file records
+    #: none
     dim: int | None = None
     n: int | None = None
 
@@ -219,7 +222,16 @@ def train(rows: Sequence[LabelledRow], property_name: str, train_seed: int,
         train_seed=train_seed,
         trees=trees,
         training_accuracy=accuracy,
+        dim=_shared(rows, "basic.dim"),
+        n=_shared(rows, "basic.n_obs"),
     )
+
+
+def _shared(rows: Sequence[LabelledRow], feature: str) -> int | None:
+    """The whole number >= 1 that feature holds in every row, else None."""
+    values = {float(r.features.values[feature]) for r in rows}
+    value = values.pop() if len(values) == 1 else 0.0
+    return int(value) if value >= 1 and value.is_integer() else None
 
 
 def _vote(trees: tuple[Tree, ...], X: np.ndarray,
@@ -231,18 +243,29 @@ def _vote(trees: tuple[Tree, ...], X: np.ndarray,
 
 
 def predict(model: PropertyModel,
-            vectors: Sequence[FeatureVector | Mapping[str, float]]
+            vectors: Sequence[FeatureFile | FeatureVector | Mapping[str, float]]
             ) -> tuple[list[str], np.ndarray]:
     """The model's label for each feature vector and the vectors' vote
     shares, one column per vocabulary label, from one vote over all of
-    them.  Every vector must name the model's manifest in order
-    (ManifestMismatch otherwise)."""
+    them.  Every vector must name the model's manifest in order, and its
+    basic.dim and basic.n_obs must be the model's dim and n where the model
+    has them.  Otherwise a ManifestMismatch names the vector: a features
+    file by its path, any other vector by its index."""
     X = []
-    for fv in vectors:
+    for i, fv in enumerate(vectors):
+        source = f"vector {i}"
+        if isinstance(fv, FeatureFile):
+            source, fv = fv.path, fv.vector
         values = fv.values if isinstance(fv, FeatureVector) else fv
         if tuple(values.keys()) != model.manifest:
             raise ManifestMismatch(
-                "feature names do not match the model manifest")
+                f"{source}: feature names do not match the model manifest")
+        for key, feature in (("dim", "basic.dim"), ("n", "basic.n_obs")):
+            trained, value = getattr(model, key), float(values[feature])
+            if trained is not None and value != trained:
+                raise ManifestMismatch(
+                    f"{source}: {feature} = {value:.17g}, but the model "
+                    f"was trained at {key} = {trained}")
         X.append([float(values[n]) for n in model.manifest])
     return _vote(model.trees, np.array(X), model.vocabulary)
 

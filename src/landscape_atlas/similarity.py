@@ -43,9 +43,6 @@ class EmbeddingRow:
 class Embedding:
     rows: tuple[EmbeddingRow, ...]
     final_kl: float
-    iterations: int
-    perplexity: float
-    embed_seed: int
     kl_checkpoints: tuple[tuple[int, float], ...] | None = None
 
     def __post_init__(self):
@@ -252,8 +249,5 @@ def tsne_embed(matrix: np.ndarray,
     return Embedding(
         rows=rows,
         final_kl=_kl_divergence(p_off, Q, off),
-        iterations=iterations,
-        perplexity=perplexity,
-        embed_seed=embed_seed,
         kl_checkpoints=tuple(checkpoints) if trace else None,
     )

@@ -359,7 +359,7 @@ def test_classify_refuses_features_of_another_set_up(capsys, tmp_path,
     doc = json.loads(model_path.read_text())
     del doc["metadata"]
     bare_path.write_text(json.dumps(doc))
-    for dim, n in ((3, 20), (2, 30)):
+    for dim, n, field in ((3, 20, "basic.dim"), (2, 30, "basic.n_obs")):
         features = tmp_path / f"sphere-d{dim}-n{n}.json"
         assert _run(capsys, ["features", "--problem", "sphere",
                              "--dim", str(dim), "--n", str(n),
@@ -368,6 +368,7 @@ def test_classify_refuses_features_of_another_set_up(capsys, tmp_path,
                                        "--features", str(features)])
         assert (code, out) == (1, "")
         assert "ManifestMismatch" in err
+        assert f"{features}: {field} = " in err
         # a model without training metadata classifies it as before
         code, out, _ = _run(capsys, ["classify", "--model", str(bare_path),
                                      "--features", str(features)])

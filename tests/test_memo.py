@@ -1,10 +1,11 @@
 """The shared-design memo of problems.core.
 
 ``sim._CACHE`` holds one ``(design bytes, items)`` record per decoder, laid
-out as the comment above ``core._decoder_key`` describes.  Every m-problem
-that evaluates that design under that decoder reads the record.  These
-tests pin that the memo never changes a value (cold, warm, after another
-design evicted the record, pointwise, duplicated or permuted rows,
+out as the comment above ``core._decoder_key`` describes: one decoded grid
+and one run per agent for each design row, a repeated row included.  Every
+m-problem that evaluates that design under that decoder reads the record.
+These tests pin that the memo never changes a value (cold, warm, after
+another design evicted the record, pointwise, duplicated or permuted rows,
 concatenation variants, walk bundles), that it holds one record per
 decoder with the last design read, that what it hands out cannot be
 mutated, and that ``sim._CACHE.clear()`` resets it.  The package's other
@@ -152,19 +153,34 @@ def test_the_memo_never_holds_more_rows_than_its_bound(calls):
 def test_problems_sharing_a_design_share_its_grids_and_runs(sim_calls):
     X = np.vstack([_design(10, 5), _design(10, 5)[:4]])  # 4 repeated rows
     evaluate_batch(resolve("m11", 1, DIM), X)
-    distinct = sim_calls[sim.ASTAR]
-    assert distinct <= 10
+    assert sim_calls == {sim.ASTAR: 14, sim.SCARED: 0}  # one run per row
     for problem in ("m1", "m3", "m17", "m23"):  # same decoder and agent
         evaluate_batch(resolve(problem, 1, DIM), X)
-    assert sim_calls == {sim.ASTAR: distinct, sim.SCARED: 0}
+    assert sim_calls == {sim.ASTAR: 14, sim.SCARED: 0}
     assert len(sim._CACHE) == 1
     evaluate_batch(resolve("m15", 1, DIM), X)  # same decoder, scared
-    assert sim_calls == {sim.ASTAR: distinct, sim.SCARED: distinct}
+    assert sim_calls == {sim.ASTAR: 14, sim.SCARED: 14}
     assert len(sim._CACHE) == 1
     for problem in ("m12", "m13", "m14"):  # three other decoders
         evaluate_batch(resolve(problem, 1, DIM), X)
     evaluate_batch(resolve("m11", 2, DIM), X)  # another instance seed
     assert len(sim._CACHE) == 5
+
+
+@pytest.mark.parametrize("problem", ["m11", "m13", "m15"])
+def test_a_repeated_row_is_run_again(problem, sim_calls):
+    inst = resolve(problem, 1, DIM)
+    agent = core.instance_agent(inst)
+    X = _design(5, 7)[[0, 1, 0, 2, 0, 1]]
+    evaluate_batch(inst, X)
+    assert sim_calls[agent] == len(X)  # once per row, not per distinct row
+    grids = core._design_items(inst, X, None)
+    runs = core._design_items(inst, X, agent)
+    assert sim_calls[agent] == len(X)  # a hit runs nothing
+    assert len(grids) == len(runs) == len(X)
+    for x, grid, run in zip(X, grids, runs):
+        assert grid == core.decode_instance_level(inst, x)
+        assert run == sim.simulate(grid, agent)
 
 
 def test_a_hit_hands_out_nothing_mutable():
@@ -257,18 +273,16 @@ def test_problems_sharing_a_decoder_share_a_bundle(decodes, sim_calls):
     bundle = walks.walk_bundle(resolve("m1", 1, DIM), 5, 3)
     rows = sum(len(trace.offsets) for trace in bundle)
     assert decodes == [rows]  # the bundle is one design
-    distinct = len({core.decode_instance_level(resolve("m1", 1, DIM), x)
-                    .cells.tobytes() for t in bundle for x in t.points})
     decodes.clear()
     walks.walk_bundle(resolve("m3", 1, DIM), 5, 3)  # same decoder, grids
     assert decodes == [] and sim_calls == {sim.ASTAR: 0, sim.SCARED: 0}
     walks.walk_bundle(resolve("m11", 1, DIM), 5, 3)  # first astar problem
     assert decodes == []
-    assert sim_calls == {sim.ASTAR: distinct, sim.SCARED: 0}
+    assert sim_calls == {sim.ASTAR: rows, sim.SCARED: 0}  # one run per row
     for problem in ("m3", "m11", "m17"):  # grids and astar runs shared
         walks.walk_bundle(resolve(problem, 1, DIM), 5, 3)
     assert decodes == []
-    assert sim_calls == {sim.ASTAR: distinct, sim.SCARED: 0}
+    assert sim_calls == {sim.ASTAR: rows, sim.SCARED: 0}
     assert len(sim._CACHE) == 1
 
 

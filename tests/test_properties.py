@@ -1,7 +1,12 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
-from landscape_atlas.ela import FEATURE_NAMES, FeatureVector
+from landscape_atlas.ela import (
+    FEATURE_NAMES, FeatureVector, compute_features, lhs_sample,
+)
 from landscape_atlas.errors import (
     ManifestMismatch, SingleClass, TooFewGroups, TooFewRows,
 )
@@ -9,7 +14,7 @@ from landscape_atlas.properties import (
     PROPERTY_VOCABULARIES, LabelledRow, PropertyModel, build_labelled_rows,
     load_labels, lofo_cv, predict, train, vocabulary_for,
 )
-from landscape_atlas.problems import list_problems
+from landscape_atlas.problems import list_problems, resolve
 from landscape_atlas.properties import forest
 
 
@@ -139,7 +144,6 @@ _TREE = {"feature": [3, -1, 5, -1, -1], "threshold": [0.5, 0, -1.0, 0, 0],
         "leaf-counts-missing", "leaf-counts-off-vocabulary",
         "arrays-differ-in-length", "no-nodes", "empty-forest"])
 def test_malformed_model_trees_are_refused_on_load(change):
-    import json
     doc = json.loads(train(_separable_rows(), "funnel", 0, n_trees=3).to_json())
     doc["trees"][0] = _TREE
     assert PropertyModel.from_json(json.dumps(doc)).trees[0].left[2] == 3
@@ -152,10 +156,50 @@ def test_malformed_model_trees_are_refused_on_load(change):
 
 
 def test_model_json_can_carry_metadata():
-    import json
     model = train(_separable_rows(), "funnel", 0, n_trees=5)
     doc = json.loads(model.to_json(metadata={"tool": "x"}))
     assert doc["metadata"] == {"tool": "x"}
+
+
+@pytest.fixture(scope="module")
+def d2_rows():
+    """The funnel corpus at d = 2, n = 20."""
+    return build_labelled_rows("funnel", dimension=2, n=20)
+
+
+def _sphere(dim: int, n: int) -> FeatureVector:
+    return compute_features(lhs_sample(resolve("sphere", 1, dim), n, 1))
+
+
+def test_train_records_the_set_up_its_rows_share(d2_rows):
+    model = train(d2_rows, "funnel", 0, n_trees=3)
+    assert (model.dim, model.n) == (2, 20)
+    # the model file carries only the metadata it is given
+    assert "metadata" not in json.loads(model.to_json())
+    mixed = d2_rows + build_labelled_rows("funnel", dimension=3, n=20)
+    model = train(mixed, "funnel", 0, n_trees=3)
+    assert (model.dim, model.n) == (None, 20)
+    # random vectors share no set-up
+    model = train(_separable_rows(), "funnel", 0, n_trees=3)
+    assert (model.dim, model.n) == (None, None)
+
+
+@pytest.mark.parametrize("dim, n, feature", [(3, 20, "basic.dim"),
+                                             (2, 30, "basic.n_obs")])
+def test_predict_refuses_a_vector_of_another_set_up(d2_rows, dim, n,
+                                                    feature):
+    model = train(d2_rows, "funnel", 0, n_trees=3)
+    same, other = _sphere(2, 20), _sphere(dim, n)
+    labels, _ = predict(model, [same, dict(same.values)])
+    assert len(labels) == 2
+    with pytest.raises(ManifestMismatch, match=f"vector 1: {feature} = "):
+        predict(model, [same, other])
+    with pytest.raises(ManifestMismatch, match=f"vector 0: {feature} = "):
+        predict(model, [dict(other.values)])
+    # a model that records no set-up labels any set-up, as a model file
+    # without metadata does
+    bare = dataclasses.replace(model, dim=None, n=None)
+    assert len(predict(bare, [other])[0]) == 1
 
 
 def test_lofo_cv_builds_one_fold_per_group():

@@ -143,8 +143,7 @@ def test_non_finite_rows_and_perplexity_below_1_are_refused_first(
 
 def test_embedding_rejects_bad_kl():
     with pytest.raises(ValueError):
-        Embedding(rows=(), final_kl=-0.5, iterations=10, perplexity=2.0,
-                  embed_seed=0)
+        Embedding(rows=(), final_kl=-0.5)
 
 
 def test_duplicate_rows_land_closest_to_each_other():
